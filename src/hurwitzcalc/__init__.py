@@ -6,11 +6,10 @@ Everything computes over exact rationals; there is no floating point
 anywhere in the engine.
 """
 
-from .symkernel import (Poly, Rational, RationalFunction, ceil_div,
-                        poly_eval, poly_identical_zero)
-from .chow import (ChowClass, ChowPresentation, grr_degree_on_p1xp1, integrate,
-                   multiply, ring_grassmann_bundle_g25, ring_hirzebruch,
-                   ring_p1xp1, ring_product_with_p1, ring_proj_bundle_over_p1,
+from .symkernel import Poly, Rational, RationalFunction, ceil_div
+from .chow import (ChowClass, ChowPresentation, grr_degree_on_p1xp1,
+                   ring_grassmann_bundle_g25, ring_hirzebruch, ring_p1xp1,
+                   ring_product_with_p1, ring_proj_bundle_over_p1,
                    ring_proj_space)
 from .bundles import (CoverInvariants, SplittingType, balanced_type,
                       divisorial_conditions, ext1_dim, generic_tame,

@@ -3,7 +3,10 @@
 Each presentation has degree-one generators, power-rewrite rules that put
 monomials into a unique normal form (confluence is checked exhaustively at
 construction), and an integration table on top-degree monomials.  The
-constructors below cover every ring the engine needs:
+constructors below cover every ring the engine needs, and each returns the
+one presentation its spec names: a spec such as ``projbundle:3:u + v`` is
+built, and its confluence checked, once per process, so ring equality is
+identity.
 
 * the quadric surface P1 x P1 and the Hirzebruch surfaces F_h,
 * projective bundles P(E) over the line with the convention
@@ -18,7 +21,6 @@ exact and symbolic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from .errors import DegreeMismatch, InvalidRank, RingMismatch
@@ -63,20 +65,6 @@ class ChowPresentation:
         if top_degree is not None:
             self._check_confluence()
 
-    # -- structural equality (classes survive serialization round trips) ----
-
-    def _key(self):
-        return (self.name, self.generators, self.top_degree,
-                tuple(sorted((i, p, tuple(sorted((m, str(c)) for m, c in r.items())))
-                             for i, (p, r) in self.rewrites.items())),
-                tuple(sorted((m, str(c)) for m, c in self.integration.items())))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ChowPresentation) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     # -- normal forms --------------------------------------------------------
 
     def _rewrite_once(self, mono: Mono, gen_index: int) -> dict[Mono, Poly]:
@@ -89,20 +77,27 @@ class ChowPresentation:
             out[combined] = out.get(combined, Poly.const(0)) + coeff
         return {m: c for m, c in out.items() if not c.is_zero()}
 
+    def _accumulate(self, terms: Iterable[tuple[Mono, Poly]]) -> dict[Mono, Poly]:
+        """Sum coeff * normal_form(mono) over the terms, dropping zeros."""
+        result: dict[Mono, Poly] = {}
+        for mono, coeff in terms:
+            if coeff.is_zero():
+                continue
+            for m, c in self.normal_form(mono).items():
+                acc = result.get(m, Poly.const(0)) + coeff * c
+                if acc.is_zero():
+                    result.pop(m, None)
+                else:
+                    result[m] = acc
+        return result
+
     def normal_form(self, mono: Mono) -> dict[Mono, Poly]:
         """Fully reduce a monomial to a combination of normal-form monomials."""
         if mono in self._nf_cache:
             return self._nf_cache[mono]
         for i, (power, _) in self.rewrites.items():
             if mono[i] >= power:
-                result: dict[Mono, Poly] = {}
-                for m, c in self._rewrite_once(mono, i).items():
-                    for m2, c2 in self.normal_form(m).items():
-                        acc = result.get(m2, Poly.const(0)) + c * c2
-                        if acc.is_zero():
-                            result.pop(m2, None)
-                        else:
-                            result[m2] = acc
+                result = self._accumulate(self._rewrite_once(mono, i).items())
                 self._nf_cache[mono] = result
                 return result
         self._nf_cache[mono] = {mono: Poly.const(1)}
@@ -126,14 +121,8 @@ class ChowPresentation:
                 reference = None
                 for i, (power, _) in self.rewrites.items():
                     if mono[i] >= power:
-                        candidate: dict[Mono, Poly] = {}
-                        for m, c in self._rewrite_once(mono, i).items():
-                            for m2, c2 in self.normal_form(m).items():
-                                acc = candidate.get(m2, Poly.const(0)) + c * c2
-                                if acc.is_zero():
-                                    candidate.pop(m2, None)
-                                else:
-                                    candidate[m2] = acc
+                        candidate = self._accumulate(
+                            self._rewrite_once(mono, i).items())
                         if reference is None:
                             reference = candidate
                         elif candidate != reference:
@@ -172,22 +161,12 @@ class ChowClass:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: ChowPresentation, terms: Mapping[Mono, Poly]):
-        normalized: dict[Mono, Poly] = {}
-        for mono, coeff in terms.items():
-            coeff = Poly.coerce(coeff)
-            if coeff.is_zero():
-                continue
-            for m, c in ring.normal_form(mono).items():
-                acc = normalized.get(m, Poly.const(0)) + coeff * c
-                if acc.is_zero():
-                    normalized.pop(m, None)
-                else:
-                    normalized[m] = acc
         self.ring = ring
-        self.terms = normalized
+        self.terms = ring._accumulate(
+            (mono, Poly.coerce(coeff)) for mono, coeff in terms.items())
 
     def _require_same_ring(self, other: "ChowClass") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatch(f"{self.ring.name} vs {other.ring.name}")
 
     @staticmethod
@@ -231,6 +210,8 @@ class ChowClass:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ChowClass":
+        if n < 0:
+            raise ValueError("negative class power")
         result = self.ring.one()
         for _ in range(n):
             result = result * self
@@ -239,7 +220,7 @@ class ChowClass:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChowClass):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring is other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.ring, frozenset((m, c) for m, c in self.terms.items())))
@@ -296,45 +277,47 @@ class ChowClass:
         }
 
 
-def multiply(x: ChowClass, y: ChowClass) -> ChowClass:
-    """Normal-form product; RingMismatch if the rings differ."""
-    return x * y
-
-
-def integrate(x: ChowClass) -> Poly:
-    """Exact symbolic integral; DegreeMismatch off top degree."""
-    return x.integrate()
-
-
 # ---------------------------------------------------------------------------
 # Ring constructors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# The one presentation of each spec built in this process.
+_RINGS: dict[str, ChowPresentation] = {}
+
+
+def _interned(spec: str, **presentation) -> ChowPresentation:
+    """The presentation named by `spec`, built (and its confluence checked)
+    on the first request only."""
+    ring = _RINGS.get(spec)
+    if ring is None:
+        ring = _RINGS[spec] = ChowPresentation(spec=spec, **presentation)
+    return ring
+
+
 def ring_p1xp1() -> ChowPresentation:
     """P1 x P1 with ruling classes Rs, Rt: Rs^2 = Rt^2 = 0, integral(Rs*Rt) = 1."""
-    return ChowPresentation(
+    return _interned(
+        "p1xp1",
         name="p1xp1",
         generators=("Rs", "Rt"),
         parameters=(),
         rewrites={0: (2, {}), 1: (2, {})},
         top_degree=2,
         integration={(1, 1): 1},
-        spec="p1xp1",
     )
 
 
 def ring_hirzebruch(h: PolyLike | str = "h") -> ChowPresentation:
     """Hirzebruch surface F_h with section class tau (tau^2 = h) and fiber f."""
     hp = Poly.var(h) if isinstance(h, str) else Poly.coerce(h)
-    return ChowPresentation(
+    return _interned(
+        f"hirzebruch:{hp}",
         name="hirzebruch",
         generators=("tau", "f"),
         parameters=tuple(sorted(hp.variables())),
         rewrites={0: (2, {(1, 1): hp}), 1: (2, {})},
         top_degree=2,
         integration={(1, 1): 1},
-        spec=f"hirzebruch:{hp}",
     )
 
 
@@ -351,14 +334,14 @@ def ring_proj_bundle_over_p1(rank: int, c1: PolyLike | str = "c1E") -> ChowPrese
         raise InvalidRank(f"projective bundle needs rank >= 2, got {rank}")
     c1p = Poly.var(c1) if isinstance(c1, str) else Poly.coerce(c1)
     zeta_rule_target = (rank - 1, 1)
-    return ChowPresentation(
+    return _interned(
+        f"projbundle:{rank}:{c1p}",
         name=f"projbundle{rank}",
         generators=("z", "f"),
         parameters=tuple(sorted(c1p.variables())),
         rewrites={0: (rank, {zeta_rule_target: c1p}), 1: (2, {})},
         top_degree=rank,
         integration={(rank - 1, 1): 1},
-        spec=f"projbundle:{rank}:{c1p}",
     )
 
 
@@ -372,49 +355,44 @@ def ring_grassmann_bundle_g25(deg_f_dual: PolyLike | str = "c1Fdual") -> ChowPre
     first fact by :func:`grassmann_top_constant_from_twist`.
     """
     dp = Poly.var(deg_f_dual) if isinstance(deg_f_dual, str) else Poly.coerce(deg_f_dual)
-    return ChowPresentation(
+    return _interned(
+        f"grassmann25:{dp}",
         name="grassmann25",
         generators=("z", "f"),
         parameters=tuple(sorted(dp.variables())),
         rewrites={1: (2, {})},
         top_degree=7,
         integration={(6, 1): 5, (7, 0): 14 * dp},
-        spec=f"grassmann25:{dp}",
     )
 
 
-@lru_cache(maxsize=None)
 def ring_proj_space(n: int) -> ChowPresentation:
     """P^n with hyperplane class H."""
-    return ChowPresentation(
+    return _interned(
+        f"projspace:{n}",
         name=f"projspace{n}",
         generators=("H",),
         parameters=(),
         rewrites={0: (n + 1, {})},
         top_degree=n,
         integration={(n,): 1},
-        spec=f"projspace:{n}",
     )
 
 
 def ring_product_with_p1(base: ChowPresentation) -> ChowPresentation:
     """base x P1 for a projective-space base: adds a square-zero class F and
     extends integration by integral(H^n * F) = 1."""
-    if not base.name.startswith("projspace"):
+    n = base.top_degree
+    if base is not _RINGS.get(f"projspace:{n}"):
         raise RingMismatch("product construction expects a projective-space base")
-    return _product_with_p1_cached(base.top_degree)
-
-
-@lru_cache(maxsize=None)
-def _product_with_p1_cached(n: int) -> ChowPresentation:
-    return ChowPresentation(
+    return _interned(
+        f"projspace_x_p1:{n}",
         name=f"projspace{n}xP1",
         generators=("H", "F"),
         parameters=(),
         rewrites={0: (n + 1, {}), 1: (2, {})},
         top_degree=n + 1,
         integration={(n, 1): 1},
-        spec=f"projspace_x_p1:{n}",
     )
 
 
@@ -422,22 +400,16 @@ def expansion_ring(square_zero: Iterable[str], free: Iterable[str]) -> ChowPrese
     """A ring for raw class expansion: the listed square-zero generators plus
     unconstrained ones; no top degree, no integration.  Used for pipelines
     that expand a product and read off coefficients afterwards."""
-    return _expansion_ring_cached(tuple(square_zero), tuple(free))
-
-
-@lru_cache(maxsize=None)
-def _expansion_ring_cached(square_zero: tuple[str, ...],
-                           free: tuple[str, ...]) -> ChowPresentation:
-    sq = square_zero
-    fr = free
-    return ChowPresentation(
+    sq = tuple(square_zero)
+    fr = tuple(free)
+    return _interned(
+        f"expansion:{','.join(fr)}|{','.join(sq)}",
         name="expansion",
         generators=fr + sq,
         parameters=(),
         rewrites={len(fr) + i: (2, {}) for i in range(len(sq))},
         top_degree=None,
         integration={},
-        spec="expansion:" + ",".join(fr + sq),
     )
 
 
@@ -551,7 +523,7 @@ class Surface:
         self.fundamental = fundamental
 
     def dot(self, x: ChowClass, y: ChowClass) -> Poly:
-        if x.ring != self.ring or y.ring != self.ring:
+        if x.ring is not self.ring or y.ring is not self.ring:
             raise RingMismatch(f"classes must live on {self.ring.name}")
         product = x * y
         if self.fundamental is not None:

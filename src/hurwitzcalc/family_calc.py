@@ -118,7 +118,7 @@ def chern_from_basis(d: int, lam: RationalFunction, delta: RationalFunction,
 def pencil_delta_on_surface(surface: Surface, pencil_class: ChowClass) -> Poly:
     """Number of singular elements of a general pencil in |L| on a smooth
     surface, by the jet-bundle count: 3 L^2 + 2 L.K + c2(Omega)."""
-    if pencil_class.ring != surface.ring:
+    if pencil_class.ring is not surface.ring:
         raise RingMismatch(f"pencil class must live on {surface.ring.name}")
     if pencil_class.degrees() != {1}:
         raise RingMismatch("pencil class must be a divisor class")

@@ -238,28 +238,6 @@ class Poly:
         return f"Poly({self})"
 
 
-def poly_eval(p: Poly, assignment: Mapping[str, Scalar]) -> Fraction:
-    """Exact value of p at the assignment (all variables must be covered)."""
-    return p.eval(assignment)
-
-
-def poly_identical_zero(p: Poly) -> bool:
-    """True iff p has no terms after normalization.
-
-    Used to certify symbolic identities: an identity holds exactly when the
-    difference of its two sides is identically zero.
-    """
-    return p.is_zero()
-
-
-def poly_from_vars(expr_coeffs: Mapping[str, Scalar], const: Scalar = 0) -> Poly:
-    """Convenience: build c1*x1 + c2*x2 + ... + const."""
-    p = Poly.const(const)
-    for name, c in expr_coeffs.items():
-        p = p + Poly.var(name) * c
-    return p
-
-
 def _univariate_coeffs(p: Poly, name: str) -> list[Fraction] | None:
     """Dense coefficient list if p involves no variable other than `name`."""
     if not p.variables() <= {name}:

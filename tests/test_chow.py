@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzcalc.chow import (canonical_class, grassmann_canonical_class,
+from hurwitzcalc.chow import (canonical_class, expansion_ring,
+                              grassmann_canonical_class,
                               grassmann_top_constant_from_twist,
                               grr_degree_on_p1xp1, parse_class, parse_poly,
                               ring_from_spec, ring_grassmann_bundle_g25,
@@ -147,6 +148,47 @@ def test_product_with_p1():
     assert pairing == Poly.const(4)
 
 
+def test_product_with_p1_rejects_a_product_base():
+    with pytest.raises(RingMismatch):
+        ring_product_with_p1(ring_product_with_p1(ring_proj_space(2)))
+    with pytest.raises(RingMismatch):
+        ring_product_with_p1(ring_p1xp1())
+
+
+def test_negative_class_power_is_rejected():
+    z = ring_proj_bundle_over_p1(3).gen("z")
+    assert z ** 0 == z.ring.one()
+    with pytest.raises(ValueError):
+        z ** -1
+
+
+@pytest.mark.parametrize("build", [
+    ring_p1xp1,
+    lambda: ring_hirzebruch(Poly.var("h") + 1),
+    lambda: ring_proj_bundle_over_p1(3, Poly.var("u") + Poly.var("v")),
+    lambda: ring_grassmann_bundle_g25(-2 * (Poly.var("g") + 4)),
+    lambda: ring_proj_space(3),
+    lambda: ring_product_with_p1(ring_proj_space(3)),
+], ids=["p1xp1", "hirzebruch", "projbundle", "grassmann25", "projspace",
+        "projspace_x_p1"])
+def test_one_ring_object_per_spec(build):
+    ring = build()
+    assert build() is ring
+    assert ring_from_spec(ring.spec) is ring
+
+
+def test_expansion_spec_records_square_zero_generators():
+    first = expansion_ring(square_zero=("Rs", "Rt"), free=("zeta",))
+    second = expansion_ring(square_zero=("Rt",), free=("zeta", "Rs"))
+    assert first.generators == second.generators
+    assert first.spec != second.spec
+    assert first is not second
+    assert expansion_ring(("Rs", "Rt"), ("zeta",)) is first
+    rs = first.gen("Rs")
+    assert (rs * rs).is_zero()
+    assert not (second.gen("Rs") * second.gen("Rs")).is_zero()
+
+
 def test_canonical_classes():
     ring = ring_p1xp1()
     rs, rt = ring.gen("Rs"), ring.gen("Rt")
@@ -216,6 +258,7 @@ def test_class_json_round_trip():
     cls = 2 * z - Poly.var("u") * f
     data = cls.to_json()
     ring2 = ring_from_spec(data["ring"])
+    assert ring2 is ring
     rebuilt = sum((parse_poly(t["coeff"]) * parse_class(ring2, t["monomial"])
                    for t in data["terms"]), ring2.zero())
     assert rebuilt == cls
