@@ -65,6 +65,18 @@ class DegenerateDenominator(EngineError):
     """The divisor-class formulas degenerate (b = 10, i.e. g + d = 6)."""
 
 
+class DerivationMismatch(EngineError):
+    """Two derivations of the same quantity disagree: a bug in the engine,
+    not bad input."""
+
+
+def require(cond: bool, what: str) -> None:
+    """Raise DerivationMismatch unless `cond` holds; `what` names the
+    identity that was checked.  Unlike `assert`, this survives `python -O`."""
+    if not cond:
+        raise DerivationMismatch(f"derivation check failed: {what}")
+
+
 class PropagationFailure(EngineError):
     """Inequality propagation could not certify some boundary divisor."""
 

@@ -6,18 +6,25 @@ lambda, kappa, delta, and the two ramification divisors T (triple point) and
 D ((2,2)-pair) are polynomial expressions in the Chern data of the two
 structural bundles.  This module computes them exactly, together with the
 singular-element counts of the explicit pencils the divisor bounds rest on.
+
+Each pencil count is derived once per process, lazily on first use, with
+the genus (or the bundle twists) kept symbolic; the jet-bundle count is
+checked against the Euler-characteristic count at that derivation.  The
+per-genus functions only evaluate the resulting polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm
 
 from .bundles import k1_pentagonal, m_r_pentagonal, v_tetragonal
 from .chow import (ChowClass, Surface, canonical_class, grassmann_canonical_class,
-                   ring_grassmann_bundle_g25, ring_proj_bundle_over_p1)
-from .errors import InvalidProfile, OutOfRange, RingMismatch, UnknownKind
+                   ring_grassmann_bundle_g25, ring_proj_bundle_over_p1,
+                   surface_hirzebruch, surface_p1xp1)
+from .errors import InvalidProfile, OutOfRange, RingMismatch, UnknownKind, require
 from .symkernel import Poly, PolyLike, RationalFunction
 
 
@@ -137,6 +144,20 @@ def pencil_delta_via_euler(surface: Surface, pencil_class: ChowClass) -> Poly:
     return chi_total - 2 * chi_fiber
 
 
+def _checked_pencil_delta(surface: Surface, pencil_class: ChowClass) -> Poly:
+    """The jet-bundle count, required to equal the Euler-characteristic one."""
+    delta = pencil_delta_on_surface(surface, pencil_class)
+    require(delta == pencil_delta_via_euler(surface, pencil_class),
+            f"jet count = Euler count for {pencil_class} on {surface.name}")
+    return delta
+
+
+def _nonnegative_genus(g_r: int) -> int:
+    if g_r < 0:
+        raise OutOfRange(f"pencil genus must be >= 0, got {g_r}")
+    return g_r
+
+
 # ---------------------------------------------------------------------------
 # The degree-four surface: a conic bundle inside P(E) for rank-three E
 # ---------------------------------------------------------------------------
@@ -193,7 +214,7 @@ def _c2_omega_tetragonal_pipeline(u: Poly, v: Poly, g_r: Poly) -> tuple[Poly, Po
 
     intermediate_raw = (c2_ambient * surface_class).integrate()
     intermediate = _rebase_by_adjunction(intermediate_raw, -4, u, v, g_r)
-    assert intermediate == 6 * u + 3 * v - 4 * g_r
+    require(intermediate == 6 * u + 3 * v - 4 * g_r, "restricted ambient c2")
 
     # conormal sequence: c2(Omega_S) = c1(M)^2 - K_ambient.c1(M) + c2(Omega_ambient)|_S
     conormal = -surface_class
@@ -201,7 +222,7 @@ def _c2_omega_tetragonal_pipeline(u: Poly, v: Poly, g_r: Poly) -> tuple[Poly, Po
     correction = conormal * conormal - k_ambient * conormal
     final_raw = ((correction + c2_ambient) * surface_class).integrate()
     final = _rebase_by_adjunction(final_raw, -4, u, v, g_r)
-    assert final == 6 * u + 3 * v - 4 * g_r - 8
+    require(final == 6 * u + 3 * v - 4 * g_r - 8, "conic-bundle surface c2")
     return intermediate, final
 
 
@@ -219,16 +240,22 @@ def surface_tetragonal(u: PolyLike, v: PolyLike) -> Surface:
     return Surface("conic-bundle", ring, k_surface, c2, fundamental)
 
 
-def tetragonal_pencil_delta(g_r: int) -> Fraction:
-    """Singular elements of the basic degree-four pencil: v + 6g + 6, with
-    v = ceil((g+3)/2) the larger twist of the rank-two bundle F."""
-    v = v_tetragonal(g_r)
-    u = g_r + 3 - v
+@cache
+def _tetragonal_form() -> Poly:
+    """Singular elements of 2z - uf on the conic-bundle surface with u and
+    v symbolic: 6u + 7v - 12."""
+    u, v = Poly.var("u"), Poly.var("v")
     surface = surface_tetragonal(u, v)
     z, f = surface.ring.gen("z"), surface.ring.gen("f")
-    delta = pencil_delta_on_surface(surface, 2 * z - u * f)
-    assert delta == pencil_delta_via_euler(surface, 2 * z - u * f)
-    return delta.constant_value()
+    return _checked_pencil_delta(surface, 2 * z - u * f)
+
+
+def tetragonal_pencil_delta(g_r: int) -> Fraction:
+    """Singular elements of the basic degree-four pencil: v + 6g + 6, with
+    v = ceil((g+3)/2) the larger twist of the rank-two bundle F and
+    u = g + 3 - v."""
+    v = v_tetragonal(_nonnegative_genus(g_r))
+    return _tetragonal_form().eval({"u": g_r + 3 - v, "v": v})
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +293,7 @@ def pentagonal_pencil_symbolic(g: PolyLike = "g", k1: PolyLike = "k1") -> dict[s
     b_raw = ((z + f * k1) * product).integrate()
     tail_sum = kernel_degree_sum - k1
     b_count = _substitute_symmetric_tail(b_raw, [f"k{i}" for i in range(2, 7)], tail_sum)
-    assert b_count == 5 * k1 - 3 * (g + 4)
+    require(b_count == 5 * k1 - 3 * (g + 4), "degree-five basepoint count")
 
     # canonical class of the surface: the five cutting divisors plus K of
     # the bundle; the z-terms cancel and only a fiber multiple survives
@@ -275,18 +302,18 @@ def pentagonal_pencil_symbolic(g: PolyLike = "g", k1: PolyLike = "k1") -> dict[s
     for k in ks[1:]:
         cutting = cutting + (z + f * k)
     k_surface = cutting + k_bundle
-    assert k_surface.coefficient((1, 0)).is_zero()
+    require(k_surface.coefficient((1, 0)).is_zero(), "canonical z-terms cancel")
     k_fiber_raw = k_surface.coefficient((0, 1))
     k_fiber = _substitute_symmetric_tail(k_fiber_raw, [f"k{i}" for i in range(2, 7)], tail_sum)
-    assert k_fiber == g + 2 - k1
+    require(k_fiber == g + 2 - k1, "elliptic-surface canonical class")
 
     chi_structure = k_fiber + 2          # K = (chi(O) - 2) f for the fibration
     chi_top_surface = 12 * chi_structure  # Noether with K^2 = 0
     chi_top_total = chi_top_surface + b_count
     delta = chi_top_total - 2 * (2 - 2 * g)
     lam = chi_structure - (1 - g)
-    assert lam == 2 * g + 3 - k1
-    assert delta == 13 * g + 32 - 7 * k1
+    require(lam == 2 * g + 3 - k1, "degree-five pencil lambda")
+    require(delta == 13 * g + 32 - 7 * k1, "degree-five pencil delta")
     return {"lambda": lam, "delta": delta, "B": b_count, "K_fiber": k_fiber,
             "chi_structure": chi_structure}
 
@@ -296,29 +323,35 @@ def _substitute_symmetric_tail(p: Poly, names: list[str], total: Poly) -> Poly:
     first = p.coefficient(((names[0], 1),))
     for name in names:
         mono = ((name, 1),)
-        if p.coefficient(mono) != first:
-            raise AssertionError("expression is not symmetric in the tail twists")
-        if any(name in {n for n, _ in m} and m != mono for m in p.terms):
-            raise AssertionError("expression is not linear in the tail twists")
+        require(p.coefficient(mono) == first, "symmetric in the tail twists")
+        require(not any(name in {n for n, _ in m} and m != mono for m in p.terms),
+                "linear in the tail twists")
     share = total / len(names)
     return p.subs({name: share for name in names})
 
 
+@cache
+def _pentagonal_form() -> dict[str, Poly]:
+    return pentagonal_pencil_symbolic()
+
+
+def _pentagonal_values(g_r: int) -> dict[str, Fraction]:
+    """k1, B, lambda and delta of the symbolic degree-five pencil at g_r."""
+    k1 = k1_pentagonal(g_r)
+    at = {"g": g_r, "k1": k1}
+    form = _pentagonal_form()
+    return {"k1": Fraction(k1),
+            **{name: form[name].eval(at) for name in ("B", "lambda", "delta")}}
+
+
 def pentagonal_pencil_numbers(g_r: int) -> dict[str, Fraction]:
     """Exact invariants of a general degree-five pencil of genus g_r >= 2:
-    k1, the basepoint count B, and the pencil's lambda and delta.  delta is
-    recomputed through the Euler-characteristic pipeline inside
-    :func:`pentagonal_pencil_symbolic`."""
+    k1, the basepoint count B, and the pencil's lambda and delta, evaluated
+    from :func:`pentagonal_pencil_symbolic`, whose Euler-characteristic
+    pipeline fixes delta."""
     if g_r < 2:
         raise OutOfRange("pentagonal pencils need genus >= 2")
-    k1 = k1_pentagonal(g_r)
-    sym = pentagonal_pencil_symbolic(Poly.const(g_r), Poly.const(k1))
-    return {
-        "k1": Fraction(k1),
-        "B": sym["B"].constant_value(),
-        "lambda": sym["lambda"].constant_value(),
-        "delta": sym["delta"].constant_value(),
-    }
+    return _pentagonal_values(g_r)
 
 
 # ---------------------------------------------------------------------------
@@ -447,38 +480,44 @@ _PENTAGONAL_DELTA_NOTE = (
     "pipeline; the digit-transposed 31 fails it")
 
 
+@cache
+def _trigonal_form() -> Poly:
+    """7g + 6 with g symbolic, derived on the quadric surface and on its
+    blown-up twin, which must agree."""
+    g = Poly.var("g")
+    quadric = surface_p1xp1()
+    rs, rt = quadric.ring.gen("Rs"), quadric.ring.gen("Rt")
+    blown_up = surface_hirzebruch(1)
+    tau, f = blown_up.ring.gen("tau"), blown_up.ring.gen("f")
+    # bidegree (3, k) with k = g/2 + 1, and 3 tau + m f with m = (g - 1)/2
+    deltas = []
+    for surface, pencil in ((quadric, (g / 2 + 1) * rs + 3 * rt),
+                            (blown_up, 3 * tau + (g - 1) / 2 * f)):
+        require(surface.adjunction_genus(pencil) == g,
+                f"trigonal pencil on {surface.name} has genus g")
+        deltas.append(_checked_pencil_delta(surface, pencil))
+    require(deltas[0] == deltas[1], "the two trigonal surfaces agree")
+    return deltas[0]
+
+
 def trigonal_pencil_delta(g_r: int) -> Fraction:
-    """Singular members of the basic trigonal pencil, 7g + 6, computed on
-    the quadric surface (even genus) or its blown-up twin (odd genus)."""
-    from .chow import surface_hirzebruch, surface_p1xp1
-    if g_r % 2 == 0:
-        surface = surface_p1xp1()
-        k = g_r // 2 + 1
-        rs, rt = surface.ring.gen("Rs"), surface.ring.gen("Rt")
-        # bidegree (3, k): degree three over one ruling, genus 2(k-1) = g_r
-        pencil = k * rs + 3 * rt
-        delta = pencil_delta_on_surface(surface, pencil)
-        assert delta == pencil_delta_via_euler(surface, pencil)
-        assert surface.adjunction_genus(pencil) == g_r
-        return delta.constant_value()
-    surface = surface_hirzebruch(Poly.const(1))
-    m = (g_r - 1) // 2
+    """Singular members of the basic trigonal pencil, 7g + 6.  The count is
+    derived once per process with the genus symbolic, on the quadric
+    surface and on its blown-up twin, and then evaluated at g_r."""
+    return _trigonal_form().eval({"g": _nonnegative_genus(g_r)})
+
+
+@cache
+def _hyperelliptic_form() -> Poly:
+    """8h + 4: the pencil 2 tau + f on F_h with h symbolic."""
+    surface = surface_hirzebruch("h")
     tau, f = surface.ring.gen("tau"), surface.ring.gen("f")
-    pencil = 3 * tau + m * f
-    delta = pencil_delta_on_surface(surface, pencil)
-    assert delta == pencil_delta_via_euler(surface, pencil)
-    assert surface.adjunction_genus(pencil) == g_r
-    return delta.constant_value()
+    return _checked_pencil_delta(surface, 2 * tau + f)
 
 
 def hyperelliptic_pencil_delta(g_r: int) -> Fraction:
     """Singular members of the genus-g hyperelliptic pencil on F_g: 8g + 4."""
-    from .chow import surface_hirzebruch
-    surface = surface_hirzebruch(Poly.const(g_r))
-    tau, f = surface.ring.gen("tau"), surface.ring.gen("f")
-    delta = pencil_delta_on_surface(surface, 2 * tau + f)
-    assert delta == pencil_delta_via_euler(surface, 2 * tau + f)
-    return delta.constant_value()
+    return _hyperelliptic_form().eval({"h": _nonnegative_genus(g_r)})
 
 
 def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
@@ -548,6 +587,8 @@ def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
                             numbers["lambda"], numbers["delta"], {},
                             notes=(_PENTAGONAL_DELTA_NOTE,))
 
+    if "g" not in params:
+        raise OutOfRange(f"{kind} records need the total genus g")
     g = params["g"]
     k_r = k1_pentagonal(g_r)
     m_r = m_r_pentagonal(g_r)
@@ -604,12 +645,7 @@ def pentagonal_basechange_profile_record(g: int, g_r: int,
     n = factorial(5)
     k_r = k1_pentagonal(g_r)
     m_r = m_r_pentagonal(g_r)
-    if g_r >= 2:
-        numbers = pentagonal_pencil_numbers(g_r)
-    else:
-        # genus one: the closed formulas extend the Euler pipeline
-        numbers = {"lambda": Fraction(2 * g_r + 3 - k_r),
-                   "delta": Fraction(13 * g_r + 32 - 7 * k_r)}
+    numbers = _pentagonal_values(g_r)
     weight = Fraction(2 * g - 22, 5)
     maroni = Fraction(k_r + m_r)
     hits = {"delta_self": Fraction(-9 * n),

@@ -272,6 +272,13 @@ def _univariate_exact_div(num: Poly, den: Poly, name: str) -> Poly | None:
     return Poly(terms)
 
 
+def _leading_term(p: Poly) -> tuple[Monomial, Fraction]:
+    """The lex-leading term of a nonzero p, the variable latest in name
+    order being the most significant."""
+    mono = max(p.terms, key=lambda m: m[::-1])
+    return mono, p.terms[mono]
+
+
 class RationalFunction:
     """A quotient of polynomials.  The denominator is never identically zero;
     equality is decided by cross-multiplication, so no factorization or gcd
@@ -350,8 +357,16 @@ class RationalFunction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self) -> int:
-        s = self.simplified()
-        return hash((s.num, s.den))
+        # Leading terms in a monomial order are multiplicative, so the
+        # ratio of the numerator's and the denominator's leading terms is
+        # the same for every representation of one function.
+        if self.num.is_zero():
+            return hash(0)
+        num_mono, num_coeff = _leading_term(self.num)
+        den_mono, den_coeff = _leading_term(self.den)
+        shift = _merge_monomials(num_mono, tuple((n, -e) for n, e in den_mono))
+        ratio = num_coeff / den_coeff
+        return hash((shift, ratio)) if shift else hash(ratio)
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Fraction:
         d = self.den.eval(assignment)

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm
 
 from .bundles import k1_pentagonal, m_r_pentagonal
 from .divisor_classes import admissible_genus, class_x
-from .errors import NotDivisorial, PropagationFailure
+from .errors import NotDivisorial, PropagationFailure, require
 from .family_calc import (partial_pencil_record,
                           pentagonal_basechange_profile_record,
                           tetragonal_pencil_delta, trigonal_pencil_delta,
@@ -106,8 +107,10 @@ class Certificate:
 # Symbolic slack forms (used for the identity checks and for display)
 # ---------------------------------------------------------------------------
 
+@cache
 def slope_normalization(d: int) -> tuple[Poly, Poly]:
-    """The per-degree (a, b) polynomials in g, from the class X."""
+    """The per-degree (a, b) polynomials in g, from the class X, derived
+    once per degree."""
     data = class_x(d)
     return data["a"].as_poly(), data["b"].as_poly()
 
@@ -322,7 +325,7 @@ def _rule_d34(d: int, g: int, a: Fraction, b: Fraction, label: str,
         # them on a single target graph needs the ramified parts equal,
         # which holds for every profile of degree <= 4
         ramified_parts = {m for m in profile if m >= 2}
-        assert len(ramified_parts) == 1
+        require(len(ramified_parts) == 1, f"{profile} has one ramified part size")
         multiplicity = Fraction(sum(1 for m in profile if m >= 2))
         targets.append((_two_vertex_key(d, reduced, g_l, g_r - 1), multiplicity))
 
@@ -346,7 +349,8 @@ def _rule_d5(g: int, a: Fraction, b: Fraction, scale: Fraction, label: str,
         if g_r >= 2:
             rec = partial_pencil_record("pentagonal_unramified_5pts", gr=g_r, g=g)
             x_val = rec.x_hit * scale
-            assert slack == b * rec.delta - a * rec.lam + x_val
+            require(slack == b * rec.delta - a * rec.lam + x_val,
+                    f"degree-5 step term = record at gR = {g_r}")
         split_right = g_r - 4
         if split_right >= 0:
             targets = ((_two_vertex_key(5, unram, g_l + 4, split_right), Fraction(1)),)
@@ -383,16 +387,18 @@ def _rule_d5(g: int, a: Fraction, b: Fraction, scale: Fraction, label: str,
     simple_total = (rec_simple.boundary_hits["delta_profile"]
                     + rec_simple.boundary_hits.get("delta_collision", Fraction(0)))
     self_hit = -rec_profile.boundary_hits["delta_self"]
-    assert self_hit == -rec_simple.boundary_hits["delta_self"] == 9 * n
+    require(self_hit == -rec_simple.boundary_hits["delta_self"] == 9 * n,
+            "base-change self-intersection = -9 * 5!")
 
     # c(profile) T = S_profile + 9N c(unram) - collisions * c(simple),
     # c(simple) * 600 = S_simple + 9N c(unram)
     coeff_unram = (9 * n - collisions * 9 * n / simple_total) / t_profile
     slack = (s_profile - collisions * s_simple / simple_total) / t_profile
-    assert coeff_unram == Fraction(9 * lcm_ord * r, 10)
+    require(coeff_unram == Fraction(9 * lcm_ord * r, 10),
+            f"base-change composite coefficient, {profile}")
     expected = Fraction(lcm_ord * r, 10) * (15 * b - pentagonal_step_term(
         g, fam_genus, a, b, scale))
-    assert slack == expected
+    require(slack == expected, f"base-change composite slack, {profile}")
 
     target = _two_vertex_key(5, unram, fixed_genus, fam_genus)
     return InequalityRule(label, ((target, coeff_unram),), slack,
@@ -488,8 +494,13 @@ def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
 
 def replay(cert: Certificate) -> bool:
     """Re-run every derivation chain in the certificate and confirm each
-    recorded lower bound."""
-    fresh = certify(cert.d, cert.g)
+    recorded lower bound.  The scale of the class X is read off the
+    recorded a."""
+    a_poly, b_poly = slope_normalization(cert.d)
+    scale = cert.a / a_poly.eval({"g": cert.g})
+    if cert.b != b_poly.eval({"g": cert.g}) * scale:
+        return False
+    fresh = certify(cert.d, cert.g, scale)
     if set(fresh.per_graph) != set(cert.per_graph):
         return False
     return all(fresh.per_graph[k].lower_bound == v.lower_bound

@@ -61,6 +61,15 @@ class TestPencil:
         record = PencilRecord.from_json(json.loads(out))
         assert record.boundary_hits["delta_self"] == -1080
 
+    def test_negative_genus_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "pencil", "trigonal_plain", "--gr", "-5")
+        assert code == 2 and "domain error" in err and not out
+
+    def test_pentagonal_without_total_genus_is_domain_error(self, capsys):
+        code, _, err = run_cli(capsys, "pencil", "pentagonal_unramified_5pts",
+                               "--gr", "16")
+        assert code == 2 and "total genus" in err
+
     def test_unknown_kind_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "pencil", "nonexistent_kind", "--gr", "4")

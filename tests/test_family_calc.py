@@ -1,7 +1,12 @@
 from fractions import Fraction
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hurwitzcalc
 from hurwitzcalc.chow import surface_hirzebruch, surface_p1xp1
 from hurwitzcalc.errors import InvalidProfile, OutOfRange, RingMismatch, UnknownKind
 from hurwitzcalc.family_calc import (ChernData, PencilRecord,
@@ -118,6 +123,35 @@ class TestPencilDeltas:
         with pytest.raises(RingMismatch):
             pencil_delta_on_surface(surface_p1xp1(), foreign)
 
+    def test_negative_genus_rejected(self):
+        for evaluator in (trigonal_pencil_delta, hyperelliptic_pencil_delta,
+                          tetragonal_pencil_delta):
+            with pytest.raises(OutOfRange):
+                evaluator(-1)
+        with pytest.raises(OutOfRange):
+            hyperelliptic_pencil_delta(-3)
+        with pytest.raises(OutOfRange):
+            partial_pencil_record("trigonal_plain", gr=-5)
+
+    def test_derivation_check_survives_optimize(self):
+        # the jet-vs-Euler check runs once per process, so it must not be
+        # an assert that `python -O` strips
+        script = (
+            "import hurwitzcalc.family_calc as fc\n"
+            "from hurwitzcalc.errors import DerivationMismatch\n"
+            "jet = fc.pencil_delta_on_surface\n"
+            "fc.pencil_delta_via_euler = lambda s, c: jet(s, c) + 1\n"
+            "try:\n"
+            "    fc.trigonal_pencil_delta(4)\n"
+            "except DerivationMismatch:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                env={"PYTHONPATH": src}, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+
 
 class TestTetragonalSurface:
     def test_c2_intermediate_and_final(self):
@@ -229,6 +263,11 @@ class TestPencilRecords:
         with pytest.raises(UnknownKind):
             partial_pencil_record("hexagonal_plain", gr=2)
 
+    def test_pentagonal_records_need_total_genus(self):
+        for kind in ("pentagonal_unramified_5pts", "pentagonal_basechange"):
+            with pytest.raises(OutOfRange, match="total genus"):
+                partial_pencil_record(kind, gr=16)
+
     def test_sweeping_records_never_store_negative_special_hits(self):
         with pytest.raises(ValueError):
             PencilRecord("x", {}, Fraction(0), Fraction(0), {},
@@ -284,3 +323,18 @@ class TestBasechangeBookkeeping:
                       + simple.boundary_hits["delta_collision"])
         assert total_hits == quoted.boundary_hits["delta_collision"]
         assert simple.lam == quoted.lam and simple.delta == quoted.delta
+
+    @pytest.mark.parametrize("profile,hit,collisions", [
+        ((2, 1, 1, 1), 60, 540), ((2, 2, 1), 60, 480), ((3, 1, 1), 40, 480),
+        ((3, 2), 20, 420), ((4, 1), 30, 420), ((5,), 24, 360)])
+    def test_profile_record_genus_one(self, profile, hit, collisions):
+        # genus one evaluates the same symbolic form: k_R = 5, m_R = -3,
+        # lambda = 0 and delta = 10 per family before the base change
+        for g, x_hit in ((16, 480), (36, 2400)):
+            rec = pentagonal_basechange_profile_record(g, 1, profile)
+            assert rec.params == {"gr": 1, "g": g, "kR": 5, "mR": -3}
+            assert (rec.lam, rec.delta) == (0, -1200)
+            assert rec.boundary_hits == {"delta_self": -1080,
+                                         "delta_profile": hit,
+                                         "delta_collision": collisions}
+            assert (rec.x_hit, rec.maroni_hit, rec.ce_hit) == (x_hit, 240, 0)

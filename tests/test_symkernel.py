@@ -134,3 +134,14 @@ class TestRationalFunction:
     def test_eval(self):
         g = p("g")
         assert RationalFunction(7 * g + 6, g).eval({"g": 4}) == Fraction(17, 2)
+
+    def test_equal_values_hash_equal(self):
+        x, y, z = p("x"), p("y"), p("z")
+        pairs = [(RationalFunction(x * y, y * z), RationalFunction(x, z)),
+                 (RationalFunction(2 * x, 2 * y), RationalFunction(x, y)),
+                 (RationalFunction((x + 1) * (y - 3), (x + 2) * (y - 3)),
+                  RationalFunction(x + 1, x + 2))]
+        for lhs, rhs in pairs:
+            assert lhs == rhs and hash(lhs) == hash(rhs)
+        assert len({lhs for lhs, _ in pairs} | {rhs for _, rhs in pairs}) == 3
+        assert hash(RationalFunction(3)) == hash(3)

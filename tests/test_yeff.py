@@ -176,6 +176,23 @@ class TestCertification:
         cert = certify(4, 9)
         assert replay(cert)
 
+    def test_replay_honours_scale(self):
+        cert = certify(3, 8, scale=2)
+        assert cert.certified and replay(cert)
+        assert replay(Certificate.from_json(cert.to_json()))
+        label = sorted(cert.per_graph)[0]
+        cert.per_graph[label].lower_bound /= 2
+        assert not replay(cert)
+
+    def test_later_genus_builds_no_ring(self):
+        # the pencil counts are derived once with the genus symbolic, so a
+        # second degree-five genus only evaluates them
+        from hurwitzcalc import chow
+        certify(5, 16)
+        built = len(chow._RINGS)
+        certify(5, 36)
+        assert len(chow._RINGS) == built
+
     def test_certificate_json_round_trip(self):
         cert = certify(3, 4)
         rebuilt = Certificate.from_json(cert.to_json())
