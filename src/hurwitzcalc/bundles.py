@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .errors import IndexOutOfRange, NoTameType, OutOfRange
+from .errors import IndexOutOfRange, NoTameType, OutOfRange, require
 from .symkernel import Poly, PolyLike, ceil_div
 
 
@@ -178,7 +178,7 @@ def syzygy_rank(d: int, i: int) -> int:
     if i == d - 2:
         return 1
     value = i * (d - 2 - i) * comb(d, i + 1)
-    assert value % (d - 1) == 0
+    require(value % (d - 1) == 0, f"d-1 divides the syzygy-rank numerator, d = {d}, i = {i}")
     return value // (d - 1)
 
 

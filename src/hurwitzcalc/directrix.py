@@ -10,6 +10,10 @@ independently given by the closed form
 
     [Y] = H^(N-r) + (a + l + 1) H^(N-r-1) . F.
 
+The pipeline runs once per process for each shape (N, r), with a and l
+symbolic, and is required to equal the closed form identically in a and l;
+a single family only evaluates that class at its (a, l).
+
 The degree-five application: the Maroni intersection number of a pentagonal
 partial pencil is the rotation degree at a = k_R, l + 1 = m_R, i.e.
 k_R + m_R.
@@ -19,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .bundles import SplittingType, balanced_type, k1_pentagonal, m_r_pentagonal
 from .chow import (ChowClass, expansion_ring, grr_degree_on_p1xp1, ring_p1xp1,
                    ring_product_with_p1, ring_proj_space)
-from .errors import InvalidFamily
+from .errors import InvalidFamily, require
 from .symkernel import Poly
 
 
@@ -45,55 +50,42 @@ class DirectrixFamily:
                 f"need N >= 3 and 1 <= r <= N-2, got N={self.n}, r={self.r}")
 
 
-def _quotient_chern_data(n: int, a: int, twist: int):
-    """Chern data of W(twist * Rs) on the product of two lines, where W is
-    the quotient of the pulled-back rank-N bundle V by O(-a Rs - Rt).  The
-    degree of V stays symbolic; it cancels from every downstream number.
-    """
+@cache
+def _degree_form(n: int) -> Poly:
+    """-a - l with a and l symbolic: the Riemann-Roch degree of the
+    pushforward of W(-(l+1) Rs) to the pencil line, derived once per N.
+    W is the quotient of the pulled-back rank-N bundle V by O(-a Rs - Rt);
+    the degree of V stays symbolic and cancels."""
+    a, l = Poly.var("a"), Poly.var("l")
     ring = ring_p1xp1()
     rs, rt = ring.gen("Rs"), ring.gen("Rt")
-    deg_v = Poly.var("degV")
-    c1_w = (deg_v + a) * rs + rt
+    c1_w = (Poly.var("degV") + a) * rs + rt
     # c2 of the pullback of V vanishes, so c2(W) = c1(O(a Rs + Rt)) . c1(W)
     c2_w = ((a * rs + rt) * c1_w).integrate()
     rank_w = n - 1
-    c1_l = twist * rs
+    c1_l = -(l + 1) * rs
     c1_tw = c1_w + rank_w * c1_l
     c2_tw = (c2_w
              + (rank_w - 1) * (c1_w * c1_l).integrate()
              + comb(rank_w, 2) * (c1_l * c1_l).integrate())
-    return ring, c1_tw, c2_tw
-
-
-def directrix_pushforward_degree(fam: DirectrixFamily) -> Poly:
-    """Degree of the pushforward of W(-(l+1) Rs) to the pencil line, by the
-    Riemann-Roch count on the product surface.  Always equals -a - l,
-    independently of the (symbolic) degree of V."""
-    ring, c1_tw, c2_tw = _quotient_chern_data(fam.n, fam.a, -(fam.l + 1))
     degree = grr_degree_on_p1xp1(c1_tw, c2_tw)
-    assert degree == Poly.const(-fam.a - fam.l)
+    require(degree == -a - l, f"Riemann-Roch pushforward degree = -a - l at N = {n}")
     return degree
 
 
-def rotating_directrix_class(fam: DirectrixFamily) -> ChowClass:
-    """Class of the directrix sweep in the Chow ring of P^(N-1) x P^1_t,
-    computed by the pipeline (not transcribed from the closed form):
+@cache
+def _class_form(n: int, r: int) -> ChowClass:
+    """The swept class with a and l symbolic, derived once per (N, r) by
+    the pipeline of :func:`rotating_directrix_class` and required to equal
+    the closed form identically in a and l."""
+    a, l = Poly.var("a"), Poly.var("l")
+    rotation = -_degree_form(n)                     # a + l
 
-    1. the pushforward of W(-(l+1) Rs) is free of rank N-1-r and its degree
-       -a-l comes from the Riemann-Roch count;
-    2. the directrix scroll inside the projectivized quotient has class
-       eta^(N-1-r) + (a+l) Rt eta^(N-2-r) with eta = zeta - (l+1) Rs;
-    3. pushing into the ambient projectivized V multiplies by the class
-       zeta + a Rs + Rt of the projectivized quotient, and restricting to a
-       fixed fiber multiplies by Rs.
-    """
-    n, r, a, l = fam.n, fam.r, fam.a, fam.l
-    rotation = -directrix_pushforward_degree(fam).constant_value()  # a + l
-
-    generic_type = SplittingType((l,) * r + (l + 1,) * (n - 1 - r))
-    twisted = SplittingType(tuple(d - (l + 1) for d in generic_type.degrees))
+    # twisting the generic type O(l)^r + O(l+1)^(N-1-r) down by l+1 leaves
+    # O(-1)^r + O^(N-1-r), whatever l is
+    twisted = SplittingType((-1,) * r + (0,) * (n - 1 - r))
     kernel_rank = twisted.h0()
-    assert kernel_rank == n - 1 - r
+    require(kernel_rank == n - 1 - r, f"pushforward rank = N-1-r at N = {n}, r = {r}")
 
     ring = expansion_ring(square_zero=("Rs", "Rt"), free=("zeta",))
     zeta, rs, rt = ring.gen("zeta"), ring.gen("Rs"), ring.gen("Rt")
@@ -107,14 +99,43 @@ def rotating_directrix_class(fam: DirectrixFamily) -> ChowClass:
     h_gen, f_gen = product.gen("H"), product.gen("F")
     for mono, coeff in swept.terms.items():
         zexp, rs_exp, rt_exp = mono
-        assert rs_exp == 1
+        require(rs_exp == 1, "every swept term lies in the fixed fiber Rs")
         result = result + coeff * h_gen ** zexp * (f_gen ** rt_exp)
+    require(result == rotating_directrix_closed_form(DirectrixFamily(n, r, a, l)),
+            f"directrix pipeline = closed form at N = {n}, r = {r}")
     return result
+
+
+def directrix_pushforward_degree(fam: DirectrixFamily) -> Poly:
+    """Degree of the pushforward of W(-(l+1) Rs) to the pencil line, by the
+    Riemann-Roch count on the product surface.  Always equals -a - l,
+    independently of the (symbolic) degree of V."""
+    return Poly.const(_degree_form(fam.n).eval({"a": fam.a, "l": fam.l}))
+
+
+def rotating_directrix_class(fam: DirectrixFamily) -> ChowClass:
+    """Class of the directrix sweep in the Chow ring of P^(N-1) x P^1_t,
+    computed by the pipeline (not transcribed from the closed form):
+
+    1. the pushforward of W(-(l+1) Rs) is free of rank N-1-r and its degree
+       -a-l comes from the Riemann-Roch count;
+    2. the directrix scroll inside the projectivized quotient has class
+       eta^(N-1-r) + (a+l) Rt eta^(N-2-r) with eta = zeta - (l+1) Rs;
+    3. pushing into the ambient projectivized V multiplies by the class
+       zeta + a Rs + Rt of the projectivized quotient, and restricting to a
+       fixed fiber multiplies by Rs.
+
+    The pipeline runs once per (N, r) with a and l symbolic; a family only
+    evaluates that class.
+    """
+    form = _class_form(fam.n, fam.r)
+    at = {"a": fam.a, "l": fam.l}
+    return form.ring.cls({m: c.eval(at) for m, c in form.terms.items()})
 
 
 def rotating_directrix_closed_form(fam: DirectrixFamily) -> ChowClass:
     """H^(N-r) + (a+l+1) H^(N-r-1) F, the acceptance oracle for the
-    pipeline computation."""
+    pipeline computation; a and l may be symbols."""
     product = ring_product_with_p1(ring_proj_space(fam.n - 1))
     h_gen, f_gen = product.gen("H"), product.gen("F")
     return (h_gen ** (fam.n - fam.r)
@@ -126,22 +147,17 @@ def perfectly_balanced_jump_count(n: int, a: int, l: int) -> Fraction:
     l+1 (formally r = N-1).
 
     The splitting type jumps at finitely many t; after twisting down by
-    l+2 the quotient has no sections on any fiber, so the pushforward
-    vanishes and the jump count is the length of the first derived
-    pushforward, i.e. minus the Riemann-Roch degree.  The count is again
-    a + l + 1.
+    l+2 the quotient O(-1)^(N-1) has no sections on any fiber, so the
+    pushforward vanishes and the jump count is the length of the first
+    derived pushforward, i.e. minus the Riemann-Roch degree: the degree
+    form at l+1.  The count is again a + l + 1.
     """
     if n < 3:
         raise InvalidFamily("need N >= 3")
-    perfect = SplittingType((l + 1,) * (n - 1))
-    twisted = SplittingType(tuple(d - (l + 2) for d in perfect.degrees))
-    assert twisted.h0() == 0 and twisted.h1() == 0
-
-    ring, c1_tw, c2_tw = _quotient_chern_data(n, a, -(l + 2))
-    degree = grr_degree_on_p1xp1(c1_tw, c2_tw)
-    count = -degree.constant_value()
-    assert count == a + l + 1
-    return Fraction(count)
+    twisted = SplittingType((-1,) * (n - 1))
+    require(twisted.h0() == 0 and twisted.h1() == 0,
+            "the perfectly balanced quotient twisted by -(l+2) has no cohomology")
+    return -_degree_form(n).eval({"a": a, "l": l + 1})
 
 
 def maroni_intersection_pentagonal(g_r: int) -> Fraction:
@@ -159,13 +175,13 @@ def maroni_intersection_pentagonal(g_r: int) -> Fraction:
     low = quotient_type.degrees[0]
     minimal_count = sum(1 for d in quotient_type.degrees if d == low)
     if minimal_count == 4:
-        assert m_r == low
+        require(m_r == low, f"m_R is the balanced twist at g_r = {g_r}")
         count = perfectly_balanced_jump_count(5, k_r, m_r - 1)
     else:
-        assert m_r == low + 1
+        require(m_r == low + 1, f"m_R is one above the minimal twist at g_r = {g_r}")
         fam = DirectrixFamily(5, minimal_count, k_r, low)
         swept = rotating_directrix_class(fam)
         rotation_mono = (5 - fam.r - 1, 1)     # H^(N-r-1) F
         count = swept.coefficient(rotation_mono).constant_value()
-    assert count == k_r + m_r
+    require(count == k_r + m_r, f"Maroni rotation count = k_R + m_R at g_r = {g_r}")
     return Fraction(count)

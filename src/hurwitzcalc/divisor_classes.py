@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .bundles import divisorial_conditions
-from .errors import CongruenceViolation, DegenerateDenominator, NotDivisorial
+from .errors import CongruenceViolation, DegenerateDenominator, NotDivisorial, require
 from .family_calc import chern_from_basis
 from .symkernel import Poly, PolyLike, RationalFunction
 
@@ -146,7 +146,7 @@ def _class_from_chern_functional(d: int,
             RationalFunction.coerce(dd))
         return functional(e2, f2, s)
 
-    assert on_basis(0, 0, 0).is_zero()    # the functional is linear
+    require(on_basis(0, 0, 0).is_zero(), "the Chern functional vanishes at the origin")
     return DivisorClass(on_basis(1, 0, 0), on_basis(0, 1, 0), on_basis(0, 0, 1))
 
 
@@ -210,14 +210,14 @@ def class_x(d: int) -> dict:
         # unique up-to-scale solution of alpha*M_D + beta*CE_D = 0
         alpha, beta = -ce.d_coef, m.d_coef
         raw = m.scale(alpha).plus(ce.scale(beta))
-        assert raw.d_coef.is_zero()
+        require(raw.d_coef.is_zero(), f"the combination of M and CE kills D at d = {d}")
         sigma = target_a / raw.lambda_coef
         weight_m = alpha * sigma
         weight_ce = beta * sigma
         x = raw.scale(sigma)
 
-    assert x.lambda_coef == target_a
-    assert -x.delta_coef == target_b
+    require(x.lambda_coef == target_a and -x.delta_coef == target_b,
+            f"X has the standard (a, b) at d = {d}")
     return {"X": x, "a": x.lambda_coef, "b": -x.delta_coef,
             "weightM": weight_m, "weightCE": weight_ce}
 

@@ -532,6 +532,8 @@ def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
         return PencilRecord(kind, {"dv": dv}, Fraction(0), Fraction(dv),
                             {"delta_self": Fraction(-1)})
 
+    if "gr" not in params:
+        raise OutOfRange(f"{kind} records need the vertex genus gr")
     g_r = params["gr"]
 
     if kind == "trigonal_plain":

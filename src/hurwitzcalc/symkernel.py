@@ -183,7 +183,7 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return _leading_ratio_hash(self, _ONE)
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -272,11 +272,29 @@ def _univariate_exact_div(num: Poly, den: Poly, name: str) -> Poly | None:
     return Poly(terms)
 
 
+_ONE = Poly.const(1)
+
+
 def _leading_term(p: Poly) -> tuple[Monomial, Fraction]:
     """The lex-leading term of a nonzero p, the variable latest in name
     order being the most significant."""
     mono = max(p.terms, key=lambda m: m[::-1])
     return mono, p.terms[mono]
+
+
+def _leading_ratio_hash(num: Poly, den: Poly) -> int:
+    """Hash of num/den by the ratio of their leading terms.  Leading terms
+    in a monomial order are multiplicative, so every representation of one
+    function shares the ratio; a constant hashes like the number it equals
+    and zero like 0, so a Poly, a RationalFunction and an int that are
+    equal hash alike."""
+    if num.is_zero():
+        return hash(0)
+    num_mono, num_coeff = _leading_term(num)
+    den_mono, den_coeff = _leading_term(den)
+    shift = _merge_monomials(num_mono, tuple((n, -e) for n, e in den_mono))
+    ratio = num_coeff / den_coeff
+    return hash((shift, ratio)) if shift else hash(ratio)
 
 
 class RationalFunction:
@@ -357,16 +375,7 @@ class RationalFunction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self) -> int:
-        # Leading terms in a monomial order are multiplicative, so the
-        # ratio of the numerator's and the denominator's leading terms is
-        # the same for every representation of one function.
-        if self.num.is_zero():
-            return hash(0)
-        num_mono, num_coeff = _leading_term(self.num)
-        den_mono, den_coeff = _leading_term(self.den)
-        shift = _merge_monomials(num_mono, tuple((n, -e) for n, e in den_mono))
-        ratio = num_coeff / den_coeff
-        return hash((shift, ratio)) if shift else hash(ratio)
+        return _leading_ratio_hash(self.num, self.den)
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Fraction:
         d = self.den.eval(assignment)

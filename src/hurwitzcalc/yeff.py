@@ -27,7 +27,8 @@ from math import comb, factorial, lcm
 from .bundles import k1_pentagonal, m_r_pentagonal
 from .divisor_classes import admissible_genus, class_x
 from .errors import NotDivisorial, PropagationFailure, require
-from .family_calc import (partial_pencil_record,
+from .family_calc import (_hyperelliptic_form, _trigonal_form,
+                          partial_pencil_record,
                           pentagonal_basechange_profile_record,
                           tetragonal_pencil_delta, trigonal_pencil_delta,
                           hyperelliptic_pencil_delta)
@@ -415,20 +416,21 @@ def multivertex_margin(d: int, g: int, scale: Fraction = Fraction(1)) -> Fractio
     vertex fits beside another one, trigonal-vertex) pencils over all vertex
     genera up to g.  These families reduce any boundary divisor with three
     or more vertices, and their slacks stay nonnegative because the
-    pencils' slopes exceed a/b."""
+    pencils' slopes exceed a/b.
+
+    Both pencil counts are linear in the vertex genus, so each slack is too,
+    and its minimum over 1..g sits at g_r = 1 or g_r = g."""
+    require(_hyperelliptic_form().total_degree() <= 1
+            and _trigonal_form().total_degree() <= 1,
+            "hyperelliptic and trigonal pencil counts are linear in the genus")
     a_poly, b_poly = slope_normalization(d)
     a = a_poly.eval({"g": g}) * scale
     b = b_poly.eval({"g": g}) * scale
-    worst = None
-    for g_r in range(1, g + 1):
-        deltas = [hyperelliptic_pencil_delta(g_r) - 2]
-        if d >= 4:
-            deltas.append(trigonal_pencil_delta(g_r) - 3)
-        for delta in deltas:
-            slack = b * delta - a * g_r
-            if worst is None or slack < worst:
-                worst = slack
-    return worst
+    endpoints = (1, g)
+    slacks = [b * (hyperelliptic_pencil_delta(g_r) - 2) - a * g_r for g_r in endpoints]
+    if d >= 4:
+        slacks += [b * (trigonal_pencil_delta(g_r) - 3) - a * g_r for g_r in endpoints]
+    return min(slacks)
 
 
 def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hurwitzcalc
 from hurwitzcalc.cli import main
 
 
@@ -135,6 +139,23 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert "[FAIL]" not in out and "[PASS]" in out
+
+    def test_failure_survives_optimize(self):
+        # `python -O` strips asserts; a sabotaged slope must still fail and
+        # the report must say what was compared
+        script = (
+            "from fractions import Fraction\n"
+            "import hurwitzcalc.selftest as st\n"
+            "st.slope_bound = lambda d, g: Fraction(0)\n"
+            "raise SystemExit(0 if st.run() is False else 1)\n")
+        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                env={"PYTHONPATH": src}, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert ("[FAIL] slope pins: derivation check failed: slope_bound(3, 4): "
+                "got 0, expected 17/2") in result.stdout
+        assert result.stdout.count("[FAIL]") == 1
 
 
 class TestUsage:

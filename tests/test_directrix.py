@@ -1,5 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hurwitzcalc
+from hurwitzcalc import directrix
 from hurwitzcalc.bundles import k1_pentagonal, m_r_pentagonal
 from hurwitzcalc.directrix import (DirectrixFamily, directrix_pushforward_degree,
                                    maroni_intersection_pentagonal,
@@ -50,6 +56,47 @@ def test_exhaustive_small_window():
                     fam = DirectrixFamily(n, r, a, l)
                     assert rotating_directrix_class(fam) == \
                         rotating_directrix_closed_form(fam)
+
+
+class TestOneDerivationPerShape:
+    def test_second_family_runs_no_pipeline_step(self, monkeypatch):
+        calls = []
+        real = directrix.grr_degree_on_p1xp1
+
+        def counting(c1, c2):
+            calls.append((c1, c2))
+            return real(c1, c2)
+
+        monkeypatch.setattr(directrix, "grr_degree_on_p1xp1", counting)
+        directrix._degree_form.cache_clear()
+        directrix._class_form.cache_clear()
+        first = DirectrixFamily(6, 3, 1, 2)
+        assert rotating_directrix_class(first) == rotating_directrix_closed_form(first)
+        assert len(calls) == 1
+        second = DirectrixFamily(6, 3, -4, 5)
+        assert rotating_directrix_class(second) == rotating_directrix_closed_form(second)
+        assert directrix_pushforward_degree(second) == Poly.const(-1)
+        assert perfectly_balanced_jump_count(6, -4, 5) == 2
+        assert len(calls) == 1
+
+    def test_derivation_check_survives_optimize(self):
+        # the pipeline is checked once per shape, so the check must not be
+        # an assert that `python -O` strips
+        script = (
+            "import hurwitzcalc.directrix as dx\n"
+            "from hurwitzcalc.errors import DerivationMismatch\n"
+            "real = dx.grr_degree_on_p1xp1\n"
+            "dx.grr_degree_on_p1xp1 = lambda c1, c2: real(c1, c2) + 1\n"
+            "try:\n"
+            "    dx.rotating_directrix_class(dx.DirectrixFamily(5, 2, 2, 1))\n"
+            "except DerivationMismatch:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                env={"PYTHONPATH": src}, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
 
 class TestPerfectlyBalanced:

@@ -9,7 +9,7 @@ import pytest
 import hurwitzcalc
 from hurwitzcalc.chow import surface_hirzebruch, surface_p1xp1
 from hurwitzcalc.errors import InvalidProfile, OutOfRange, RingMismatch, UnknownKind
-from hurwitzcalc.family_calc import (ChernData, PencilRecord,
+from hurwitzcalc.family_calc import (PENCIL_KINDS, ChernData, PencilRecord,
                                      basechange_section_bookkeeping,
                                      c2_omega_tetragonal_ambient_restricted,
                                      c2_omega_tetragonal_surface,
@@ -267,6 +267,12 @@ class TestPencilRecords:
         for kind in ("pentagonal_unramified_5pts", "pentagonal_basechange"):
             with pytest.raises(OutOfRange, match="total genus"):
                 partial_pencil_record(kind, gr=16)
+
+    def test_records_need_vertex_genus(self):
+        for kind in PENCIL_KINDS:
+            if kind != "rational_partial":
+                with pytest.raises(OutOfRange, match="vertex genus gr"):
+                    partial_pencil_record(kind, g=36)
 
     def test_sweeping_records_never_store_negative_special_hits(self):
         with pytest.raises(ValueError):

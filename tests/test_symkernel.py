@@ -145,3 +145,9 @@ class TestRationalFunction:
             assert lhs == rhs and hash(lhs) == hash(rhs)
         assert len({lhs for lhs, _ in pairs} | {rhs for _, rhs in pairs}) == 3
         assert hash(RationalFunction(3)) == hash(3)
+        across_types = [(Poly.const(3), 3), (Poly.const(0), 0),
+                        (Poly.const(Fraction(1, 2)), Fraction(1, 2)),
+                        (RationalFunction(x), x), (RationalFunction(2 * x * y), 2 * x * y)]
+        for lhs, rhs in across_types:
+            assert lhs == rhs and hash(lhs) == hash(rhs)
+            assert len({lhs, rhs}) == 1

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from hurwitzcalc.errors import NotDivisorial
+from hurwitzcalc.family_calc import hyperelliptic_pencil_delta, trigonal_pencil_delta
 from hurwitzcalc.symkernel import Poly
 from hurwitzcalc.yeff import (Certificate, build_rules, certify,
                               check_closed_form_d4, multivertex_margin,
@@ -171,6 +172,24 @@ class TestCertification:
     def test_multivertex_margin_nonnegative(self):
         for d, g in ACCEPTANCE_PAIRS:
             assert multivertex_margin(d, g) >= 0
+
+    def test_multivertex_margin_equals_per_genus_minimum(self):
+        def by_loop(d, g, scale):
+            a_poly, b_poly = slope_normalization(d)
+            a = a_poly.eval({"g": g}) * scale
+            b = b_poly.eval({"g": g}) * scale
+            slacks = []
+            for g_r in range(1, g + 1):
+                slacks.append(b * (hyperelliptic_pencil_delta(g_r) - 2) - a * g_r)
+                if d >= 4:
+                    slacks.append(b * (trigonal_pencil_delta(g_r) - 3) - a * g_r)
+            return min(slacks)
+
+        genera = {3: (4, 10, 40, 100), 4: (3, 9, 33, 99), 5: (16, 36, 96, 196)}
+        for d, gs in genera.items():
+            for g in gs:
+                for scale in (Fraction(1), Fraction(2), Fraction(1, 3)):
+                    assert multivertex_margin(d, g, scale) == by_loop(d, g, scale)
 
     def test_certificate_replay(self):
         cert = certify(4, 9)
