@@ -137,9 +137,8 @@ def rotating_directrix_closed_form(fam: DirectrixFamily) -> ChowClass:
     """H^(N-r) + (a+l+1) H^(N-r-1) F, the acceptance oracle for the
     pipeline computation; a and l may be symbols."""
     product = ring_product_with_p1(ring_proj_space(fam.n - 1))
-    h_gen, f_gen = product.gen("H"), product.gen("F")
-    return (h_gen ** (fam.n - fam.r)
-            + (fam.a + fam.l + 1) * h_gen ** (fam.n - fam.r - 1) * f_gen)
+    top = fam.n - fam.r
+    return product.cls({(top, 0): 1, (top - 1, 1): fam.a + fam.l + 1})
 
 
 def perfectly_balanced_jump_count(n: int, a: int, l: int) -> Fraction:

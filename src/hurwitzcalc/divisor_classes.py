@@ -225,13 +225,13 @@ def class_x(d: int) -> dict:
 def admissible_genus(d: int, g: int) -> bool:
     """Genera where both unbalancedness loci are divisors, i.e. where the
     slope bound applies: g even (d=3), g = 3 mod 6 (d=4), g = 16 mod 20
-    (d=5)."""
+    (d=5), each nonnegative."""
     if d == 3:
         return g >= 4 and g % 2 == 0
     if d == 4:
-        return g % 6 == 3
+        return g >= 0 and g % 6 == 3
     if d == 5:
-        return g % 20 == 16
+        return g >= 0 and g % 20 == 16
     return False
 
 

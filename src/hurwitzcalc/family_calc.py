@@ -637,11 +637,7 @@ def pentagonal_basechange_profile_record(g: int, g_r: int,
     profile divisor over 5!/lcm points, r being the profile's ramification
     index.
     """
-    if sum(profile) != 5 or any(m < 1 for m in profile):
-        raise InvalidProfile(f"{profile} is not a partition of 5")
-    r = sum(m - 1 for m in profile)
-    if r < 1:
-        raise InvalidProfile("the profile must carry ramification")
+    hits = _basechange_hits(profile)
     if g_r < 1:
         raise OutOfRange("base-change families need genus >= 1")
     n = factorial(5)
@@ -650,11 +646,6 @@ def pentagonal_basechange_profile_record(g: int, g_r: int,
     numbers = _pentagonal_values(g_r)
     weight = Fraction(2 * g - 22, 5)
     maroni = Fraction(k_r + m_r)
-    hits = {"delta_self": Fraction(-9 * n),
-            "delta_profile": Fraction(n, lcm(*profile))}
-    simple = Fraction((10 - r) * n, 2)
-    if simple:
-        hits["delta_collision"] = simple
     return PencilRecord(
         "pentagonal_basechange", {"gr": g_r, "g": g, "kR": k_r, "mR": m_r},
         n * numbers["lambda"], n * numbers["delta"] - 20 * n,
@@ -663,3 +654,22 @@ def pentagonal_basechange_profile_record(g: int, g_r: int,
         sweeps=False,
         notes=(_PENTAGONAL_DELTA_NOTE,
                f"reconstructed for profile {profile}"))
+
+
+def _basechange_hits(profile: tuple[int, ...]) -> dict[str, Fraction]:
+    """Boundary hits of the base-changed degree-five family whose marked
+    fiber has the given ramification profile (see
+    :func:`pentagonal_basechange_profile_record`); they depend on the
+    profile alone, not on the genera."""
+    if sum(profile) != 5 or any(m < 1 for m in profile):
+        raise InvalidProfile(f"{profile} is not a partition of 5")
+    r = sum(m - 1 for m in profile)
+    if r < 1:
+        raise InvalidProfile("the profile must carry ramification")
+    n = factorial(5)
+    hits = {"delta_self": Fraction(-9 * n),
+            "delta_profile": Fraction(n, lcm(*profile))}
+    simple = Fraction((10 - r) * n, 2)
+    if simple:
+        hits["delta_collision"] = simple
+    return hits

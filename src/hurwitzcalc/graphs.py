@@ -263,12 +263,22 @@ def partitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+# Largest total genus the two-vertex enumeration accepts.  The graph count,
+# and so a certificate's rule count, grows linearly in g, and certificate
+# JSON grows quadratically (every chain repeats the chains it rests on):
+# about 11 MB at (d, g) = (3, 200) and 46 MB at (3, 400).
+MAX_GENUS = 200
+
+
 def enumerate_two_vertex(d: int, g: int) -> list[DualGraph]:
     """All two-vertex boundary graphs for degree d and total genus g: every
     partition of d as the edge profile and every genus split compatible
-    with the genus formula, deduplicated under the side swap."""
+    with the genus formula, deduplicated under the side swap.  The genus
+    must lie in 0..MAX_GENUS."""
     if d not in (3, 4, 5):
         raise OutOfRange("two-vertex enumeration is wired for d in {3, 4, 5}")
+    if not 0 <= g <= MAX_GENUS:
+        raise OutOfRange(f"two-vertex enumeration needs 0 <= g <= {MAX_GENUS}, got {g}")
     seen: dict[str, DualGraph] = {}
     for profile in partitions(d):
         edge_count = len(profile)

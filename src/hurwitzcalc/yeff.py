@@ -15,6 +15,14 @@ irreducible-node divisor (whose Y-coefficient is zero), or at disconnected
 configurations covered by the hyperelliptic-pencil margin, and propagate
 lower bounds upward.  The certificate records every chain so it can be
 replayed.
+
+Each slack is a polynomial in the genera, derived once per process for
+each rule shape (a degree and node profile, or one of the two degree-three
+hyperelliptic-vertex shapes) from the symbolic pencil counts of
+`family_calc`, with the varied vertex genus gR symbolic.  The degree-five
+ramified composite is checked against its closed form identically, once
+per profile.  A rule only evaluates its shape's form at the graph's genera
+and multiplies by the scale of X.
 """
 
 from __future__ import annotations
@@ -24,14 +32,12 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
 
-from .bundles import k1_pentagonal, m_r_pentagonal
+from .bundles import k1_pentagonal, m_r_pentagonal, v_tetragonal
 from .divisor_classes import admissible_genus, class_x
 from .errors import NotDivisorial, PropagationFailure, require
-from .family_calc import (_hyperelliptic_form, _trigonal_form,
-                          partial_pencil_record,
-                          pentagonal_basechange_profile_record,
-                          tetragonal_pencil_delta, trigonal_pencil_delta,
-                          hyperelliptic_pencil_delta)
+from .family_calc import (_basechange_hits, _hyperelliptic_form,
+                          _nonnegative_genus, _pentagonal_form,
+                          _tetragonal_form, _trigonal_form)
 from .graphs import (canonical_label, graph_four_vertex_d3,
                      graph_three_vertex_d3, enumerate_two_vertex,
                      two_vertex_graph)
@@ -105,7 +111,7 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic slack forms (used for the identity checks and for display)
+# Symbolic slack forms, derived once per rule shape
 # ---------------------------------------------------------------------------
 
 @cache
@@ -116,68 +122,113 @@ def slope_normalization(d: int) -> tuple[Poly, Poly]:
     return data["a"].as_poly(), data["b"].as_poly()
 
 
-def symbolic_record_form(d: int, profile: tuple[int, ...]) -> dict[str, Poly]:
-    """lambda, delta, and X-intersection of the partial pencil varying one
-    vertex of a two-vertex divisor with the given node profile, as
-    polynomials in gR (and v, kR, mR where those enter).
+def _slope_pair(d: int, g: int, scale: Fraction) -> tuple[Fraction, Fraction]:
+    """(a, b) of the class X at an admissible (d, g), times `scale`."""
+    if not admissible_genus(d, g):
+        raise NotDivisorial(f"(d, g) = ({d}, {g}) is not admissible")
+    a_poly, b_poly = slope_normalization(d)
+    return a_poly.eval({"g": g}) * scale, b_poly.eval({"g": g}) * scale
 
-    delta is the plain-pencil count minus one per gluing section; the
-    degree-five entries carry the exact X-value from the Maroni rotation
-    count, everything else only meets X nonnegatively (encoded as 0 here).
-    """
+
+def _plain_pencil(kind: str) -> tuple[Poly, Poly, Poly]:
+    """lambda, delta and X-value of the plain pencil of one vertex type,
+    from the pencil forms of `family_calc` with the vertex genus as gR (and
+    v, kR, mR where they enter).  Only the degree-five pencil has an exact
+    X-value, from the Maroni rotation count; the others meet X
+    nonnegatively, encoded as 0."""
     g_r = Poly.var("gR")
-    k = len(profile)
-    if d == 3:
-        return {"lambda": g_r, "delta": 7 * g_r + 6 - k, "x": Poly.const(0)}
-    if d == 4:
+    if kind == "hyperelliptic":
+        return g_r, _hyperelliptic_form().subs({"h": g_r}), Poly.const(0)
+    if kind == "trigonal":
+        return g_r, _trigonal_form().subs({"g": g_r}), Poly.const(0)
+    if kind == "tetragonal":
         v = Poly.var("v")
-        return {"lambda": g_r, "delta": v + 6 * g_r + 6 - k, "x": Poly.const(0)}
-    if d == 5 and k == 5:
-        g, k_r, m_r = Poly.var("g"), Poly.var("kR"), Poly.var("mR")
-        weight = (2 * g - 22) / 5
-        return {"lambda": 2 * g_r + 3 - k_r,
-                "delta": 13 * g_r + 27 - 7 * k_r,
-                "x": weight * (k_r + m_r)}
-    raise NotDivisorial(f"no symbolic record form for d={d}, profile={profile}")
+        return g_r, _tetragonal_form().subs({"u": g_r + 3 - v}), Poly.const(0)
+    k_r, m_r = Poly.var("kR"), Poly.var("mR")
+    form = _pentagonal_form()
+    at = {"g": g_r, "k1": k_r}
+    weight = (2 * Poly.var("g") - 22) / 5
+    return form["lambda"].subs(at), form["delta"].subs(at), weight * (k_r + m_r)
+
+
+@cache
+def _vertex_slack(d: int, kind: str, sections: int) -> Poly:
+    """b*delta - a*lambda + X, in g and gR, of the partial pencil varying a
+    vertex of the given type inside a degree-d divisor: the plain pencil
+    with one gluing section per node taken off delta (self hit -1)."""
+    a, b = slope_normalization(d)
+    lam, delta, x = _plain_pencil(kind)
+    return b * (delta - sections) - a * lam + x
+
+
+@cache
+def _composite_form(profile: tuple[int, ...]) -> tuple[Fraction, Poly]:
+    """(coefficient of c(unramified), slack) of the degree-five ramified
+    rule, with the family genus gR symbolic: the base-changed family of the
+    profile, composed with the simple-collision relation at the same genus
+    to eliminate the collision divisor.  Required to give
+    c(profile) = (lcm r / 10)(9 c(unramified) + 15b - P) identically, P
+    being the unramified slack at gR."""
+    n = factorial(5)
+    a, b = slope_normalization(5)
+    lam, delta, x = _plain_pencil("pentagonal")
+    # a*lambda - b*delta - X of the family, whose lambda, delta and X are
+    # 5! times the pencil's, less 20 * 5! in delta (as in
+    # `pentagonal_basechange_profile_record`)
+    s = n * (a * lam - b * (delta - 20) - x)
+    hits, simple = _basechange_hits(profile), _basechange_hits((2, 1, 1, 1))
+    require(-hits["delta_self"] == -simple["delta_self"] == 9 * n,
+            "base-change self-intersection = -9 * 5!")
+    t_profile = hits["delta_profile"]
+    collisions = hits.get("delta_collision", Fraction(0))
+    simple_total = simple["delta_profile"] + simple.get("delta_collision", Fraction(0))
+    # c(profile) T = S + 9N c(unram) - collisions * c(simple),
+    # c(simple) * simple_total = S + 9N c(unram)
+    kept = (1 - collisions / simple_total) / t_profile
+    ratio = Fraction(lcm(*profile) * sum(m - 1 for m in profile), 10)
+    require(9 * n * kept == 9 * ratio, f"base-change composite coefficient, {profile}")
+    slack = kept * s
+    require(slack == ratio * (15 * b - symbolic_slack(5, (1, 1, 1, 1, 1))),
+            f"base-change composite slack, {profile}")
+    return 9 * ratio, slack
+
+
+_VERTEX_PENCIL = {3: "trigonal", 4: "tetragonal", 5: "pentagonal"}
 
 
 def symbolic_slack(d: int, profile: tuple[int, ...]) -> Poly:
-    """b*delta - a*lambda + X for the record above (self hit -1)."""
-    a, b = slope_normalization(d)
-    form = symbolic_record_form(d, profile)
-    return b * form["delta"] - a * form["lambda"] + form["x"]
+    """Slack of the rule for the two-vertex divisors with the given node
+    profile, in g and the varied vertex genus gR (and v, kR, mR where those
+    enter); the rule at scale s has s times this form at the graph's
+    genera.  It is the slack of the partial pencil varying the gR vertex,
+    and for a ramified degree-five profile the base-change composite."""
+    if d not in _VERTEX_PENCIL:
+        raise NotDivisorial(f"no symbolic slack form for d={d}, profile={profile}")
+    if d == 5 and profile != (1, 1, 1, 1, 1):
+        return _composite_form(profile)[1]
+    return _vertex_slack(d, _VERTEX_PENCIL[d], len(profile))
+
+
+# gluing sections taken off the hyperelliptic pencil: both attaching nodes
+# of the three-vertex shape sit on the main vertex and contribute; in the
+# four-vertex shape the section glued to the rational vertex meets a node
+# that does not contribute to delta
+_HYPERELLIPTIC_SECTIONS = {"threevertex": 2, "fourvertex": 1}
 
 
 def symbolic_slack_threevertex(d3_shape: str) -> Poly:
     """Slack of the degree-three hyperelliptic-vertex rules:
     g(gR+2) - 6gR for the three-vertex shape, g(gR+3) - 6gR for the
     four-vertex shape."""
-    a, b = slope_normalization(3)
-    g_r = Poly.var("gR")
-    if d3_shape == "threevertex":
-        delta = 8 * g_r + 2
-    elif d3_shape == "fourvertex":
-        delta = 8 * g_r + 3
-    else:
+    if d3_shape not in _HYPERELLIPTIC_SECTIONS:
         raise ValueError(d3_shape)
-    return b * delta - a * g_r
+    return _vertex_slack(3, "hyperelliptic", _HYPERELLIPTIC_SECTIONS[d3_shape])
 
 
-def pentagonal_step_term(g: int, g_r: int, a: Fraction, b: Fraction,
-                         scale: Fraction = Fraction(1)) -> Fraction:
-    """The additive term of the degree-five unramified step,
-
-        P = b(13 gR + 27 - 7 kR) - a(2 gR + 3 - kR) + w(kR + mR),
-
-    with w = (2g - 22)/5.  Replacing mR by -3(gR+4)/4 turns P into exactly
-    3g - (11/2) gR, so with the true ceiling P is at least that bound.
-    `scale` rescales the class X, hence a, b, and w together."""
-    k_r = k1_pentagonal(g_r)
-    m_r = m_r_pentagonal(g_r)
-    weight = Fraction(2 * g - 22, 5) * scale
-    return (b * (13 * g_r + 27 - 7 * k_r)
-            - a * (2 * g_r + 3 - k_r)
-            + weight * (k_r + m_r))
+def _genera(g: int, g_r: int) -> dict[str, int]:
+    """The symbols of the slack forms at total genus g and varied genus g_r."""
+    return {"g": g, "gR": g_r, "v": v_tetragonal(g_r),
+            "kR": k1_pentagonal(g_r), "mR": m_r_pentagonal(g_r)}
 
 
 def check_closed_form_d4(g: int) -> bool:
@@ -204,59 +255,34 @@ def check_closed_form_d4(g: int) -> bool:
 # Rule generation
 # ---------------------------------------------------------------------------
 
-def _ram_reduction(profile: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Profile after resolving one point of the largest ramified part:
-    m -> (m-1, 1); None if the profile is unramified."""
+@cache
+def _ram_reduction(profile: tuple[int, ...]) -> tuple[tuple[int, ...], Fraction] | None:
+    """Profile after resolving one point of the largest ramified part,
+    m -> (m-1, 1), with the number of reduced-ramification fibers (one per
+    nonreduced basepoint) landing on it; None if the profile is unramified.
+    Grouping those fibers on a single target graph needs the ramified parts
+    equal, which holds for every profile of degree <= 4."""
     parts = sorted(profile, reverse=True)
     if parts[0] < 2:
         return None
-    m = parts[0]
-    rest = parts[1:]
-    return tuple(sorted(rest + [m - 1, 1], reverse=True))
+    ramified = [m for m in profile if m >= 2]
+    require(len(set(ramified)) == 1, f"{profile} has one ramified part size")
+    reduced = tuple(sorted(parts[1:] + [parts[0] - 1, 1], reverse=True))
+    return reduced, Fraction(len(ramified))
 
 
 def _two_vertex_key(d: int, profile: tuple[int, ...], x: int, y: int) -> str:
     return canonical_label(two_vertex_graph(d, profile, x, y))
 
 
-def _record_for(d: int, profile: tuple[int, ...], g_r: int,
-                g: int) -> tuple[Fraction, Fraction, Fraction, bool]:
-    """(lambda, delta, x_lower, reconstructed) of the partial pencil varying
-    a genus-g_r vertex with the given node profile, pulled from the named
-    pencil records where one exists."""
-    k = len(profile)
-    if d == 3:
-        named = {(1, 1, 1): "trigonal_unramified_3pts",
-                 (2, 1): "trigonal_ramified_21",
-                 (3,): "trigonal_triple"}
-        rec = partial_pencil_record(named[profile], gr=g_r)
-        return rec.lam, rec.delta, Fraction(0), False
-    if d == 4:
-        if profile == (1, 1, 1, 1):
-            rec = partial_pencil_record("tetragonal_unramified_4pts", gr=g_r)
-            return rec.lam, rec.delta, Fraction(0), False
-        if profile == (2, 1, 1):
-            rec = partial_pencil_record("tetragonal_ramified_2pp", gr=g_r)
-            return rec.lam, rec.delta, Fraction(0), False
-        # deeper ramification: same construction with more nonreduced
-        # basepoints; delta is the plain count minus one per gluing section
-        delta = tetragonal_pencil_delta(g_r) - k
-        return Fraction(g_r), delta, Fraction(0), True
-    raise NotDivisorial(f"no record route for d={d}")
-
-
 def build_rules(d: int, g: int,
                 scale: Fraction = Fraction(1)) -> dict[str, InequalityRule]:
-    """One propagation rule per enumerated boundary graph, generated from
-    the pencil records by intersecting with X = a*lambda - b*delta - Y.
-    `scale` multiplies (a, b); certified/failed status is invariant under
-    positive rescaling."""
-    if not admissible_genus(d, g):
-        raise NotDivisorial(f"(d, g) = ({d}, {g}) is not admissible")
-    a_poly, b_poly = slope_normalization(d)
-    a = a_poly.eval({"g": g}) * scale
-    b = b_poly.eval({"g": g}) * scale
-
+    """One propagation rule per enumerated boundary graph.  Its slack is
+    `scale` times the slack form of the graph's shape at the graph's genera
+    (every slack is linear in (a, b, X)); its targets and flags follow from
+    the graph.  Certified/failed status is invariant under positive
+    rescaling."""
+    b = _slope_pair(d, g, scale)[1]
     rules: dict[str, InequalityRule] = {}
 
     for graph in enumerate_two_vertex(d, g):
@@ -265,33 +291,30 @@ def build_rules(d: int, g: int,
         genera = sorted(v.genus for v in graph.vertices)
         g_small, g_big = genera[0], genera[1]
         if d in (3, 4):
-            rules[label] = _rule_d34(d, g, a, b, label, profile, g_big, g_small)
+            rules[label] = _rule_d34(d, g, scale, label, profile, g_big, g_small)
         else:
-            rules[label] = _rule_d5(g, a, b, scale, label, profile, g_big, g_small)
+            rules[label] = _rule_d5(g, b, scale, label, profile, g_big, g_small)
 
     if d == 3:
+        three = symbolic_slack_threevertex("threevertex")
         for g_r in range(1, g):
             g_l = g - 1 - g_r
             label = canonical_label(graph_three_vertex_d3(g_l, g_r))
-            rec = partial_pencil_record("hyperelliptic_3vertex", gr=g_r)
-            slack = b * rec.delta - a * rec.lam
             if g_r - 1 == 0:
                 targets = ((IRREDUCIBLE_NODE, Fraction(1)),)
             else:
                 targets = ((canonical_label(graph_three_vertex_d3(g_l + 1, g_r - 1)),
                             Fraction(1)),)
-            rules[label] = InequalityRule(label, targets, slack,
+            rules[label] = InequalityRule(label, targets,
+                                          three.eval({"g": g, "gR": g_r}) * scale,
                                           "hyperelliptic three-vertex step")
+        # at gR = 0 the four-vertex form is the rational vertex pencil's 3b
+        four = symbolic_slack_threevertex("fourvertex")
         for g_r in range(0, g // 2 + 1):
             g_l = g - g_r
             if g_l < g_r:
                 continue
             label = canonical_label(graph_four_vertex_d3(g_l, g_r))
-            rec = partial_pencil_record("hyperelliptic_4vertex", gr=g_r) \
-                if g_r >= 1 else None
-            delta = rec.delta if rec else Fraction(3)   # rational vertex pencil
-            lam = rec.lam if rec else Fraction(0)
-            slack = b * delta - a * lam
             if g_r >= 2:
                 targets = ((canonical_label(graph_three_vertex_d3(g_l, g_r - 1)),
                             Fraction(1)),)
@@ -299,15 +322,15 @@ def build_rules(d: int, g: int,
                 targets = ((IRREDUCIBLE_NODE, Fraction(1)),)
             else:
                 targets = ()
-            rules[label] = InequalityRule(label, targets, slack,
+            rules[label] = InequalityRule(label, targets,
+                                          four.eval({"g": g, "gR": g_r}) * scale,
                                           "hyperelliptic four-vertex step")
     return rules
 
 
-def _rule_d34(d: int, g: int, a: Fraction, b: Fraction, label: str,
+def _rule_d34(d: int, g: int, scale: Fraction, label: str,
               profile: tuple[int, ...], g_l: int, g_r: int) -> InequalityRule:
-    lam, delta, x_low, reconstructed = _record_for(d, profile, g_r, g)
-    slack = b * delta - a * lam + x_low
+    slack = symbolic_slack(d, profile).eval(_genera(g, g_r)) * scale
     k = len(profile)
     targets: list[tuple[str, Fraction]] = []
 
@@ -320,38 +343,30 @@ def _rule_d34(d: int, g: int, a: Fraction, b: Fraction, label: str,
     elif g_r >= 1:
         targets.append((DISCONNECTED, Fraction(1)))
 
-    reduced = _ram_reduction(profile)
-    if reduced is not None and g_r - 1 >= 0:
-        # one reduced-ramification fiber per nonreduced basepoint; grouping
-        # them on a single target graph needs the ramified parts equal,
-        # which holds for every profile of degree <= 4
-        ramified_parts = {m for m in profile if m >= 2}
-        require(len(ramified_parts) == 1, f"{profile} has one ramified part size")
-        multiplicity = Fraction(sum(1 for m in profile if m >= 2))
+    reduction = _ram_reduction(profile)
+    if reduction is not None and g_r - 1 >= 0:
+        reduced, multiplicity = reduction
         targets.append((_two_vertex_key(d, reduced, g_l, g_r - 1), multiplicity))
 
     family = "unramified" if profile == tuple([1] * d) else f"ramified {profile}"
+    # degree four beyond (2, 1, 1) has no recorded pencil: the same
+    # construction with more nonreduced basepoints
+    recorded = d == 3 or profile in ((1, 1, 1, 1), (2, 1, 1))
     return InequalityRule(label, tuple(targets), slack,
                           f"degree-{d} {family} partial pencil",
-                          reconstructed=reconstructed)
+                          reconstructed=not recorded)
 
 
-def _rule_d5(g: int, a: Fraction, b: Fraction, scale: Fraction, label: str,
+def _rule_d5(g: int, b: Fraction, scale: Fraction, label: str,
              profile: tuple[int, ...], g_l: int, g_r: int) -> InequalityRule:
     unram = (1, 1, 1, 1, 1)
     if profile == unram:
         # the five-basepoint partial pencil: an exact relation
         if g_r == 0:
-            rec = partial_pencil_record("rational_partial", dv=5)
-            return InequalityRule(label, (), b * rec.delta - a * rec.lam,
+            # the rational vertex pencil: lambda 0, delta 5
+            return InequalityRule(label, (), 5 * b,
                                   "degree-5 rational vertex pencil")
-        slack = pentagonal_step_term(g, g_r, a, b, scale)
-        reconstructed = g_r == 1
-        if g_r >= 2:
-            rec = partial_pencil_record("pentagonal_unramified_5pts", gr=g_r, g=g)
-            x_val = rec.x_hit * scale
-            require(slack == b * rec.delta - a * rec.lam + x_val,
-                    f"degree-5 step term = record at gR = {g_r}")
+        slack = symbolic_slack(5, unram).eval(_genera(g, g_r)) * scale
         split_right = g_r - 4
         if split_right >= 0:
             targets = ((_two_vertex_key(5, unram, g_l + 4, split_right), Fraction(1)),)
@@ -359,7 +374,7 @@ def _rule_d5(g: int, a: Fraction, b: Fraction, scale: Fraction, label: str,
             targets = ((DISCONNECTED, Fraction(1)),)
         return InequalityRule(label, targets, slack,
                               "degree-5 unramified partial pencil",
-                              reconstructed=reconstructed, equality=True)
+                              reconstructed=g_r == 1, equality=True)
 
     # ramified: the base-changed general pencil, composed with the
     # simple-collision relation to eliminate the collision divisor
@@ -375,34 +390,10 @@ def _rule_d5(g: int, a: Fraction, b: Fraction, scale: Fraction, label: str,
         raise PropagationFailure(label, "no admissible base-change orientation")
     fixed_genus, fam_genus = choice
 
-    n = factorial(5)
-    lcm_ord = lcm(*profile)
-    rec_profile = pentagonal_basechange_profile_record(g, fam_genus, profile)
-    rec_simple = pentagonal_basechange_profile_record(g, fam_genus, (2, 1, 1, 1))
-    s_profile = (a * rec_profile.lam - b * rec_profile.delta
-                 - rec_profile.x_hit * scale)
-    s_simple = (a * rec_simple.lam - b * rec_simple.delta
-                - rec_simple.x_hit * scale)
-    t_profile = rec_profile.boundary_hits["delta_profile"]
-    collisions = rec_profile.boundary_hits.get("delta_collision", Fraction(0))
-    simple_total = (rec_simple.boundary_hits["delta_profile"]
-                    + rec_simple.boundary_hits.get("delta_collision", Fraction(0)))
-    self_hit = -rec_profile.boundary_hits["delta_self"]
-    require(self_hit == -rec_simple.boundary_hits["delta_self"] == 9 * n,
-            "base-change self-intersection = -9 * 5!")
-
-    # c(profile) T = S_profile + 9N c(unram) - collisions * c(simple),
-    # c(simple) * 600 = S_simple + 9N c(unram)
-    coeff_unram = (9 * n - collisions * 9 * n / simple_total) / t_profile
-    slack = (s_profile - collisions * s_simple / simple_total) / t_profile
-    require(coeff_unram == Fraction(9 * lcm_ord * r, 10),
-            f"base-change composite coefficient, {profile}")
-    expected = Fraction(lcm_ord * r, 10) * (15 * b - pentagonal_step_term(
-        g, fam_genus, a, b, scale))
-    require(slack == expected, f"base-change composite slack, {profile}")
-
+    coeff_unram, form = _composite_form(profile)
     target = _two_vertex_key(5, unram, fixed_genus, fam_genus)
-    return InequalityRule(label, ((target, coeff_unram),), slack,
+    return InequalityRule(label, ((target, coeff_unram),),
+                          form.eval(_genera(g, fam_genus)) * scale,
                           f"degree-5 base-change composite {profile}",
                           reconstructed=profile != (2, 1, 1, 1), equality=True)
 
@@ -411,6 +402,18 @@ def _rule_d5(g: int, a: Fraction, b: Fraction, scale: Fraction, label: str,
 # Certification
 # ---------------------------------------------------------------------------
 
+@cache
+def _margin_forms(d: int) -> tuple[Poly, ...]:
+    """Slack forms of the hyperelliptic-vertex and, for d >= 4, the
+    trigonal-vertex pencils; both pencil counts are required linear in the
+    vertex genus, so the forms are linear in gR."""
+    require(_hyperelliptic_form().total_degree() <= 1
+            and _trigonal_form().total_degree() <= 1,
+            "hyperelliptic and trigonal pencil counts are linear in the genus")
+    forms = (_vertex_slack(d, "hyperelliptic", 2),)
+    return (forms + (_vertex_slack(d, "trigonal", 3),)) if d >= 4 else forms
+
+
 def multivertex_margin(d: int, g: int, scale: Fraction = Fraction(1)) -> Fraction:
     """Smallest slack of the hyperelliptic-vertex (and, when a degree-three
     vertex fits beside another one, trigonal-vertex) pencils over all vertex
@@ -418,30 +421,18 @@ def multivertex_margin(d: int, g: int, scale: Fraction = Fraction(1)) -> Fractio
     or more vertices, and their slacks stay nonnegative because the
     pencils' slopes exceed a/b.
 
-    Both pencil counts are linear in the vertex genus, so each slack is too,
-    and its minimum over 1..g sits at g_r = 1 or g_r = g."""
-    require(_hyperelliptic_form().total_degree() <= 1
-            and _trigonal_form().total_degree() <= 1,
-            "hyperelliptic and trigonal pencil counts are linear in the genus")
-    a_poly, b_poly = slope_normalization(d)
-    a = a_poly.eval({"g": g}) * scale
-    b = b_poly.eval({"g": g}) * scale
-    endpoints = (1, g)
-    slacks = [b * (hyperelliptic_pencil_delta(g_r) - 2) - a * g_r for g_r in endpoints]
-    if d >= 4:
-        slacks += [b * (trigonal_pencil_delta(g_r) - 3) - a * g_r for g_r in endpoints]
-    return min(slacks)
+    Each slack is linear in the vertex genus, so its minimum over 1..g sits
+    at g_r = 1 or g_r = g."""
+    endpoints = (1, _nonnegative_genus(g))
+    return min(form.eval({"g": g, "gR": g_r}) * scale
+               for form in _margin_forms(d) for g_r in endpoints)
 
 
 def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
     """Propagate the rule system and certify c(graph, Y) >= 0 for every
     enumerated boundary graph at (d, g)."""
-    if not admissible_genus(d, g):
-        raise NotDivisorial(f"(d, g) = ({d}, {g}) is not admissible")
+    a, b = _slope_pair(d, g, scale)
     rules = build_rules(d, g, scale)
-    a_poly, b_poly = slope_normalization(d)
-    a = a_poly.eval({"g": g}) * scale
-    b = b_poly.eval({"g": g}) * scale
 
     bounds: dict[str, Fraction] = {IRREDUCIBLE_NODE: Fraction(0),
                                    DISCONNECTED: Fraction(0)}
@@ -495,12 +486,13 @@ def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
 
 
 def replay(cert: Certificate) -> bool:
-    """Re-run every derivation chain in the certificate and confirm each
-    recorded lower bound.  The scale of the class X is read off the
-    recorded a."""
-    a_poly, b_poly = slope_normalization(cert.d)
-    scale = cert.a / a_poly.eval({"g": cert.g})
-    if cert.b != b_poly.eval({"g": cert.g}) * scale:
+    """Re-run `certify` at the certificate's (d, g) and scale and confirm
+    that it reaches the same graphs with the same lower bounds; the
+    recorded chains themselves are not checked.  The scale of the class X
+    is read off the recorded a, and the recorded b must match it."""
+    a, b = _slope_pair(cert.d, cert.g, Fraction(1))
+    scale = cert.a / a
+    if cert.b != b * scale:
         return False
     fresh = certify(cert.d, cert.g, scale)
     if set(fresh.per_graph) != set(cert.per_graph):

@@ -99,6 +99,11 @@ class TestGraphs:
         assert code == 0
         assert out.strip().endswith("total: 7 graphs")
 
+    @pytest.mark.parametrize("g", ["-5", "201"])
+    def test_genus_out_of_range_is_domain_error(self, capsys, g):
+        code, out, err = run_cli(capsys, "graphs", "enum", "--d", "3", "--g", g)
+        assert code == 2 and "0 <= g <= 200" in err and not out
+
     def test_json_validates(self, capsys):
         from hurwitzcalc.graphs import DualGraph, validate
         code, out, _ = run_cli(capsys, "graphs", "enum", "--d", "4", "--g", "9",
@@ -132,6 +137,11 @@ class TestCertify:
     def test_inadmissible_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "yeff", "certify", "--d", "5", "--g", "17")
         assert code == 2 and "domain error" in err
+
+    @pytest.mark.parametrize("d,g", [("4", "-3"), ("5", "-4")])
+    def test_negative_genus_is_not_admissible(self, capsys, d, g):
+        code, _, err = run_cli(capsys, "yeff", "certify", "--d", d, "--g", g)
+        assert code == 2 and "is not admissible" in err
 
 
 class TestSelftest:

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from hurwitzcalc.errors import InvalidGraph, OutOfRange
-from hurwitzcalc.graphs import (DualGraph, Edge, Vertex, boundary_multiplicity,
-                                canonical_label, enumerate_two_vertex, excess,
-                                graph_double_pair, graph_four_vertex_d3,
-                                graph_irreducible_node, graph_three_vertex_d3,
-                                graph_triple_point, partitions,
-                                ramification_index, two_vertex_graph, validate,
-                                violations)
+from hurwitzcalc.graphs import (MAX_GENUS, DualGraph, Edge, Vertex,
+                                boundary_multiplicity, canonical_label,
+                                enumerate_two_vertex, excess, graph_double_pair,
+                                graph_four_vertex_d3, graph_irreducible_node,
+                                graph_three_vertex_d3, graph_triple_point,
+                                partitions, ramification_index,
+                                two_vertex_graph, validate, violations)
 
 
 class TestValidation:
@@ -142,6 +142,13 @@ class TestEnumeration:
         for d, g in ((3, 8), (4, 9), (5, 16)):
             for gr in enumerate_two_vertex(d, g):
                 assert validate(gr, d, g)
+
+    def test_genus_range(self):
+        for g in (-5, -1, MAX_GENUS + 1):
+            with pytest.raises(OutOfRange):
+                enumerate_two_vertex(3, g)
+        assert len(enumerate_two_vertex(3, 0)) == 1
+        assert enumerate_two_vertex(5, MAX_GENUS)
 
     def test_rejects_unsupported_degree(self):
         with pytest.raises(OutOfRange):

@@ -1,15 +1,28 @@
+import subprocess
+import sys
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
+from pathlib import Path
 
 import pytest
 
-from hurwitzcalc.errors import NotDivisorial
-from hurwitzcalc.family_calc import hyperelliptic_pencil_delta, trigonal_pencil_delta
+import hurwitzcalc
+from hurwitzcalc import family_calc, yeff
+from hurwitzcalc.bundles import k1_pentagonal, m_r_pentagonal
+from hurwitzcalc.errors import NotDivisorial, OutOfRange, PropagationFailure
+from hurwitzcalc.family_calc import (hyperelliptic_pencil_delta,
+                                     partial_pencil_record,
+                                     pentagonal_basechange_profile_record,
+                                     tetragonal_pencil_delta,
+                                     trigonal_pencil_delta)
+from hurwitzcalc.graphs import (MAX_GENUS, canonical_label,
+                                enumerate_two_vertex, graph_four_vertex_d3,
+                                graph_three_vertex_d3, two_vertex_graph)
 from hurwitzcalc.symkernel import Poly
-from hurwitzcalc.yeff import (Certificate, build_rules, certify,
+from hurwitzcalc.yeff import (DISCONNECTED, IRREDUCIBLE_NODE, Certificate,
+                              InequalityRule, build_rules, certify,
                               check_closed_form_d4, multivertex_margin,
-                              pentagonal_step_term, replay,
-                              slope_normalization, symbolic_slack,
+                              replay, slope_normalization, symbolic_slack,
                               symbolic_slack_threevertex)
 
 ACCEPTANCE_PAIRS = ((3, 4), (3, 6), (3, 8), (4, 9), (4, 15), (5, 16), (5, 36))
@@ -64,16 +77,25 @@ class TestSymbolicSlacks:
         w = (2 * g - 22) / 5
         term = (b * (13 * g_r + 27 - 7 * k_r) - a * (2 * g_r + 3 - k_r)
                 + w * (k_r + m_r))
+        assert symbolic_slack(5, (1, 1, 1, 1, 1)) == term
         relaxed = term.subs({"mR": -3 * (g_r + 4) / 4})
         assert relaxed == 3 * g - Fraction(11, 2) * g_r
 
     def test_pentagonal_term_dominates_lemma_bound(self):
+        term = symbolic_slack(5, (1, 1, 1, 1, 1))
         for g in (16, 36):
-            a_p, b_p = slope_normalization(5)
-            a, b = a_p.eval({"g": g}), b_p.eval({"g": g})
             for g_r in range(0, g // 2):
-                term = pentagonal_step_term(g, g_r, a, b)
-                assert term >= 3 * g - Fraction(11, 2) * g_r
+                at = {"g": g, "gR": g_r, "kR": k1_pentagonal(g_r),
+                      "mR": m_r_pentagonal(g_r)}
+                assert term.eval(at) >= 3 * g - Fraction(11, 2) * g_r
+
+    def test_pentagonal_composite_slack(self):
+        # (lcm r / 10)(15b - P) with P the unramified slack
+        g = Poly.var("g")
+        term = symbolic_slack(5, (1, 1, 1, 1, 1))
+        for profile, ratio in (((2, 1, 1, 1), Fraction(1, 5)),
+                               ((3, 2), Fraction(9, 5)), ((5,), 2)):
+            assert symbolic_slack(5, profile) == ratio * (15 * g / 2 - term)
 
 
 class TestSummedInequality:
@@ -232,3 +254,214 @@ class TestCertification:
             cert = certify(d, g)
             for gr in enumerate_two_vertex(d, g):
                 assert canonical_label(gr) in cert.per_graph
+
+
+def _rules_by_records(d, g, scale):
+    """The rule system built the per-genus way: every slack from the named
+    pencil records at the graph's genera, and every degree-five ramified
+    rule by eliminating the collision divisor between the base-change
+    records of its profile and of the simple profile."""
+    a_p, b_p = slope_normalization(d)
+    a, b = a_p.eval({"g": g}) * scale, b_p.eval({"g": g}) * scale
+    named = {(1, 1, 1): "trigonal_unramified_3pts", (2, 1): "trigonal_ramified_21",
+             (3,): "trigonal_triple", (1, 1, 1, 1): "tetragonal_unramified_4pts",
+             (2, 1, 1): "tetragonal_ramified_2pp"}
+
+    def key(profile, x, y):
+        return canonical_label(two_vertex_graph(d, profile, x, y))
+
+    def rule_d34(label, profile, g_l, g_r):
+        if profile in named:
+            rec = partial_pencil_record(named[profile], gr=g_r)
+            lam, delta = rec.lam, rec.delta
+        else:
+            lam, delta = Fraction(g_r), tetragonal_pencil_delta(g_r) - len(profile)
+        targets = []
+        if g_r - (d - 1) >= 0:
+            targets.append((key((1,) * d, g_l + len(profile) - 1, g_r - (d - 1)),
+                            Fraction(1)))
+        elif g_r >= 1:
+            targets.append((DISCONNECTED, Fraction(1)))
+        if profile[0] >= 2 and g_r >= 1:
+            m = profile[0]
+            reduced = tuple(sorted(list(profile[1:]) + [m - 1, 1], reverse=True))
+            targets.append((key(reduced, g_l, g_r - 1),
+                            Fraction(sum(1 for p in profile if p >= 2))))
+        family = "unramified" if profile == (1,) * d else f"ramified {profile}"
+        return InequalityRule(label, tuple(targets), b * delta - a * lam,
+                              f"degree-{d} {family} partial pencil",
+                              reconstructed=profile not in named)
+
+    def rule_d5(label, profile, g_l, g_r):
+        unram = (1, 1, 1, 1, 1)
+        if profile == unram:
+            if g_r == 0:
+                rec = partial_pencil_record("rational_partial", dv=5)
+                return InequalityRule(label, (), b * rec.delta - a * rec.lam,
+                                      "degree-5 rational vertex pencil")
+            if g_r == 1:
+                # no pentagonal pencil record at genus one: the step term
+                k_r, m_r = k1_pentagonal(1), m_r_pentagonal(1)
+                slack = (b * (40 - 7 * k_r) - a * (5 - k_r)
+                         + Fraction(2 * g - 22, 5) * scale * (k_r + m_r))
+            else:
+                rec = partial_pencil_record("pentagonal_unramified_5pts", gr=g_r, g=g)
+                slack = b * rec.delta - a * rec.lam + rec.x_hit * scale
+            targets = ((key(unram, g_l + 4, g_r - 4), Fraction(1)),) if g_r >= 4 \
+                else ((DISCONNECTED, Fraction(1)),)
+            return InequalityRule(label, targets, slack,
+                                  "degree-5 unramified partial pencil",
+                                  reconstructed=g_r == 1, equality=True)
+        r = sum(m - 1 for m in profile)
+        choice = None
+        for other, varied in ((g_l, g_r), (g_r, g_l)):
+            if varied - r >= 1:
+                choice = (other, varied - r)
+                if varied == min(g_l, g_r):
+                    break
+        if choice is None:
+            raise PropagationFailure(label)
+        fixed, fam = choice
+        n = factorial(5)
+        recs = [pentagonal_basechange_profile_record(g, fam, p)
+                for p in (profile, (2, 1, 1, 1))]
+        s_p, s_s = (a * rec.lam - b * rec.delta - rec.x_hit * scale for rec in recs)
+        t_p = recs[0].boundary_hits["delta_profile"]
+        collisions = recs[0].boundary_hits.get("delta_collision", Fraction(0))
+        simple_total = sum(v for k, v in recs[1].boundary_hits.items()
+                           if k != "delta_self")
+        coeff = (9 * n - collisions * 9 * n / simple_total) / t_p
+        slack = (s_p - collisions * s_s / simple_total) / t_p
+        assert coeff == Fraction(9 * lcm(*profile) * r, 10)
+        return InequalityRule(label, ((key(unram, fixed, fam), coeff),), slack,
+                              f"degree-5 base-change composite {profile}",
+                              reconstructed=profile != (2, 1, 1, 1), equality=True)
+
+    rules = {}
+    for graph in enumerate_two_vertex(d, g):
+        label = canonical_label(graph)
+        profile = tuple(sorted((e.local_degree for e in graph.edges), reverse=True))
+        g_r, g_l = sorted(v.genus for v in graph.vertices)
+        rules[label] = (rule_d34 if d < 5 else rule_d5)(label, profile, g_l, g_r)
+    if d == 3:
+        for g_r in range(1, g):
+            g_l = g - 1 - g_r
+            label = canonical_label(graph_three_vertex_d3(g_l, g_r))
+            rec = partial_pencil_record("hyperelliptic_3vertex", gr=g_r)
+            target = IRREDUCIBLE_NODE if g_r == 1 else \
+                canonical_label(graph_three_vertex_d3(g_l + 1, g_r - 1))
+            rules[label] = InequalityRule(label, ((target, Fraction(1)),),
+                                          b * rec.delta - a * rec.lam,
+                                          "hyperelliptic three-vertex step")
+        for g_r in range(0, g // 2 + 1):
+            g_l = g - g_r
+            label = canonical_label(graph_four_vertex_d3(g_l, g_r))
+            if g_r == 0:
+                slack, targets = 3 * b, ()
+            else:
+                rec = partial_pencil_record("hyperelliptic_4vertex", gr=g_r)
+                slack = b * rec.delta - a * rec.lam
+                target = IRREDUCIBLE_NODE if g_r == 1 else \
+                    canonical_label(graph_three_vertex_d3(g_l, g_r - 1))
+                targets = ((target, Fraction(1)),)
+            rules[label] = InequalityRule(label, targets, slack,
+                                          "hyperelliptic four-vertex step")
+    return rules
+
+
+_FORM_CACHES = ("_vertex_slack", "_composite_form", "_margin_forms", "_ram_reduction")
+
+
+class TestOneDerivationPerShape:
+    @pytest.mark.parametrize("d,genera", [(3, (4, 6, 10, 24)), (4, (3, 9, 15, 33)),
+                                          (5, (16, 36, 56))])
+    def test_rules_equal_the_per_genus_record_route(self, d, genera):
+        for g in genera:
+            for scale in (Fraction(1), Fraction(2), Fraction(1, 3)):
+                assert build_rules(d, g, scale) == _rules_by_records(d, g, scale)
+
+    def test_rules_use_no_per_genus_record(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-genus pencil record was built")
+        for name in ("partial_pencil_record", "pentagonal_basechange_profile_record",
+                     "pentagonal_pencil_numbers", "trigonal_pencil_delta",
+                     "tetragonal_pencil_delta", "hyperelliptic_pencil_delta"):
+            monkeypatch.setattr(family_calc, name, refuse)
+        for d, g in ((3, 8), (4, 15), (5, 36)):
+            assert certify(d, g).certified
+
+    def test_second_genus_derives_nothing(self, monkeypatch):
+        for name in _FORM_CACHES:
+            getattr(yeff, name).cache_clear()
+        checks = []
+        real = yeff.require
+
+        def counting(cond, what):
+            checks.append(what)
+            real(cond, what)
+        monkeypatch.setattr(yeff, "require", counting)
+
+        def derivations():
+            return [getattr(yeff, name).cache_info().misses for name in _FORM_CACHES]
+        certify(5, 16)
+        first = derivations()
+        # six ramified profiles, each with its three checks, and the margin
+        assert first[1] == 6 and len(checks) == 6 * 3 + 1
+        certify(5, 36)
+        assert derivations() == first and len(checks) == 6 * 3 + 1
+
+    def test_composite_check_survives_optimize(self):
+        script = (
+            "import hurwitzcalc.yeff as yeff\n"
+            "from hurwitzcalc.errors import DerivationMismatch\n"
+            "real = yeff._basechange_hits\n"
+            "def wrong(profile):\n"
+            "    hits = real(profile)\n"
+            "    hits['delta_profile'] *= 2\n"
+            "    return hits\n"
+            "yeff._basechange_hits = wrong\n"
+            "try:\n"
+            "    yeff.certify(5, 16)\n"
+            "except DerivationMismatch as exc:\n"
+            "    raise SystemExit(0 if 'composite' in str(exc) else 2)\n"
+            "raise SystemExit(1)\n")
+        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                env={"PYTHONPATH": src}, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+
+    def test_import_derives_nothing(self):
+        # the forms are derived lazily, so a cold CLI start pays for none
+        script = (
+            "import hurwitzcalc.cli\n"
+            "from hurwitzcalc import directrix, family_calc, yeff\n"
+            "filled = [f'{m.__name__}.{name}' for m in (family_calc, directrix, yeff)\n"
+            "          for name, obj in vars(m).items()\n"
+            "          if hasattr(obj, 'cache_info') and obj.cache_info().currsize]\n"
+            "forms = sum(hasattr(obj, 'cache_info') for m in (family_calc, directrix, yeff)\n"
+            "            for obj in vars(m).values())\n"
+            "print(forms, filled)\n"
+            "raise SystemExit(1 if filled or forms < 10 else 0)\n")
+        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", script],
+                                env={"PYTHONPATH": src}, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stdout + result.stderr
+
+
+class TestDomain:
+    @pytest.mark.parametrize("d,g", [(4, -3), (5, -4), (3, -2)])
+    def test_negative_genus_is_not_admissible(self, d, g):
+        with pytest.raises(NotDivisorial):
+            certify(d, g)
+        with pytest.raises(OutOfRange):
+            multivertex_margin(d, g)
+
+    def test_genus_above_the_enumeration_limit(self):
+        g = MAX_GENUS + 2       # admissible for d = 3
+        with pytest.raises(OutOfRange):
+            build_rules(3, g)
+        with pytest.raises(OutOfRange):
+            certify(3, g)
+        assert certify(3, MAX_GENUS).certified
