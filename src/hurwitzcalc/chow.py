@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import DegreeMismatch, InvalidRank, RingMismatch
+from .errors import DegreeMismatch, InvalidRank, OutOfRange, RingMismatch
 from .symkernel import Poly, PolyLike
 
 # Exponent vector over the presentation's generator list.
@@ -579,6 +579,11 @@ def _tokenize(s: str) -> list[str]:
     return tokens
 
 
+# the largest exponent a parsed expression may use; a power is built by
+# repeated multiplication, so a larger one is a domain error, not a hang
+MAX_EXPONENT = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[str], atom):
         self.tokens = tokens
@@ -631,7 +636,10 @@ class _Parser:
             exp_tok = self.take()
             if not exp_tok.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
-            return base ** int(exp_tok)
+            digits = exp_tok.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise OutOfRange(f"exponent above MAX_EXPONENT = {MAX_EXPONENT}")
+            return base ** int(digits)
         return base
 
     def factor(self):

@@ -11,6 +11,10 @@ Each pencil count is derived once per process, lazily on first use, with
 the genus (or the bundle twists) kept symbolic; the jet-bundle count is
 checked against the Euler-characteristic count at that derivation.  The
 per-genus functions only evaluate the resulting polynomial.
+
+The partial pencils are one table of plain-data rows, `PENCIL_TABLE`.  A
+record evaluates its row with the symbolic form of the row's vertex pencil,
+`vertex_pencil_form`; the boundary-rule slacks of `yeff` read the same rows.
 """
 
 from __future__ import annotations
@@ -335,15 +339,6 @@ def _pentagonal_form() -> dict[str, Poly]:
     return pentagonal_pencil_symbolic()
 
 
-def _pentagonal_values(g_r: int) -> dict[str, Fraction]:
-    """k1, B, lambda and delta of the symbolic degree-five pencil at g_r."""
-    k1 = k1_pentagonal(g_r)
-    at = {"g": g_r, "k1": k1}
-    form = _pentagonal_form()
-    return {"k1": Fraction(k1),
-            **{name: form[name].eval(at) for name in ("B", "lambda", "delta")}}
-
-
 def pentagonal_pencil_numbers(g_r: int) -> dict[str, Fraction]:
     """Exact invariants of a general degree-five pencil of genus g_r >= 2:
     k1, the basepoint count B, and the pencil's lambda and delta, evaluated
@@ -351,12 +346,23 @@ def pentagonal_pencil_numbers(g_r: int) -> dict[str, Fraction]:
     pipeline fixes delta."""
     if g_r < 2:
         raise OutOfRange("pentagonal pencils need genus >= 2")
-    return _pentagonal_values(g_r)
+    k1 = k1_pentagonal(g_r)
+    at = {"g": g_r, "k1": k1}
+    form = _pentagonal_form()
+    return {"k1": Fraction(k1),
+            **{name: form[name].eval(at) for name in ("B", "lambda", "delta")}}
 
 
 # ---------------------------------------------------------------------------
 # Base-change section bookkeeping (degree-five ramified families)
 # ---------------------------------------------------------------------------
+
+def check_profile(d: int, profile: tuple[int, ...]) -> None:
+    """Raise InvalidProfile unless `profile` is a partition of d into
+    positive parts."""
+    if any(m < 1 for m in profile) or sum(profile) != d:
+        raise InvalidProfile(f"{profile} is not a partition of {d}")
+
 
 def basechange_section_bookkeeping(d: int, branch_points: int,
                                    profile: tuple[int, ...]) -> dict[str, Fraction]:
@@ -372,8 +378,7 @@ def basechange_section_bookkeeping(d: int, branch_points: int,
     """
     if d < 2:
         raise InvalidProfile("need degree >= 2")
-    if not profile or any(m < 1 for m in profile) or sum(profile) != d:
-        raise InvalidProfile(f"{profile} is not a partition of {d}")
+    check_profile(d, profile)
     n_sections = d
     total = Fraction(branch_points * factorial(d), 2)
     pair_int = total / comb(n_sections, 2)
@@ -458,28 +463,6 @@ class PencilRecord:
         )
 
 
-PENCIL_KINDS = (
-    "rational_partial",
-    "trigonal_plain",
-    "trigonal_unramified_3pts",
-    "trigonal_ramified_21",
-    "trigonal_triple",
-    "hyperelliptic_plain",
-    "hyperelliptic_3vertex",
-    "hyperelliptic_4vertex",
-    "tetragonal_plain",
-    "tetragonal_unramified_4pts",
-    "tetragonal_ramified_2pp",
-    "pentagonal_plain",
-    "pentagonal_unramified_5pts",
-    "pentagonal_basechange",
-)
-
-_PENTAGONAL_DELTA_NOTE = (
-    "the leading delta coefficient 13 is pinned by the Euler-characteristic "
-    "pipeline; the digit-transposed 31 fails it")
-
-
 @cache
 def _trigonal_form() -> Poly:
     """7g + 6 with g symbolic, derived on the quadric surface and on its
@@ -520,108 +503,133 @@ def hyperelliptic_pencil_delta(g_r: int) -> Fraction:
     return _hyperelliptic_form().eval({"h": _nonnegative_genus(g_r)})
 
 
+@cache
+def vertex_pencil_form(vertex: str) -> dict[str, Poly]:
+    """lambda, delta and X of the plain pencil of one vertex type, with the
+    vertex genus symbolic as gR (and v, kR, mR where they enter), from the
+    pencil counts above.  Only the degree-five pencil meets X in an exact
+    count: (2g - 22)/5 times its Maroni count M = kR + mR, from the Maroni
+    rotation.  The others meet X nonnegatively, encoded as 0.  The rational
+    vertex of degree dv has lambda 0 and delta dv."""
+    g_r, zero = Poly.var("gR"), Poly.const(0)
+    if vertex == "rational":
+        return {"lambda": zero, "delta": Poly.var("dv"), "X": zero}
+    if vertex == "trigonal":
+        return {"lambda": g_r, "delta": _trigonal_form().subs({"g": g_r}), "X": zero}
+    if vertex == "hyperelliptic":
+        return {"lambda": g_r, "delta": _hyperelliptic_form().subs({"h": g_r}), "X": zero}
+    if vertex == "tetragonal":
+        return {"lambda": g_r, "X": zero,
+                "delta": _tetragonal_form().subs({"u": g_r + 3 - Poly.var("v")})}
+    if vertex != "pentagonal":
+        raise UnknownKind(f"unknown vertex pencil {vertex!r}")
+    form, maroni = _pentagonal_form(), Poly.var("kR") + Poly.var("mR")
+    at = {"g": g_r, "k1": Poly.var("kR")}
+    return {"lambda": form["lambda"].subs(at), "delta": form["delta"].subs(at),
+            "X": (2 * Poly.var("g") - 22) / 5 * maroni, "M": maroni}
+
+
+def pencil_symbols(g_r: int, g: int | None = None) -> dict[str, int | None]:
+    """Values of the symbols of :func:`vertex_pencil_form` at vertex genus
+    g_r and total genus g, which only X needs."""
+    return {"g": g, "gR": g_r, "v": v_tetragonal(g_r), "kR": k1_pentagonal(g_r),
+            "mR": m_r_pentagonal(g_r)}
+
+
+@dataclass(frozen=True)
+class PencilRow:
+    """One (partial) pencil family: the plain pencil of a vertex type less
+    `sections` gluing sections in delta, and its boundary hits by role.
+    `shape` is the rule shape it grounds: a two-vertex node profile or a
+    degree-three hyperelliptic-vertex shape.  A sweeping family meets X and
+    the Maroni and quadric loci only nonnegatively.  A base-change row
+    counts the `copies` = 5! sheets of the base change, and its hits come
+    from the section bookkeeping of its shape."""
+
+    vertex: str
+    sections: int
+    hits: dict[str, int]
+    params: tuple[str, ...] = ("gr",)
+    shape: tuple[int, ...] | str | None = None
+    min_gr: int = 0
+    sweeps: bool = True
+    copies: int = 1
+    notes: tuple[str, ...] = ()
+
+
+_SPLIT = {"delta_self": -1, "delta_split": 1}
+_RAMIFIED = {"delta_self": -1, "delta_split": 1, "delta_ram": 1}
+_PENTAGONAL_NOTES = (
+    "the leading delta coefficient 13 is pinned by the Euler-characteristic "
+    "pipeline; the digit-transposed 31 fails it",)
+_EXACT_PARAMS = ("gr", "g", "kR", "mR")
+
+PENCIL_TABLE = {
+    "rational_partial": PencilRow("rational", 0, {"delta_self": -1}, ("dv",)),
+    "trigonal_plain": PencilRow("trigonal", 0, {}),
+    "trigonal_unramified_3pts": PencilRow("trigonal", 3, _SPLIT, shape=(1, 1, 1)),
+    "trigonal_ramified_21": PencilRow("trigonal", 2, _RAMIFIED, shape=(2, 1)),
+    "trigonal_triple": PencilRow("trigonal", 1, _RAMIFIED, shape=(3,)),
+    "hyperelliptic_plain": PencilRow("hyperelliptic", 0, {}),
+    # both attaching nodes sit on the main vertex and contribute
+    "hyperelliptic_3vertex": PencilRow("hyperelliptic", 2, _SPLIT, shape="threevertex"),
+    # the section glued to the rational vertex meets a node that does not
+    # contribute to delta
+    "hyperelliptic_4vertex": PencilRow("hyperelliptic", 1, _SPLIT, shape="fourvertex"),
+    "tetragonal_plain": PencilRow("tetragonal", 0, {}, ("gr", "v")),
+    "tetragonal_unramified_4pts": PencilRow("tetragonal", 4, _SPLIT, ("gr", "v"),
+                                            (1, 1, 1, 1)),
+    "tetragonal_ramified_2pp": PencilRow("tetragonal", 3, _RAMIFIED, ("gr", "v"),
+                                         (2, 1, 1)),
+    "pentagonal_plain": PencilRow("pentagonal", 0, {}, ("gr", "k1"), min_gr=2,
+                                  notes=_PENTAGONAL_NOTES),
+    "pentagonal_unramified_5pts": PencilRow("pentagonal", 5, _SPLIT, _EXACT_PARAMS,
+                                            (1, 1, 1, 1, 1), min_gr=2, sweeps=False,
+                                            notes=_PENTAGONAL_NOTES),
+    # 20 * 5! comes off delta after the base change
+    "pentagonal_basechange": PencilRow("pentagonal", 20, {}, _EXACT_PARAMS, (2, 1, 1, 1),
+                                       min_gr=2, sweeps=False, copies=factorial(5),
+                                       notes=_PENTAGONAL_NOTES),
+}
+
+PENCIL_KINDS = tuple(PENCIL_TABLE)
+
+# record parameters named apart from the form symbol they hold
+_PARAM_SYMBOL = {"gr": "gR", "k1": "kR"}
+
+
 def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
     """The intersection record of one of the named (partial) pencil
-    families.  `gr` is the genus of the varying right side; pentagonal
-    records also take the total genus `g` (for the X-intersection)."""
-    if kind not in PENCIL_KINDS:
+    families, evaluated from its row of :data:`PENCIL_TABLE`.  `gr` is the
+    genus of the varying right side; the exact pentagonal records also
+    take the total genus `g` (for the X-intersection), and the rational one
+    its degree `dv` (default 3)."""
+    row = PENCIL_TABLE.get(kind)
+    if row is None:
         raise UnknownKind(f"unknown pencil kind {kind!r}; known: {PENCIL_KINDS}")
-
-    if kind == "rational_partial":
-        dv = params.get("dv", 3)
-        return PencilRecord(kind, {"dv": dv}, Fraction(0), Fraction(dv),
-                            {"delta_self": Fraction(-1)})
-
-    if "gr" not in params:
-        raise OutOfRange(f"{kind} records need the vertex genus gr")
-    g_r = params["gr"]
-
-    if kind == "trigonal_plain":
-        return PencilRecord(kind, {"gr": g_r}, Fraction(g_r),
-                            trigonal_pencil_delta(g_r), {})
-    if kind == "trigonal_unramified_3pts":
-        return PencilRecord(kind, {"gr": g_r}, Fraction(g_r),
-                            trigonal_pencil_delta(g_r) - 3,
-                            {"delta_self": Fraction(-1), "delta_split": Fraction(1)})
-    if kind == "trigonal_ramified_21":
-        return PencilRecord(kind, {"gr": g_r}, Fraction(g_r),
-                            trigonal_pencil_delta(g_r) - 2,
-                            {"delta_self": Fraction(-1), "delta_split": Fraction(1),
-                             "delta_ram": Fraction(1)})
-    if kind == "trigonal_triple":
-        return PencilRecord(kind, {"gr": g_r}, Fraction(g_r),
-                            trigonal_pencil_delta(g_r) - 1,
-                            {"delta_self": Fraction(-1), "delta_split": Fraction(1),
-                             "delta_ram": Fraction(1)})
-
-    if kind == "hyperelliptic_plain":
-        return PencilRecord(kind, {"gr": g_r}, Fraction(g_r),
-                            hyperelliptic_pencil_delta(g_r), {})
-    if kind == "hyperelliptic_3vertex":
-        # both attaching nodes sit on the main vertex and contribute,
-        # so two units come off the plain count 8g + 4
-        return PencilRecord(kind, {"gr": g_r}, Fraction(g_r),
-                            hyperelliptic_pencil_delta(g_r) - 2,
-                            {"delta_self": Fraction(-1), "delta_split": Fraction(1)})
-    if kind == "hyperelliptic_4vertex":
-        # the section glued to the rational vertex meets a node that does
-        # not contribute to delta, so only one unit is subtracted
-        return PencilRecord(kind, {"gr": g_r}, Fraction(g_r),
-                            hyperelliptic_pencil_delta(g_r) - 1,
-                            {"delta_self": Fraction(-1), "delta_split": Fraction(1)})
-
-    if kind.startswith("tetragonal"):
-        base = tetragonal_pencil_delta(g_r)
-        v = v_tetragonal(g_r)
-        if kind == "tetragonal_plain":
-            return PencilRecord(kind, {"gr": g_r, "v": v}, Fraction(g_r), base, {})
-        if kind == "tetragonal_unramified_4pts":
-            return PencilRecord(kind, {"gr": g_r, "v": v}, Fraction(g_r), base - 4,
-                                {"delta_self": Fraction(-1), "delta_split": Fraction(1)})
-        if kind == "tetragonal_ramified_2pp":
-            return PencilRecord(kind, {"gr": g_r, "v": v}, Fraction(g_r), base - 3,
-                                {"delta_self": Fraction(-1), "delta_split": Fraction(1),
-                                 "delta_ram": Fraction(1)})
-
-    if kind == "pentagonal_plain":
-        numbers = pentagonal_pencil_numbers(g_r)
-        return PencilRecord(kind, {"gr": g_r, "k1": int(numbers["k1"])},
-                            numbers["lambda"], numbers["delta"], {},
-                            notes=(_PENTAGONAL_DELTA_NOTE,))
-
-    if "g" not in params:
-        raise OutOfRange(f"{kind} records need the total genus g")
-    g = params["g"]
-    k_r = k1_pentagonal(g_r)
-    m_r = m_r_pentagonal(g_r)
-    weight = Fraction(2 * g - 22, 5)
-    maroni = Fraction(k_r + m_r)
-
-    if kind == "pentagonal_unramified_5pts":
-        numbers = pentagonal_pencil_numbers(g_r)
-        return PencilRecord(
-            kind, {"gr": g_r, "g": g, "kR": k_r, "mR": m_r},
-            numbers["lambda"], numbers["delta"] - 5,
-            {"delta_self": Fraction(-1), "delta_split": Fraction(1)},
-            x_hit=weight * maroni, maroni_hit=maroni, ce_hit=Fraction(0),
-            sweeps=False, notes=(_PENTAGONAL_DELTA_NOTE,))
-
-    if kind == "pentagonal_basechange":
-        numbers = pentagonal_pencil_numbers(g_r)
-        n = factorial(5)
-        books = basechange_section_bookkeeping(5, 10, (2, 1, 1, 1))
-        return PencilRecord(
-            kind, {"gr": g_r, "g": g, "kR": k_r, "mR": m_r},
-            n * numbers["lambda"], n * numbers["delta"] - 2400,
-            {"delta_self": books["blownSelfInt"],
-             "delta_collision": Fraction(600)},
-            x_hit=n * weight * maroni, maroni_hit=n * maroni, ce_hit=Fraction(0),
-            sweeps=False,
-            extras={"sectionSelfInt": books["selfInt"],
-                    "sectionPairInt": books["pairInt"]},
-            notes=(_PENTAGONAL_DELTA_NOTE,))
-
-    raise UnknownKind(kind)
+    if row.vertex == "rational":
+        at = {"dv": params.get("dv", 3)}
+        if at["dv"] < 1:
+            raise OutOfRange(f"a rational vertex needs degree dv >= 1, got {at['dv']}")
+    else:
+        if "gr" not in params:
+            raise OutOfRange(f"{kind} records need the vertex genus gr")
+        if "g" in row.params and "g" not in params:
+            raise OutOfRange(f"{kind} records need the total genus g")
+        if params["gr"] < row.min_gr:
+            raise OutOfRange(f"{kind} records need gr >= {row.min_gr}, got {params['gr']}")
+        at = pencil_symbols(params["gr"], params.get("g"))
+    if row.copies == 1:
+        return _evaluate_row(kind, row, at, row.hits)
+    # the quoted base change: the blown-down section self-intersection, and
+    # every collision, over the profile point or not, on one divisor
+    books = basechange_section_bookkeeping(5, 10, row.shape)
+    collisions = sum(v for role, v in _basechange_hits(row.shape).items()
+                     if role != "delta_self")
+    return _evaluate_row(kind, row, at,
+                         {"delta_self": books["blownSelfInt"], "delta_collision": collisions},
+                         extras={"sectionSelfInt": books["selfInt"],
+                                 "sectionPairInt": books["pairInt"]})
 
 
 def pentagonal_basechange_profile_record(g: int, g_r: int,
@@ -640,20 +648,24 @@ def pentagonal_basechange_profile_record(g: int, g_r: int,
     hits = _basechange_hits(profile)
     if g_r < 1:
         raise OutOfRange("base-change families need genus >= 1")
-    n = factorial(5)
-    k_r = k1_pentagonal(g_r)
-    m_r = m_r_pentagonal(g_r)
-    numbers = _pentagonal_values(g_r)
-    weight = Fraction(2 * g - 22, 5)
-    maroni = Fraction(k_r + m_r)
+    row = PENCIL_TABLE["pentagonal_basechange"]
+    return _evaluate_row("pentagonal_basechange", row, pencil_symbols(g_r, g), hits,
+                         extra_notes=(f"reconstructed for profile {profile}",))
+
+
+def _evaluate_row(kind: str, row: PencilRow, at: dict[str, int],
+                  hits: dict[str, Fraction | int], extras: dict[str, Fraction] | None = None,
+                  extra_notes: tuple[str, ...] = ()) -> PencilRecord:
+    """The record of `row` at the symbol values `at`, with the given hits."""
+    form, n = vertex_pencil_form(row.vertex), row.copies
+    exact = {} if row.sweeps else {"x_hit": n * form["X"].eval(at),
+                                   "maroni_hit": n * form["M"].eval(at),
+                                   "ce_hit": Fraction(0)}
     return PencilRecord(
-        "pentagonal_basechange", {"gr": g_r, "g": g, "kR": k_r, "mR": m_r},
-        n * numbers["lambda"], n * numbers["delta"] - 20 * n,
-        hits,
-        x_hit=n * weight * maroni, maroni_hit=n * maroni, ce_hit=Fraction(0),
-        sweeps=False,
-        notes=(_PENTAGONAL_DELTA_NOTE,
-               f"reconstructed for profile {profile}"))
+        kind, {name: at[_PARAM_SYMBOL.get(name, name)] for name in row.params},
+        n * form["lambda"].eval(at), n * (form["delta"].eval(at) - row.sections),
+        {role: Fraction(v) for role, v in hits.items()}, sweeps=row.sweeps,
+        extras=extras or {}, notes=row.notes + extra_notes, **exact)
 
 
 def _basechange_hits(profile: tuple[int, ...]) -> dict[str, Fraction]:
@@ -661,8 +673,7 @@ def _basechange_hits(profile: tuple[int, ...]) -> dict[str, Fraction]:
     fiber has the given ramification profile (see
     :func:`pentagonal_basechange_profile_record`); they depend on the
     profile alone, not on the genera."""
-    if sum(profile) != 5 or any(m < 1 for m in profile):
-        raise InvalidProfile(f"{profile} is not a partition of 5")
+    check_profile(5, profile)
     r = sum(m - 1 for m in profile)
     if r < 1:
         raise InvalidProfile("the profile must carry ramification")

@@ -18,8 +18,11 @@ replayed.
 
 Each slack is a polynomial in the genera, derived once per process for
 each rule shape (a degree and node profile, or one of the two degree-three
-hyperelliptic-vertex shapes) from the symbolic pencil counts of
-`family_calc`, with the varied vertex genus gR symbolic.  The degree-five
+hyperelliptic-vertex shapes) with the varied vertex genus gR symbolic.  It
+reads the rows of `family_calc.PENCIL_TABLE`, the same rows the pencil
+records evaluate: the row's vertex pencil form, less its gluing sections
+in delta.  A profile that no row carries gets the same construction, one
+section per node, and its rule is flagged reconstructed.  The degree-five
 ramified composite is checked against its closed form identically, once
 per profile.  A rule only evaluates its shape's form at the graph's genera
 and multiplies by the scale of X.
@@ -30,14 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, lcm
 
-from .bundles import k1_pentagonal, m_r_pentagonal, v_tetragonal
 from .divisor_classes import admissible_genus, class_x
-from .errors import NotDivisorial, PropagationFailure, require
-from .family_calc import (_basechange_hits, _hyperelliptic_form,
-                          _nonnegative_genus, _pentagonal_form,
-                          _tetragonal_form, _trigonal_form)
+from .errors import NotDivisorial, PropagationFailure, UnknownKind, require
+from .family_calc import (PENCIL_TABLE, _basechange_hits, _nonnegative_genus,
+                          check_profile, pencil_symbols, vertex_pencil_form)
 from .graphs import (canonical_label, graph_four_vertex_d3,
                      graph_three_vertex_d3, enumerate_two_vertex,
                      two_vertex_graph)
@@ -130,35 +131,24 @@ def _slope_pair(d: int, g: int, scale: Fraction) -> tuple[Fraction, Fraction]:
     return a_poly.eval({"g": g}) * scale, b_poly.eval({"g": g}) * scale
 
 
-def _plain_pencil(kind: str) -> tuple[Poly, Poly, Poly]:
-    """lambda, delta and X-value of the plain pencil of one vertex type,
-    from the pencil forms of `family_calc` with the vertex genus as gR (and
-    v, kR, mR where they enter).  Only the degree-five pencil has an exact
-    X-value, from the Maroni rotation count; the others meet X
-    nonnegatively, encoded as 0."""
-    g_r = Poly.var("gR")
-    if kind == "hyperelliptic":
-        return g_r, _hyperelliptic_form().subs({"h": g_r}), Poly.const(0)
-    if kind == "trigonal":
-        return g_r, _trigonal_form().subs({"g": g_r}), Poly.const(0)
-    if kind == "tetragonal":
-        v = Poly.var("v")
-        return g_r, _tetragonal_form().subs({"u": g_r + 3 - v}), Poly.const(0)
-    k_r, m_r = Poly.var("kR"), Poly.var("mR")
-    form = _pentagonal_form()
-    at = {"g": g_r, "k1": k_r}
-    weight = (2 * Poly.var("g") - 22) / 5
-    return form["lambda"].subs(at), form["delta"].subs(at), weight * (k_r + m_r)
+# the kind of the pencil-table row that grounds each rule shape; a shape
+# that no row carries gets a reconstructed rule
+_KIND_BY_SHAPE = {row.shape: kind for kind, row in PENCIL_TABLE.items() if row.shape}
 
 
 @cache
-def _vertex_slack(d: int, kind: str, sections: int) -> Poly:
+def _vertex_slack(d: int, vertex: str, sections: int) -> Poly:
     """b*delta - a*lambda + X, in g and gR, of the partial pencil varying a
     vertex of the given type inside a degree-d divisor: the plain pencil
-    with one gluing section per node taken off delta (self hit -1)."""
+    with `sections` gluing sections taken off delta (self hit -1)."""
     a, b = slope_normalization(d)
-    lam, delta, x = _plain_pencil(kind)
-    return b * (delta - sections) - a * lam + x
+    form = vertex_pencil_form(vertex)
+    return b * (form["delta"] - sections) - a * form["lambda"] + form["X"]
+
+
+def _row_slack(d: int, kind: str) -> Poly:
+    row = PENCIL_TABLE[kind]
+    return _vertex_slack(d, row.vertex, row.sections)
 
 
 @cache
@@ -169,14 +159,12 @@ def _composite_form(profile: tuple[int, ...]) -> tuple[Fraction, Poly]:
     to eliminate the collision divisor.  Required to give
     c(profile) = (lcm r / 10)(9 c(unramified) + 15b - P) identically, P
     being the unramified slack at gR."""
-    n = factorial(5)
-    a, b = slope_normalization(5)
-    lam, delta, x = _plain_pencil("pentagonal")
-    # a*lambda - b*delta - X of the family, whose lambda, delta and X are
-    # 5! times the pencil's, less 20 * 5! in delta (as in
-    # `pentagonal_basechange_profile_record`)
-    s = n * (a * lam - b * (delta - 20) - x)
-    hits, simple = _basechange_hits(profile), _basechange_hits((2, 1, 1, 1))
+    row = PENCIL_TABLE["pentagonal_basechange"]
+    n = row.copies
+    b = slope_normalization(5)[1]
+    # a*lambda - b*delta - X of the family, from its row
+    s = -n * _vertex_slack(5, row.vertex, row.sections)
+    hits, simple = _basechange_hits(profile), _basechange_hits(row.shape)
     require(-hits["delta_self"] == -simple["delta_self"] == 9 * n,
             "base-change self-intersection = -9 * 5!")
     t_profile = hits["delta_profile"]
@@ -193,42 +181,31 @@ def _composite_form(profile: tuple[int, ...]) -> tuple[Fraction, Poly]:
     return 9 * ratio, slack
 
 
-_VERTEX_PENCIL = {3: "trigonal", 4: "tetragonal", 5: "pentagonal"}
-
-
 def symbolic_slack(d: int, profile: tuple[int, ...]) -> Poly:
     """Slack of the rule for the two-vertex divisors with the given node
     profile, in g and the varied vertex genus gR (and v, kR, mR where those
     enter); the rule at scale s has s times this form at the graph's
-    genera.  It is the slack of the partial pencil varying the gR vertex,
-    and for a ramified degree-five profile the base-change composite."""
-    if d not in _VERTEX_PENCIL:
+    genera.  It is the slack of the partial pencil varying the gR vertex
+    (the vertex type of the degree's unramified row, less one gluing section
+    per node), and for a ramified degree-five profile the base-change
+    composite."""
+    unramified = _KIND_BY_SHAPE.get((1,) * d)
+    if unramified is None:
         raise NotDivisorial(f"no symbolic slack form for d={d}, profile={profile}")
-    if d == 5 and profile != (1, 1, 1, 1, 1):
+    check_profile(d, profile)
+    if d == 5 and profile != (1,) * d:
         return _composite_form(profile)[1]
-    return _vertex_slack(d, _VERTEX_PENCIL[d], len(profile))
-
-
-# gluing sections taken off the hyperelliptic pencil: both attaching nodes
-# of the three-vertex shape sit on the main vertex and contribute; in the
-# four-vertex shape the section glued to the rational vertex meets a node
-# that does not contribute to delta
-_HYPERELLIPTIC_SECTIONS = {"threevertex": 2, "fourvertex": 1}
+    return _vertex_slack(d, PENCIL_TABLE[unramified].vertex, len(profile))
 
 
 def symbolic_slack_threevertex(d3_shape: str) -> Poly:
     """Slack of the degree-three hyperelliptic-vertex rules:
     g(gR+2) - 6gR for the three-vertex shape, g(gR+3) - 6gR for the
     four-vertex shape."""
-    if d3_shape not in _HYPERELLIPTIC_SECTIONS:
-        raise ValueError(d3_shape)
-    return _vertex_slack(3, "hyperelliptic", _HYPERELLIPTIC_SECTIONS[d3_shape])
-
-
-def _genera(g: int, g_r: int) -> dict[str, int]:
-    """The symbols of the slack forms at total genus g and varied genus g_r."""
-    return {"g": g, "gR": g_r, "v": v_tetragonal(g_r),
-            "kR": k1_pentagonal(g_r), "mR": m_r_pentagonal(g_r)}
+    kind = _KIND_BY_SHAPE.get(d3_shape)
+    if kind is None or not isinstance(d3_shape, str):
+        raise UnknownKind(f"unknown degree-three shape {d3_shape!r}")
+    return _row_slack(3, kind)
 
 
 def check_closed_form_d4(g: int) -> bool:
@@ -282,7 +259,7 @@ def build_rules(d: int, g: int,
     (every slack is linear in (a, b, X)); its targets and flags follow from
     the graph.  Certified/failed status is invariant under positive
     rescaling."""
-    b = _slope_pair(d, g, scale)[1]
+    _slope_pair(d, g, scale)             # admissible (d, g) only
     rules: dict[str, InequalityRule] = {}
 
     for graph in enumerate_two_vertex(d, g):
@@ -293,7 +270,7 @@ def build_rules(d: int, g: int,
         if d in (3, 4):
             rules[label] = _rule_d34(d, g, scale, label, profile, g_big, g_small)
         else:
-            rules[label] = _rule_d5(g, b, scale, label, profile, g_big, g_small)
+            rules[label] = _rule_d5(g, scale, label, profile, g_big, g_small)
 
     if d == 3:
         three = symbolic_slack_threevertex("threevertex")
@@ -330,7 +307,7 @@ def build_rules(d: int, g: int,
 
 def _rule_d34(d: int, g: int, scale: Fraction, label: str,
               profile: tuple[int, ...], g_l: int, g_r: int) -> InequalityRule:
-    slack = symbolic_slack(d, profile).eval(_genera(g, g_r)) * scale
+    slack = symbolic_slack(d, profile).eval(pencil_symbols(g_r, g)) * scale
     k = len(profile)
     targets: list[tuple[str, Fraction]] = []
 
@@ -349,24 +326,23 @@ def _rule_d34(d: int, g: int, scale: Fraction, label: str,
         targets.append((_two_vertex_key(d, reduced, g_l, g_r - 1), multiplicity))
 
     family = "unramified" if profile == tuple([1] * d) else f"ramified {profile}"
-    # degree four beyond (2, 1, 1) has no recorded pencil: the same
+    # a profile without a row (degree four beyond (2, 1, 1)) is the same
     # construction with more nonreduced basepoints
-    recorded = d == 3 or profile in ((1, 1, 1, 1), (2, 1, 1))
     return InequalityRule(label, tuple(targets), slack,
                           f"degree-{d} {family} partial pencil",
-                          reconstructed=not recorded)
+                          reconstructed=profile not in _KIND_BY_SHAPE)
 
 
-def _rule_d5(g: int, b: Fraction, scale: Fraction, label: str,
+def _rule_d5(g: int, scale: Fraction, label: str,
              profile: tuple[int, ...], g_l: int, g_r: int) -> InequalityRule:
     unram = (1, 1, 1, 1, 1)
     if profile == unram:
         # the five-basepoint partial pencil: an exact relation
         if g_r == 0:
-            # the rational vertex pencil: lambda 0, delta 5
-            return InequalityRule(label, (), 5 * b,
+            slack = _row_slack(5, "rational_partial").eval({"g": g, "dv": 5})
+            return InequalityRule(label, (), slack * scale,
                                   "degree-5 rational vertex pencil")
-        slack = symbolic_slack(5, unram).eval(_genera(g, g_r)) * scale
+        slack = symbolic_slack(5, unram).eval(pencil_symbols(g_r, g)) * scale
         split_right = g_r - 4
         if split_right >= 0:
             targets = ((_two_vertex_key(5, unram, g_l + 4, split_right), Fraction(1)),)
@@ -374,7 +350,8 @@ def _rule_d5(g: int, b: Fraction, scale: Fraction, label: str,
             targets = ((DISCONNECTED, Fraction(1)),)
         return InequalityRule(label, targets, slack,
                               "degree-5 unramified partial pencil",
-                              reconstructed=g_r == 1, equality=True)
+                              equality=True, reconstructed=g_r <
+                              PENCIL_TABLE["pentagonal_unramified_5pts"].min_gr)
 
     # ramified: the base-changed general pencil, composed with the
     # simple-collision relation to eliminate the collision divisor
@@ -393,25 +370,28 @@ def _rule_d5(g: int, b: Fraction, scale: Fraction, label: str,
     coeff_unram, form = _composite_form(profile)
     target = _two_vertex_key(5, unram, fixed_genus, fam_genus)
     return InequalityRule(label, ((target, coeff_unram),),
-                          form.eval(_genera(g, fam_genus)) * scale,
+                          form.eval(pencil_symbols(fam_genus, g)) * scale,
                           f"degree-5 base-change composite {profile}",
-                          reconstructed=profile != (2, 1, 1, 1), equality=True)
+                          reconstructed=profile not in _KIND_BY_SHAPE, equality=True)
 
 
 # ---------------------------------------------------------------------------
 # Certification
 # ---------------------------------------------------------------------------
 
+_MARGIN_KINDS = ("hyperelliptic_3vertex", "trigonal_unramified_3pts")
+
+
 @cache
 def _margin_forms(d: int) -> tuple[Poly, ...]:
     """Slack forms of the hyperelliptic-vertex and, for d >= 4, the
     trigonal-vertex pencils; both pencil counts are required linear in the
     vertex genus, so the forms are linear in gR."""
-    require(_hyperelliptic_form().total_degree() <= 1
-            and _trigonal_form().total_degree() <= 1,
+    counts = (vertex_pencil_form(PENCIL_TABLE[kind].vertex)["delta"] for kind in _MARGIN_KINDS)
+    require(all(count.total_degree() <= 1 for count in counts),
             "hyperelliptic and trigonal pencil counts are linear in the genus")
-    forms = (_vertex_slack(d, "hyperelliptic", 2),)
-    return (forms + (_vertex_slack(d, "trigonal", 3),)) if d >= 4 else forms
+    kinds = _MARGIN_KINDS if d >= 4 else _MARGIN_KINDS[:1]
+    return tuple(_row_slack(d, kind) for kind in kinds)
 
 
 def multivertex_margin(d: int, g: int, scale: Fraction = Fraction(1)) -> Fraction:

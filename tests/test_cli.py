@@ -79,6 +79,11 @@ class TestPencil:
             run_cli(capsys, "pencil", "nonexistent_kind", "--gr", "4")
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("dv", ["0", "-4"])
+    def test_nonpositive_rational_degree_is_domain_error(self, capsys, dv):
+        code, out, err = run_cli(capsys, "pencil", "rational_partial", "--dv", dv)
+        assert code == 2 and "dv >= 1" in err and not out
+
 
 class TestChowEval:
     def test_tetragonal_product(self, capsys):
@@ -91,6 +96,26 @@ class TestChowEval:
                                "z^6*f", "--json")
         assert code == 0
         assert json.loads(out)["integral"] == "5"
+
+    @pytest.mark.parametrize("expr", ["z^99999999999", "2^9999999*z^2*f",
+                                      "(u+v)^99999999*z^2*f", "z^" + "9" * 5000])
+    def test_huge_exponent_fails_fast(self, expr):
+        # checked before any power is built; a subprocess, so a hang is a timeout
+        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-m", "hurwitzcalc.cli", "chow", "eval",
+                                 "projbundle:3:u+v", expr],
+                                env={"PYTHONPATH": src}, capture_output=True,
+                                text=True, timeout=10)
+        assert result.returncode == 2 and "MAX_EXPONENT" in result.stderr
+        assert not result.stdout
+
+    def test_exponent_at_the_limit(self, capsys):
+        from hurwitzcalc.chow import MAX_EXPONENT
+        code, out, _ = run_cli(capsys, "chow", "eval", "projbundle:3:u+v",
+                               f"(u+v)^{MAX_EXPONENT}*z^2*f", "--json")
+        assert code == 0
+        terms = set(json.loads(out)["integral"].split(" + "))
+        assert {"u^100", "100*u^99*v", "v^100"} <= terms and len(terms) == 101
 
 
 class TestGraphs:

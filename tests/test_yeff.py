@@ -1,3 +1,5 @@
+import hashlib
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,8 +11,9 @@ import pytest
 import hurwitzcalc
 from hurwitzcalc import family_calc, yeff
 from hurwitzcalc.bundles import k1_pentagonal, m_r_pentagonal
-from hurwitzcalc.errors import NotDivisorial, OutOfRange, PropagationFailure
-from hurwitzcalc.family_calc import (hyperelliptic_pencil_delta,
+from hurwitzcalc.errors import (EngineError, InvalidProfile, NotDivisorial,
+                               OutOfRange, PropagationFailure)
+from hurwitzcalc.family_calc import (PENCIL_TABLE, hyperelliptic_pencil_delta,
                                      partial_pencil_record,
                                      pentagonal_basechange_profile_record,
                                      tetragonal_pencil_delta,
@@ -96,6 +99,31 @@ class TestSymbolicSlacks:
         for profile, ratio in (((2, 1, 1, 1), Fraction(1, 5)),
                                ((3, 2), Fraction(9, 5)), ((5,), 2)):
             assert symbolic_slack(5, profile) == ratio * (15 * g / 2 - term)
+
+
+class TestSlackDomain:
+    @pytest.mark.parametrize("d,profile", [(3, (1, 1, 1, 1)), (4, (7,)), (3, ()),
+                                           (3, (0, 3)), (4, (2, 2, 1)), (5, (3, 3)),
+                                           (5, (6, -1))])
+    def test_profile_must_partition_the_degree(self, d, profile):
+        with pytest.raises(InvalidProfile):
+            symbolic_slack(d, profile)
+
+    def test_degree_without_a_pencil_row(self):
+        with pytest.raises(NotDivisorial):
+            symbolic_slack(6, (1,) * 6)
+
+    @pytest.mark.parametrize("shape", ["x", "", (1, 1, 1)])
+    def test_unknown_degree_three_shape(self, shape):
+        with pytest.raises(EngineError):
+            symbolic_slack_threevertex(shape)
+
+    def test_recorded_rows_take_one_section_per_node(self):
+        # the rule slack of a profile takes len(profile) sections off delta,
+        # as the record of the row carrying that profile does
+        for kind, row in PENCIL_TABLE.items():
+            if isinstance(row.shape, tuple) and row.copies == 1:
+                assert row.sections == len(row.shape), kind
 
 
 class TestSummedInequality:
@@ -367,6 +395,27 @@ def _rules_by_records(d, g, scale):
             rules[label] = InequalityRule(label, targets, slack,
                                           "hyperelliptic four-vertex step")
     return rules
+
+
+# SHA-256 over json.dumps({label: rule.to_json()}, sort_keys=True) of
+# build_rules at every (d, g, scale) of _PINNED_RULE_POINTS, in that order,
+# recorded from the per-genus record route before the rules were derived
+# from the pencil table
+_PINNED_RULE_DIGEST = "d30713a44c05a09687ac61242546b2bbd3d05770937a17f1e95a524f65fa4d19"
+_PINNED_RULE_POINTS = [(d, g, scale)
+                       for d, genera in ((3, (4, 6, 10, 24)), (4, (3, 9, 15, 33)),
+                                         (5, (16, 36, 56)))
+                       for g in genera
+                       for scale in (Fraction(1), Fraction(2), Fraction(1, 3))]
+
+
+def test_rules_match_pinned_digest():
+    digest = hashlib.sha256()
+    for d, g, scale in _PINNED_RULE_POINTS:
+        rules = build_rules(d, g, scale)
+        digest.update(json.dumps({label: rule.to_json() for label, rule in rules.items()},
+                                 sort_keys=True).encode())
+    assert digest.hexdigest() == _PINNED_RULE_DIGEST
 
 
 _FORM_CACHES = ("_vertex_slack", "_composite_form", "_margin_forms", "_ram_reduction")
