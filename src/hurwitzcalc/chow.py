@@ -413,6 +413,15 @@ def expansion_ring(square_zero: Iterable[str], free: Iterable[str]) -> ChowPrese
     )
 
 
+def _spec_rank(text: str) -> int:
+    """The bundle rank or space dimension a ring spec names, checked
+    against MAX_RANK before any presentation is built."""
+    n = int(text)
+    if not 0 <= n <= MAX_RANK:
+        raise OutOfRange(f"ring rank {n} outside 0..MAX_RANK = {MAX_RANK}")
+    return n
+
+
 def ring_from_spec(spec: str) -> ChowPresentation:
     """Rebuild a presentation from its serialized spec string."""
     head, _, rest = spec.partition(":")
@@ -422,13 +431,13 @@ def ring_from_spec(spec: str) -> ChowPresentation:
         return ring_hirzebruch(parse_poly(rest or "h"))
     if head == "projbundle":
         rank_s, _, c1_s = rest.partition(":")
-        return ring_proj_bundle_over_p1(int(rank_s), parse_poly(c1_s or "c1E"))
+        return ring_proj_bundle_over_p1(_spec_rank(rank_s), parse_poly(c1_s or "c1E"))
     if head == "grassmann25":
         return ring_grassmann_bundle_g25(parse_poly(rest or "c1Fdual"))
     if head == "projspace":
-        return ring_proj_space(int(rest))
+        return ring_proj_space(_spec_rank(rest))
     if head == "projspace_x_p1":
-        return ring_product_with_p1(ring_proj_space(int(rest)))
+        return ring_product_with_p1(ring_proj_space(_spec_rank(rest)))
     raise ValueError(f"unknown ring spec: {spec}")
 
 
@@ -583,12 +592,36 @@ def _tokenize(s: str) -> list[str]:
 # repeated multiplication, so a larger one is a domain error, not a hang
 MAX_EXPONENT = 100
 
+# the most term operations one parsed expression may cost: a product charges
+# the product of its operands' term counts, a sum their total.  Exponents in
+# range still compound ((a+b+c+d)^100 would run for minutes), so a costlier
+# expression is a domain error; at this limit a parse takes seconds at most
+MAX_TERM_WORK = 20_000
+
+# the largest bundle rank or space dimension a parsed ring spec may name;
+# building a presentation grows about with the square of it (rank 100 takes
+# milliseconds, rank 1000 over a second), so a larger one is a domain error
+MAX_RANK = 100
+
+
+def _size(x) -> int:
+    """Number of coefficient terms of a parsed Poly or ChowClass."""
+    if isinstance(x, ChowClass):
+        return sum(len(c.terms) for c in x.terms.values())
+    return len(x.terms)
+
 
 class _Parser:
     def __init__(self, tokens: list[str], atom):
         self.tokens = tokens
         self.pos = 0
         self.atom = atom
+        self.work = 0
+
+    def charge(self, cost: int) -> None:
+        self.work += cost
+        if self.work > MAX_TERM_WORK:
+            raise OutOfRange(f"expression costs more than MAX_TERM_WORK = {MAX_TERM_WORK}")
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -601,7 +634,10 @@ class _Parser:
         return tok
 
     def parse(self):
-        value = self.expr()
+        try:
+            value = self.expr()
+        except RecursionError:
+            raise OutOfRange("expression nested too deeply") from None
         if self.peek() is not None:
             raise ValueError(f"trailing token {self.peek()!r}")
         return value
@@ -615,6 +651,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
+            self.charge(_size(value) + _size(rhs))
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -623,6 +660,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.power()
+            self.charge(_size(value) * _size(rhs))
             if op == "*":
                 value = value * rhs
             else:
@@ -639,7 +677,11 @@ class _Parser:
             digits = exp_tok.lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise OutOfRange(f"exponent above MAX_EXPONENT = {MAX_EXPONENT}")
-            return base ** int(digits)
+            value = self.atom(1)
+            for _ in range(int(digits)):
+                self.charge(_size(value) * _size(base))
+                value = value * base
+            return value
         return base
 
     def factor(self):

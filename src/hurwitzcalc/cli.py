@@ -13,7 +13,8 @@ Subcommands:
 
 All numeric output is exact-rational; `--json` switches any subcommand to a
 machine-readable form.  Exit codes: 0 success, 1 usage error, 2 domain
-error, 3 certification failure.
+error, 3 certification failure.  Each subcommand imports only the engine
+modules it uses, when it runs.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import selftest as selftest_mod
-from .chow import parse_class, ring_from_spec
-from .divisor_classes import ce_class, class_x, maroni_class, slope_bound
 from .errors import EngineError
-from .family_calc import ChernData, invariants_from_chern, partial_pencil_record
-from .family_calc import PENCIL_KINDS
-from .graphs import canonical_label, enumerate_two_vertex
-from .yeff import certify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,6 +40,7 @@ def _table(rows: list[tuple[str, str]]) -> str:
 
 
 def _cmd_slope(args) -> int:
+    from .divisor_classes import slope_bound
     value = slope_bound(args.d, args.g)
     if args.json:
         print(json.dumps({"d": args.d, "g": args.g, "slope": str(value)}))
@@ -55,6 +50,7 @@ def _cmd_slope(args) -> int:
 
 
 def _cmd_class(args) -> int:
+    from .divisor_classes import ce_class, class_x, maroni_class
     if args.which == "maroni":
         cls = maroni_class(args.d)
         extra = {}
@@ -81,6 +77,7 @@ def _cmd_class(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from .family_calc import ChernData, invariants_from_chern
     chern = ChernData(args.d, args.g, Fraction(args.ch2e), Fraction(args.ch2f),
                       Fraction(args.c1sq))
     inv = invariants_from_chern(chern)
@@ -92,7 +89,21 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+class _PencilKinds:
+    """`family_calc.PENCIL_KINDS` as the choices of `pencil`, read only when
+    a kind is checked or the help is printed, so that building the parser
+    does not import `family_calc`."""
+
+    def __iter__(self):
+        from .family_calc import PENCIL_KINDS
+        return iter(PENCIL_KINDS)
+
+    def __contains__(self, kind) -> bool:
+        return kind in iter(self)
+
+
 def _cmd_pencil(args) -> int:
+    from .family_calc import partial_pencil_record
     params = {"gr": args.gr}
     if args.g is not None:
         params["g"] = args.g
@@ -115,6 +126,7 @@ def _cmd_pencil(args) -> int:
 
 
 def _cmd_chow(args) -> int:
+    from .chow import parse_class, ring_from_spec
     ring = ring_from_spec(args.ring)
     cls = parse_class(ring, args.expr)
     result = {"ring": ring.spec, "normalForm": str(cls)}
@@ -129,6 +141,7 @@ def _cmd_chow(args) -> int:
 
 
 def _cmd_graphs(args) -> int:
+    from .graphs import canonical_label, enumerate_two_vertex
     graphs = enumerate_two_vertex(args.d, args.g)
     if args.json:
         print(json.dumps([{"label": canonical_label(gr), **gr.to_json()}
@@ -141,6 +154,7 @@ def _cmd_graphs(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .yeff import certify
     cert = certify(args.d, args.g)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as handle:
@@ -161,7 +175,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    ok = selftest_mod.run(verbose=not args.json)
+    from .selftest import run
+    ok = run(verbose=not args.json)
     if args.json:
         print(json.dumps({"selftest": "pass" if ok else "fail"}))
     return 0 if ok else 2
@@ -195,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("pencil", help="pencil intersection record")
-    p.add_argument("kind", choices=PENCIL_KINDS)
+    p.add_argument("kind", choices=_PencilKinds(), metavar="kind",
+                   help="one of: %(choices)s")
     p.add_argument("--gr", type=int, default=0)
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--dv", type=int, default=None)

@@ -20,28 +20,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from functools import cache
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .bundles import divisorial_conditions
 from .errors import CongruenceViolation, DegenerateDenominator, NotDivisorial, require
-from .family_calc import chern_from_basis
 from .symkernel import Poly, PolyLike, RationalFunction
 
 
 @dataclass(frozen=True)
 class DivisorClass:
     """Coefficients over the basis (lambda, delta, D), plus named
-    higher-boundary symbols.  Coefficients are rational functions of g."""
+    higher-boundary symbols.  Coefficients are rational functions of g.
+    The classes are cached, so the boundary map is read-only."""
 
     lambda_coef: RationalFunction
     delta_coef: RationalFunction
     d_coef: RationalFunction
-    boundary_coefs: dict[str, RationalFunction] = field(default_factory=dict)
+    boundary_coefs: Mapping[str, RationalFunction] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_coef", RationalFunction.coerce(self.lambda_coef))
         object.__setattr__(self, "delta_coef", RationalFunction.coerce(self.delta_coef))
         object.__setattr__(self, "d_coef", RationalFunction.coerce(self.d_coef))
+        object.__setattr__(self, "boundary_coefs",
+                           MappingProxyType(dict(self.boundary_coefs)))
 
     def scale(self, factor) -> "DivisorClass":
         f = RationalFunction.coerce(factor)
@@ -78,6 +82,7 @@ def _b_poly(d: int) -> Poly:
     return 2 * Poly.var("g") + 2 * d - 2
 
 
+@cache
 def maroni_class(d: int) -> DivisorClass:
     """The Maroni divisor class for degree d in the (lambda, delta, D)
     basis, with b = 2g + 2d - 2:
@@ -100,6 +105,7 @@ def maroni_class(d: int) -> DivisorClass:
     return DivisorClass(lam, delta, dd)
 
 
+@cache
 def ce_class(d: int) -> DivisorClass:
     """The unbalanced-quadrics divisor class for degree d >= 4:
 
@@ -131,6 +137,19 @@ def bogomolov_from_ch2(rank: int, ch2: PolyLike, c1sq: PolyLike) -> Poly:
     """The Bogomolov expression in (ch2, c1^2) coordinates: substituting
     c2 = c1^2/2 - ch2 gives c1^2/(2r) - ch2."""
     return Poly.coerce(c1sq) / (2 * rank) - Poly.coerce(ch2)
+
+
+def chern_from_basis(d: int, lam: RationalFunction, delta: RationalFunction,
+                     d_div: RationalFunction,
+                     g: PolyLike = "g") -> tuple[RationalFunction, ...]:
+    """Invert the (lambda, delta, D) <- (ch2E, ch2F, c1^2E) change of basis
+    at fixed degree d.  Degenerates at b = 10, i.e. g + d = 6."""
+    g = Poly.var(g) if isinstance(g, str) else Poly.coerce(g)
+    b = 2 * g + 2 * d - 2
+    s = (9 * lam + d_div / 4 - delta) * RationalFunction(2 * b, b - 10)
+    e2 = lam + s / RationalFunction(b)
+    f2 = d_div / 4 + (d - 3) * e2
+    return e2, f2, s
 
 
 def _class_from_chern_functional(d: int,
@@ -184,14 +203,16 @@ _TARGET_B = {3: lambda g: g,
              5: lambda g: g / 2}
 
 
-def class_x(d: int) -> dict:
+@cache
+def class_x(d: int) -> Mapping:
     """The effective combination of M and CE killing the D-coefficient,
     normalized per degree so that (a, b) take the standard values
     (7g+6, g), (13g+15, 2g), ((31g+44)/10, g/2).
 
-    Returns the class X = a*lambda - b*delta together with a, b and the
-    weights of M and CE in the combination.  At d = 3 there is no CE and X
-    is the (rescaled) Maroni class itself.
+    Returns the class X = a*lambda - b*delta together with a, b (those
+    polynomials) and the weights of M and CE in the combination, as a
+    read-only mapping derived once per degree.  At d = 3 there is no CE and
+    X is the (rescaled) Maroni class itself.
     """
     if d not in (3, 4, 5):
         raise NotDivisorial("the class X is defined for d in {3, 4, 5}")
@@ -218,8 +239,8 @@ def class_x(d: int) -> dict:
 
     require(x.lambda_coef == target_a and -x.delta_coef == target_b,
             f"X has the standard (a, b) at d = {d}")
-    return {"X": x, "a": x.lambda_coef, "b": -x.delta_coef,
-            "weightM": weight_m, "weightCE": weight_ce}
+    return MappingProxyType({"X": x, "a": target_a, "b": target_b,
+                             "weightM": weight_m, "weightCE": weight_ce})
 
 
 def admissible_genus(d: int, g: int) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .errors import InvalidGraph, OutOfRange
@@ -175,6 +176,16 @@ def canonical_label(gr: DualGraph) -> str:
     return min(_one_sided_label(gr), _one_sided_label(gr.swap_sides()))
 
 
+@cache
+def two_vertex_label(d: int, profile: tuple[int, ...], genus_left: int,
+                     genus_right: int) -> str:
+    """`canonical_label(two_vertex_graph(...))`, kept per argument tuple:
+    the enumeration and the certifier label each two-vertex graph several
+    times."""
+    return canonical_label(two_vertex_graph(d, profile, genus_left,
+                                            genus_right))
+
+
 # ---------------------------------------------------------------------------
 # Constructors for the standard shapes
 # ---------------------------------------------------------------------------
@@ -290,5 +301,6 @@ def enumerate_two_vertex(d: int, g: int) -> list[DualGraph]:
                                      genus_total - genus_left)
             if not validate(graph, d, g):
                 raise InvalidGraph("enumeration produced an invalid graph")
-            seen.setdefault(canonical_label(graph), graph)
+            seen.setdefault(two_vertex_label(d, profile, genus_left,
+                                             genus_total - genus_left), graph)
     return [seen[label] for label in sorted(seen)]

@@ -73,11 +73,11 @@ class Poly:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    clean[mono] = clean.get(mono, Fraction(0)) + c
-                    if clean[mono] == 0:
-                        del clean[mono]
+                # a Fraction is kept as it is: rebuilding each coefficient
+                # would dominate the evaluation of a cached form
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
+                if c:
+                    clean[mono] = c
         object.__setattr__(self, "terms", clean)
 
     # -- constructors ------------------------------------------------------

@@ -41,7 +41,7 @@ from .family_calc import (PENCIL_TABLE, _basechange_hits, _nonnegative_genus,
                           check_profile, pencil_symbols, vertex_pencil_form)
 from .graphs import (canonical_label, graph_four_vertex_d3,
                      graph_three_vertex_d3, enumerate_two_vertex,
-                     two_vertex_graph)
+                     two_vertex_label)
 from .symkernel import Poly
 
 # pseudo-targets that ground the induction
@@ -115,10 +115,9 @@ class Certificate:
 # Symbolic slack forms, derived once per rule shape
 # ---------------------------------------------------------------------------
 
-@cache
 def slope_normalization(d: int) -> tuple[Poly, Poly]:
-    """The per-degree (a, b) polynomials in g, from the class X, derived
-    once per degree."""
+    """The per-degree (a, b) polynomials in g, read off the class X (which
+    is derived once per degree)."""
     data = class_x(d)
     return data["a"].as_poly(), data["b"].as_poly()
 
@@ -248,10 +247,6 @@ def _ram_reduction(profile: tuple[int, ...]) -> tuple[tuple[int, ...], Fraction]
     return reduced, Fraction(len(ramified))
 
 
-def _two_vertex_key(d: int, profile: tuple[int, ...], x: int, y: int) -> str:
-    return canonical_label(two_vertex_graph(d, profile, x, y))
-
-
 def build_rules(d: int, g: int,
                 scale: Fraction = Fraction(1)) -> dict[str, InequalityRule]:
     """One propagation rule per enumerated boundary graph.  Its slack is
@@ -263,10 +258,10 @@ def build_rules(d: int, g: int,
     rules: dict[str, InequalityRule] = {}
 
     for graph in enumerate_two_vertex(d, g):
-        label = canonical_label(graph)
         profile = tuple(sorted((e.local_degree for e in graph.edges), reverse=True))
         genera = sorted(v.genus for v in graph.vertices)
         g_small, g_big = genera[0], genera[1]
+        label = two_vertex_label(d, profile, g_small, g_big)
         if d in (3, 4):
             rules[label] = _rule_d34(d, g, scale, label, profile, g_big, g_small)
         else:
@@ -315,7 +310,7 @@ def _rule_d34(d: int, g: int, scale: Fraction, label: str,
     split_left = g_l + k - 1
     if split_right >= 0:
         unram = tuple([1] * d)
-        targets.append((_two_vertex_key(d, unram, split_left, split_right),
+        targets.append((two_vertex_label(d, unram, split_left, split_right),
                         Fraction(1)))
     elif g_r >= 1:
         targets.append((DISCONNECTED, Fraction(1)))
@@ -323,7 +318,7 @@ def _rule_d34(d: int, g: int, scale: Fraction, label: str,
     reduction = _ram_reduction(profile)
     if reduction is not None and g_r - 1 >= 0:
         reduced, multiplicity = reduction
-        targets.append((_two_vertex_key(d, reduced, g_l, g_r - 1), multiplicity))
+        targets.append((two_vertex_label(d, reduced, g_l, g_r - 1), multiplicity))
 
     family = "unramified" if profile == tuple([1] * d) else f"ramified {profile}"
     # a profile without a row (degree four beyond (2, 1, 1)) is the same
@@ -345,7 +340,7 @@ def _rule_d5(g: int, scale: Fraction, label: str,
         slack = symbolic_slack(5, unram).eval(pencil_symbols(g_r, g)) * scale
         split_right = g_r - 4
         if split_right >= 0:
-            targets = ((_two_vertex_key(5, unram, g_l + 4, split_right), Fraction(1)),)
+            targets = ((two_vertex_label(5, unram, g_l + 4, split_right), Fraction(1)),)
         else:
             targets = ((DISCONNECTED, Fraction(1)),)
         return InequalityRule(label, targets, slack,
@@ -368,7 +363,7 @@ def _rule_d5(g: int, scale: Fraction, label: str,
     fixed_genus, fam_genus = choice
 
     coeff_unram, form = _composite_form(profile)
-    target = _two_vertex_key(5, unram, fixed_genus, fam_genus)
+    target = two_vertex_label(5, unram, fixed_genus, fam_genus)
     return InequalityRule(label, ((target, coeff_unram),),
                           form.eval(pencil_symbols(fam_genus, g)) * scale,
                           f"degree-5 base-change composite {profile}",

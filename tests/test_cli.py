@@ -1,12 +1,15 @@
+import io
 import json
 import subprocess
 import sys
-from pathlib import Path
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import hurwitzcalc
 from hurwitzcalc.cli import main
+from hurwitzcalc.family_calc import PENCIL_KINDS
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +82,13 @@ class TestPencil:
             run_cli(capsys, "pencil", "nonexistent_kind", "--gr", "4")
         assert exc.value.code == 1
 
+    def test_help_lists_every_kind(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "pencil", "--help")
+        out = " ".join(capsys.readouterr().out.split())
+        assert exc.value.code == 0
+        assert all(kind in out for kind in PENCIL_KINDS)
+
     @pytest.mark.parametrize("dv", ["0", "-4"])
     def test_nonpositive_rational_degree_is_domain_error(self, capsys, dv):
         code, out, err = run_cli(capsys, "pencil", "rational_partial", "--dv", dv)
@@ -99,15 +109,44 @@ class TestChowEval:
 
     @pytest.mark.parametrize("expr", ["z^99999999999", "2^9999999*z^2*f",
                                       "(u+v)^99999999*z^2*f", "z^" + "9" * 5000])
-    def test_huge_exponent_fails_fast(self, expr):
+    def test_huge_exponent_fails_fast(self, expr, engine_env):
         # checked before any power is built; a subprocess, so a hang is a timeout
-        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
         result = subprocess.run([sys.executable, "-m", "hurwitzcalc.cli", "chow", "eval",
                                  "projbundle:3:u+v", expr],
-                                env={"PYTHONPATH": src}, capture_output=True,
+                                env=engine_env, capture_output=True,
                                 text=True, timeout=10)
         assert result.returncode == 2 and "MAX_EXPONENT" in result.stderr
         assert not result.stdout
+
+    @pytest.mark.parametrize("ring,expr,limit", [
+        ("projbundle:10000:u", "f", "MAX_RANK"), ("projspace_x_p1:10000", "f", "MAX_RANK"),
+        ("projspace:100000000", "H", "MAX_RANK"), ("projbundle:1000:u", "f", "MAX_RANK"),
+        ("projspace:-3", "H", "MAX_RANK"),
+        ("projspace:3", "(a+b+c+d)^100", "MAX_TERM_WORK"),
+        ("projspace_x_p1:100", "(u+v)^100*(z+f)^100*(u+v)^100", "MAX_TERM_WORK")])
+    def test_out_of_range_input_fails_fast(self, ring, expr, limit, engine_env):
+        # checked before the work is done: a rank before the ring is built, a
+        # cost before each product; unchecked, the first three and
+        # (a+b+c+d)^100 run for minutes
+        result = subprocess.run([sys.executable, "-m", "hurwitzcalc.cli", "chow", "eval",
+                                 ring, expr],
+                                env=engine_env, capture_output=True, text=True, timeout=10)
+        assert result.returncode == 2 and limit in result.stderr
+        assert not result.stdout
+
+    def test_deep_nesting_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "chow", "eval", "p1xp1",
+                                 "(" * 1000 + "Rs" + ")" * 1000)
+        assert code == 2 and "nested too deeply" in err and not out
+
+    def test_rank_at_the_limit(self, capsys):
+        from hurwitzcalc.chow import MAX_RANK
+        code, out, _ = run_cli(capsys, "chow", "eval", f"projbundle:{MAX_RANK}:u",
+                               f"z^{MAX_RANK}", "--json")
+        assert code == 0 and json.loads(out)["integral"] == "u"
+        code, out, _ = run_cli(capsys, "chow", "eval", f"projspace_x_p1:{MAX_RANK}",
+                               f"H^{MAX_RANK}*F", "--json")
+        assert code == 0 and json.loads(out)["integral"] == "1"
 
     def test_exponent_at_the_limit(self, capsys):
         from hurwitzcalc.chow import MAX_EXPONENT
@@ -175,7 +214,7 @@ class TestSelftest:
         assert code == 0
         assert "[FAIL]" not in out and "[PASS]" in out
 
-    def test_failure_survives_optimize(self):
+    def test_failure_survives_optimize(self, engine_env):
         # `python -O` strips asserts; a sabotaged slope must still fail and
         # the report must say what was compared
         script = (
@@ -183,9 +222,8 @@ class TestSelftest:
             "import hurwitzcalc.selftest as st\n"
             "st.slope_bound = lambda d, g: Fraction(0)\n"
             "raise SystemExit(0 if st.run() is False else 1)\n")
-        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
         result = subprocess.run([sys.executable, "-O", "-c", script],
-                                env={"PYTHONPATH": src}, capture_output=True,
+                                env=engine_env, capture_output=True,
                                 text=True, timeout=120)
         assert result.returncode == 0, result.stdout + result.stderr
         assert ("[FAIL] slope pins: derivation check failed: slope_bound(3, 4): "
@@ -203,3 +241,57 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "frobnicate")
         assert exc.value.code == 1
+
+
+# small values reach the engine's valid ranges; large ones test its limits
+_INTEGER = st.one_of(st.integers(-3, 60), st.integers(-10**6, 10**12)).map(str)
+_DEGREE = st.one_of(st.sampled_from(["3", "4", "5"]), _INTEGER)
+_RANK = st.one_of(st.integers(-3, 101), st.integers(-3, 10**12))
+_RING = st.one_of(
+    st.sampled_from(["p1xp1", "hirzebruch:h", "grassmann25:c1Fdual", "foo"]),
+    st.builds("hirzebruch:{}".format, _INTEGER),
+    st.builds("projbundle:{}:u+v".format, _RANK),
+    st.builds("projspace:{}".format, _RANK),
+    st.builds("projspace_x_p1:{}".format, _RANK))
+_EXPRESSION = st.lists(
+    st.builds("{}^{}".format,
+              st.sampled_from(["z", "f", "H", "F", "Rs", "tau", "u", "2", "(u+v)", "(z+f)"]),
+              st.one_of(st.integers(0, 101), st.integers(0, 10**12))),
+    min_size=1, max_size=3).map("*".join)
+_ARGV = st.one_of(
+    st.tuples(st.just("slope"), _DEGREE, _INTEGER),
+    st.tuples(st.just("class"), st.sampled_from(["maroni", "ce", "x"]), _DEGREE,
+              st.just("--at"), _INTEGER),
+    st.tuples(st.just("invariants"), st.just("--d"), _DEGREE, st.just("--g"), _INTEGER,
+              st.just("--ch2e"), _INTEGER, st.just("--ch2f"), _INTEGER,
+              st.just("--c1sq"), _INTEGER),
+    st.tuples(st.just("pencil"), st.sampled_from(PENCIL_KINDS + ("nonexistent_kind",)),
+              st.just("--gr"), _INTEGER, st.just("--g"), _INTEGER, st.just("--dv"), _INTEGER),
+    st.tuples(st.just("chow"), st.just("eval"), _RING, _EXPRESSION),
+    st.tuples(st.just("graphs"), st.just("enum"), st.just("--d"), _DEGREE,
+              st.just("--g"), _INTEGER),
+    st.tuples(st.just("yeff"), st.just("certify"), st.just("--d"), _DEGREE,
+              st.just("--g"), _INTEGER),
+    st.just(("selftest",)))
+
+# seconds one fuzzed call may take; the slowest valid calls (a certificate
+# near graphs.MAX_GENUS, a power at MAX_EXPONENT) take well under one
+_CALL_BOUND_S = 10
+
+
+class TestFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(_ARGV, st.booleans())
+    def test_every_call_ends_with_a_documented_exit_code(self, argv, as_json):
+        argv = list(argv) + ["--json"] * as_json
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:       # usage errors
+                code = exc.code
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+        assert elapsed < _CALL_BOUND_S, (argv, elapsed)

@@ -1,10 +1,8 @@
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import hurwitzcalc
 from hurwitzcalc import directrix
 from hurwitzcalc.bundles import k1_pentagonal, m_r_pentagonal
 from hurwitzcalc.directrix import (DirectrixFamily, directrix_pushforward_degree,
@@ -79,7 +77,7 @@ class TestOneDerivationPerShape:
         assert perfectly_balanced_jump_count(6, -4, 5) == 2
         assert len(calls) == 1
 
-    def test_derivation_check_survives_optimize(self):
+    def test_derivation_check_survives_optimize(self, engine_env):
         # the pipeline is checked once per shape, so the check must not be
         # an assert that `python -O` strips
         script = (
@@ -92,9 +90,8 @@ class TestOneDerivationPerShape:
             "except DerivationMismatch:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")
-        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
         result = subprocess.run([sys.executable, "-O", "-c", script],
-                                env={"PYTHONPATH": src}, capture_output=True,
+                                env=engine_env, capture_output=True,
                                 text=True, timeout=60)
         assert result.returncode == 0, result.stderr
 

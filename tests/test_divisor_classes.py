@@ -11,6 +11,7 @@ from hurwitzcalc.divisor_classes import (admissible_genus,
 from hurwitzcalc.errors import (CongruenceViolation, DegenerateDenominator,
                                 NotDivisorial)
 from hurwitzcalc.symkernel import Poly, RationalFunction
+from hurwitzcalc.yeff import slope_normalization
 
 
 class TestMaroniClass:
@@ -150,6 +151,31 @@ class TestSlopeBound:
             slope_bound(4, 10)
         with pytest.raises(CongruenceViolation):
             slope_bound(5, 17)
+
+
+class TestCache:
+    def test_slope_bounds_derive_class_x_once(self):
+        class_x.cache_clear()
+        for g in range(4, 204, 2):
+            slope_bound(3, g)
+        info = class_x.cache_info()
+        assert (info.misses, info.hits) == (1, 99)
+
+    def test_slope_normalization_reads_the_same_cache(self):
+        class_x.cache_clear()
+        a, b = slope_normalization(4)
+        assert (a, b) == (class_x(4)["a"], class_x(4)["b"])
+        assert class_x.cache_info().misses == 1
+        assert not hasattr(slope_normalization, "cache_info")
+
+    def test_cached_classes_are_read_only(self):
+        assert maroni_class(4) is maroni_class(4) and ce_class(5) is ce_class(5)
+        with pytest.raises(TypeError):
+            class_x(3)["a"] = 0
+        with pytest.raises(TypeError):
+            maroni_class(3).boundary_coefs["delta_1"] = 0
+        with pytest.raises(TypeError):
+            class_x(4)["X"].boundary_coefs["delta_1"] = 0
 
 
 class TestDivisorClassSerialization:

@@ -2,18 +2,17 @@ from fractions import Fraction
 
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import hurwitzcalc
 from hurwitzcalc.chow import surface_hirzebruch, surface_p1xp1
+from hurwitzcalc.divisor_classes import chern_from_basis
 from hurwitzcalc.errors import InvalidProfile, OutOfRange, RingMismatch, UnknownKind
 from hurwitzcalc.family_calc import (PENCIL_KINDS, ChernData, PencilRecord,
                                      basechange_section_bookkeeping,
                                      c2_omega_tetragonal_ambient_restricted,
                                      c2_omega_tetragonal_surface,
-                                     chern_from_basis, hyperelliptic_pencil_delta,
+                                     hyperelliptic_pencil_delta,
                                      invariants_from_chern, partial_pencil_record,
                                      pencil_delta_on_surface,
                                      pencil_delta_via_euler,
@@ -133,7 +132,7 @@ class TestPencilDeltas:
         with pytest.raises(OutOfRange):
             partial_pencil_record("trigonal_plain", gr=-5)
 
-    def test_derivation_check_survives_optimize(self):
+    def test_derivation_check_survives_optimize(self, engine_env):
         # the jet-vs-Euler check runs once per process, so it must not be
         # an assert that `python -O` strips
         script = (
@@ -146,9 +145,8 @@ class TestPencilDeltas:
             "except DerivationMismatch:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")
-        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
         result = subprocess.run([sys.executable, "-O", "-c", script],
-                                env={"PYTHONPATH": src}, capture_output=True,
+                                env=engine_env, capture_output=True,
                                 text=True, timeout=60)
         assert result.returncode == 0, result.stderr
 

@@ -1,6 +1,8 @@
-"""Repository guards: the demos run, and the engine holds no `assert`."""
+"""Repository guards: the demos run, the engine holds no `assert`, and a
+cold start imports only what its subcommand uses."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +20,9 @@ def test_four_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo):
+def test_demo_runs(demo, engine_env):
     result = subprocess.run([sys.executable, str(demo)],
-                            env={"PYTHONPATH": str(PACKAGE.parent)},
+                            env=engine_env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
@@ -32,3 +34,73 @@ def test_no_assert_in_the_engine(module):
     tree = ast.parse(module.read_text(), filename=str(module))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"assert at {module.name} lines {lines}"
+
+
+# the package's names: its exports plus the engine submodules it binds
+PACKAGE_NAMES = [
+    "Certificate", "ChernData", "ChowClass", "ChowPresentation", "CoverInvariants",
+    "DirectrixFamily", "DivisorClass", "DualGraph", "FamilyInvariants",
+    "InequalityRule", "PencilRecord", "Poly", "Rational", "RationalFunction",
+    "SplittingType", "balanced_type", "basechange_section_bookkeeping", "bogomolov",
+    "boundary_multiplicity", "build_rules", "bundles", "c2_omega_tetragonal_surface",
+    "canonical_label", "ce_class", "ceil_div", "certify", "check_closed_form_d4",
+    "chow", "class_x", "directrix", "divisor_classes", "divisorial_conditions",
+    "enumerate_two_vertex", "errors", "excess", "ext1_dim", "family_calc",
+    "generic_tame", "graphs", "grr_degree_on_p1xp1", "invariants_from_chern",
+    "is_balanced", "is_tame", "maroni_class", "maroni_codimension",
+    "maroni_intersection_pentagonal", "partial_pencil_record",
+    "pencil_delta_on_surface", "pentagonal_pencil_numbers", "pushforward_c1_power",
+    "ramification_index", "rational_and_elliptic_tables", "ring_grassmann_bundle_g25",
+    "ring_hirzebruch", "ring_p1xp1", "ring_product_with_p1", "ring_proj_bundle_over_p1",
+    "ring_proj_space", "rotating_directrix_class", "slope_bound", "symkernel",
+    "syzygy_rank", "validate", "yeff"]
+
+# run a CLI call (or none) in a fresh interpreter, then print on a last
+# line the engine modules it loaded
+LOADED = (
+    "import json, sys\n"
+    "import hurwitzcalc.cli\n"
+    "code = hurwitzcalc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(json.dumps([m.split('.')[1] for m in sys.modules if m.startswith('hurwitzcalc.')]))\n"
+    "raise SystemExit(code)\n")
+
+
+def loaded_modules(engine_env, *argv):
+    result = subprocess.run([sys.executable, "-c", LOADED, *argv], env=engine_env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_engine_module(engine_env):
+    assert loaded_modules(engine_env) == {"cli", "errors"}
+
+
+def test_chow_eval_loads_only_chow(engine_env):
+    assert loaded_modules(engine_env, "chow", "eval", "p1xp1", "Rs*Rt") == \
+        {"cli", "chow", "symkernel", "errors"}
+
+
+def test_graphs_enum_loads_no_chow(engine_env):
+    loaded = loaded_modules(engine_env, "graphs", "enum", "--d", "3", "--g", "4")
+    assert "graphs" in loaded and not loaded & {"chow", "family_calc"}
+
+
+def test_slope_loads_no_pencil_or_certificate_module(engine_env):
+    loaded = loaded_modules(engine_env, "slope", "3", "4")
+    assert "divisor_classes" in loaded and not loaded & {"family_calc", "yeff"}
+
+
+def test_package_names_resolve(engine_env):
+    script = (
+        "import json, hurwitzcalc\n"
+        "public = [n for n in dir(hurwitzcalc) if not n.startswith('_')]\n"
+        "missing = [n for n in hurwitzcalc.__all__ if getattr(hurwitzcalc, n, None) is None]\n"
+        "unknown = hasattr(hurwitzcalc, 'no_such_name')\n"
+        "print(json.dumps([sorted(hurwitzcalc.__all__), public, missing, unknown]))\n")
+    result = subprocess.run([sys.executable, "-c", script], env=engine_env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    names, public, missing, unknown = json.loads(result.stdout)
+    assert names == PACKAGE_NAMES and public == PACKAGE_NAMES
+    assert not missing and not unknown

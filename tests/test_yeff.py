@@ -4,11 +4,9 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import comb, factorial, lcm
-from pathlib import Path
 
 import pytest
 
-import hurwitzcalc
 from hurwitzcalc import family_calc, yeff
 from hurwitzcalc.bundles import k1_pentagonal, m_r_pentagonal
 from hurwitzcalc.errors import (EngineError, InvalidProfile, NotDivisorial,
@@ -459,7 +457,7 @@ class TestOneDerivationPerShape:
         certify(5, 36)
         assert derivations() == first and len(checks) == 6 * 3 + 1
 
-    def test_composite_check_survives_optimize(self):
+    def test_composite_check_survives_optimize(self, engine_env):
         script = (
             "import hurwitzcalc.yeff as yeff\n"
             "from hurwitzcalc.errors import DerivationMismatch\n"
@@ -474,13 +472,12 @@ class TestOneDerivationPerShape:
             "except DerivationMismatch as exc:\n"
             "    raise SystemExit(0 if 'composite' in str(exc) else 2)\n"
             "raise SystemExit(1)\n")
-        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
         result = subprocess.run([sys.executable, "-O", "-c", script],
-                                env={"PYTHONPATH": src}, capture_output=True,
+                                env=engine_env, capture_output=True,
                                 text=True, timeout=60)
         assert result.returncode == 0, result.stderr
 
-    def test_import_derives_nothing(self):
+    def test_import_derives_nothing(self, engine_env):
         # the forms are derived lazily, so a cold CLI start pays for none
         script = (
             "import hurwitzcalc.cli\n"
@@ -492,9 +489,8 @@ class TestOneDerivationPerShape:
             "            for obj in vars(m).values())\n"
             "print(forms, filled)\n"
             "raise SystemExit(1 if filled or forms < 10 else 0)\n")
-        src = str(Path(hurwitzcalc.__file__).resolve().parents[1])
         result = subprocess.run([sys.executable, "-c", script],
-                                env={"PYTHONPATH": src}, capture_output=True,
+                                env=engine_env, capture_output=True,
                                 text=True, timeout=60)
         assert result.returncode == 0, result.stdout + result.stderr
 
