@@ -5,7 +5,7 @@ Subcommands:
     slope D G                      exact slope bound a/b
     class {maroni|ce|x} D [--at G] divisor-class coefficients
     invariants --d --g --ch2e --ch2f --c1sq     family invariants
-    pencil KIND --gr N [--g G]     pencil intersection record
+    pencil KIND [--gr N] [--g G] [--dv D]       pencil intersection record
     chow eval RING EXPR            evaluate a class expression in a ring
     graphs enum --d --g            two-vertex boundary graphs
     yeff certify --d --g [--emit FILE]          effectivity certificate
@@ -103,13 +103,16 @@ class _PencilKinds:
 
 
 def _cmd_pencil(args) -> int:
-    from .family_calc import partial_pencil_record
-    params = {"gr": args.gr}
-    if args.g is not None:
-        params["g"] = args.g
-    if args.dv is not None:
-        params["dv"] = args.dv
-    record = partial_pencil_record(args.kind, **params)
+    from .family_calc import PENCIL_TABLE, partial_pencil_record
+    # a flag given to a kind whose row does not name it is a usage error,
+    # not a value to drop; the vertex genus defaults to 0
+    given = {name: getattr(args, name) for name in ("gr", "g", "dv")
+             if getattr(args, name) is not None}
+    unused = [f"--{name}" for name in given if name not in PENCIL_TABLE[args.kind].params]
+    if unused:
+        print(f"error: pencil {args.kind} takes no {', '.join(unused)}", file=sys.stderr)
+        return 1
+    record = partial_pencil_record(args.kind, **{"gr": 0, **given})
     if args.json:
         print(json.dumps(record.to_json()))
         return 0
@@ -212,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pencil", help="pencil intersection record")
     p.add_argument("kind", choices=_PencilKinds(), metavar="kind",
                    help="one of: %(choices)s")
-    p.add_argument("--gr", type=int, default=0)
+    p.add_argument("--gr", type=int, default=None)
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--dv", type=int, default=None)
     p.add_argument("--json", action="store_true")

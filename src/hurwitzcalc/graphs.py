@@ -156,34 +156,38 @@ def boundary_multiplicity(profile: tuple[int, ...], node_degree: int) -> Fractio
 # Canonical labels (invariant under the left-right symmetry)
 # ---------------------------------------------------------------------------
 
-def _one_sided_label(gr: DualGraph) -> str:
-    sides = []
-    for side in ("L", "R"):
-        decorations = sorted((v.genus, v.degree) for v in gr.side(side))
-        sides.append(",".join(f"{g}g{d}" for g, d in decorations))
-    by_id = {v.ident: v for v in gr.vertices}
-    edge_desc = sorted(
-        (by_id[e.left].genus, by_id[e.left].degree,
-         by_id[e.right].genus, by_id[e.right].degree, e.local_degree)
-        for e in gr.edges)
-    edges = ";".join(f"({gl}g{dl}|{gr_}g{dr}|{k})"
-                     for gl, dl, gr_, dr, k in edge_desc)
-    return f"L[{sides[0]}]R[{sides[1]}]E[{edges}]"
-
-
 def canonical_label(gr: DualGraph) -> str:
-    """Deterministic label, identical for a graph and its side-swap."""
-    return min(_one_sided_label(gr), _one_sided_label(gr.swap_sides()))
+    """Deterministic label, identical for a graph and its side-swap: the
+    smaller of the graph's labels read with L first and with R first."""
+    sides = {side: ",".join(f"{g}g{d}" for g, d in sorted(
+                 (v.genus, v.degree) for v in gr.vertices if v.side == side))
+             for side in ("L", "R")}
+    by_id = {v.ident: (v.genus, v.degree) for v in gr.vertices}
+    ends = [(by_id[e.left], by_id[e.right], e.local_degree) for e in gr.edges]
+
+    def oriented(first: str, second: str, pairs) -> str:
+        edges = ";".join(f"({gl}g{dl}|{gr_}g{dr}|{k})"
+                         for (gl, dl), (gr_, dr), k in sorted(pairs))
+        return f"L[{sides[first]}]R[{sides[second]}]E[{edges}]"
+
+    return min(oriented("L", "R", ends),
+               oriented("R", "L", [(right, left, k) for left, right, k in ends]))
+
+
+def two_vertex_label(d: int, profile: tuple[int, ...], genus_left: int,
+                     genus_right: int) -> str:
+    """`canonical_label(two_vertex_graph(...))`.  The label does not
+    depend on which genus is on the left, so it is kept once per profile
+    and unordered genus pair: the enumeration builds and labels each graph
+    once, and the certifier then finds every target of its rules labelled."""
+    return _two_vertex(d, profile, *sorted((genus_left, genus_right)))[1]
 
 
 @cache
-def two_vertex_label(d: int, profile: tuple[int, ...], genus_left: int,
-                     genus_right: int) -> str:
-    """`canonical_label(two_vertex_graph(...))`, kept per argument tuple:
-    the enumeration and the certifier label each two-vertex graph several
-    times."""
-    return canonical_label(two_vertex_graph(d, profile, genus_left,
-                                            genus_right))
+def _two_vertex(d: int, profile: tuple[int, ...], genus_small: int,
+                genus_big: int) -> tuple[DualGraph, str]:
+    graph = two_vertex_graph(d, profile, genus_small, genus_big)
+    return graph, canonical_label(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +288,10 @@ MAX_GENUS = 200
 def enumerate_two_vertex(d: int, g: int) -> list[DualGraph]:
     """All two-vertex boundary graphs for degree d and total genus g: every
     partition of d as the edge profile and every genus split compatible
-    with the genus formula, deduplicated under the side swap.  The genus
-    must lie in 0..MAX_GENUS."""
+    with the genus formula, up to the side swap.  Both vertices have degree
+    d, so the swap maps a split onto its mirror and only the splits with
+    the smaller genus on the left are built.  The genus must lie in
+    0..MAX_GENUS."""
     if d not in (3, 4, 5):
         raise OutOfRange("two-vertex enumeration is wired for d in {3, 4, 5}")
     if not 0 <= g <= MAX_GENUS:
@@ -296,11 +302,10 @@ def enumerate_two_vertex(d: int, g: int) -> list[DualGraph]:
         genus_total = g - edge_count + 1
         if genus_total < 0:
             continue
-        for genus_left in range(genus_total + 1):
-            graph = two_vertex_graph(d, profile, genus_left,
-                                     genus_total - genus_left)
+        for genus_left in range(genus_total // 2 + 1):
+            graph, label = _two_vertex(d, profile, genus_left,
+                                       genus_total - genus_left)
             if not validate(graph, d, g):
                 raise InvalidGraph("enumeration produced an invalid graph")
-            seen.setdefault(two_vertex_label(d, profile, genus_left,
-                                             genus_total - genus_left), graph)
+            seen.setdefault(label, graph)
     return [seen[label] for label in sorted(seen)]

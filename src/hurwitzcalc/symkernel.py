@@ -4,11 +4,17 @@ and rational functions in named symbolic parameters.
 Everything is built on :class:`fractions.Fraction`; no operation anywhere in
 the engine produces a floating-point value.  Values are immutable after
 construction and safe to share between threads.
+
+A polynomial is evaluated the way FLINT's ``fmpq_poly`` stores one: its
+coefficients are put once over one common denominator, the numerators are
+summed against the monomials in plain integers, and a single Fraction is
+built at the end.  Every value is still exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import MissingVariable
@@ -67,7 +73,10 @@ class Poly:
     (terms sorted by total degree, then by variables), e.g. ``7*g + 6``.
     """
 
-    __slots__ = ("terms",)
+    # `compiled` is filled by the first `eval`: the variable names, the
+    # common denominator of the coefficients, and each monomial with its
+    # integer numerator over that denominator
+    __slots__ = ("terms", "compiled")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -79,6 +88,7 @@ class Poly:
                 if c:
                     clean[mono] = c
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "compiled", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -190,16 +200,24 @@ class Poly:
     def eval(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Exact value at the assignment; raises MissingVariable if a
         variable of the polynomial is unassigned."""
-        missing = self.variables() - set(assignment)
+        compiled = self.compiled
+        names = sorted(self.variables()) if compiled is None else compiled[0]
+        missing = [name for name in names if name not in assignment]
         if missing:
-            raise MissingVariable(f"unassigned variables: {sorted(missing)}")
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
+            raise MissingVariable(f"unassigned variables: {missing}")
+        if compiled is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            compiled = (names, den, tuple((c.numerator * (den // c.denominator), mono)
+                                          for mono, c in self.terms.items()))
+            object.__setattr__(self, "compiled", compiled)
+        _, den, terms = compiled
+        total = 0
+        for numerator, mono in terms:
             for name, e in mono:
-                value *= Fraction(assignment[name]) ** e
-            total += value
-        return total
+                x = assignment[name]
+                numerator *= (x if type(x) is int else Fraction(x)) ** e
+            total += numerator
+        return Fraction(total, den)
 
     def subs(self, mapping: Mapping[str, PolyLike]) -> "Poly":
         """Substitute polynomials (or constants) for variables."""

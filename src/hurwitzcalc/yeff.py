@@ -268,28 +268,26 @@ def build_rules(d: int, g: int,
             rules[label] = _rule_d5(g, scale, label, profile, g_big, g_small)
 
     if d == 3:
+        # the three-vertex graph at gR has gL = g - 1 - gR; it is the target
+        # of the three-vertex rule at gR + 1 and the four-vertex rule at gR + 1
+        three_label = {g_r: canonical_label(graph_three_vertex_d3(g - 1 - g_r, g_r))
+                       for g_r in range(1, g)}
         three = symbolic_slack_threevertex("threevertex")
         for g_r in range(1, g):
-            g_l = g - 1 - g_r
-            label = canonical_label(graph_three_vertex_d3(g_l, g_r))
+            label = three_label[g_r]
             if g_r - 1 == 0:
                 targets = ((IRREDUCIBLE_NODE, Fraction(1)),)
             else:
-                targets = ((canonical_label(graph_three_vertex_d3(g_l + 1, g_r - 1)),
-                            Fraction(1)),)
+                targets = ((three_label[g_r - 1], Fraction(1)),)
             rules[label] = InequalityRule(label, targets,
                                           three.eval({"g": g, "gR": g_r}) * scale,
                                           "hyperelliptic three-vertex step")
         # at gR = 0 the four-vertex form is the rational vertex pencil's 3b
         four = symbolic_slack_threevertex("fourvertex")
         for g_r in range(0, g // 2 + 1):
-            g_l = g - g_r
-            if g_l < g_r:
-                continue
-            label = canonical_label(graph_four_vertex_d3(g_l, g_r))
+            label = canonical_label(graph_four_vertex_d3(g - g_r, g_r))
             if g_r >= 2:
-                targets = ((canonical_label(graph_three_vertex_d3(g_l, g_r - 1)),
-                            Fraction(1)),)
+                targets = ((three_label[g_r - 1], Fraction(1)),)
             elif g_r == 1:
                 targets = ((IRREDUCIBLE_NODE, Fraction(1)),)
             else:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc.cli import main
-from hurwitzcalc.family_calc import PENCIL_KINDS
+from hurwitzcalc.family_calc import PENCIL_KINDS, PENCIL_TABLE, partial_pencil_record
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +93,38 @@ class TestPencil:
     def test_nonpositive_rational_degree_is_domain_error(self, capsys, dv):
         code, out, err = run_cli(capsys, "pencil", "rational_partial", "--dv", dv)
         assert code == 2 and "dv >= 1" in err and not out
+
+
+    def test_flags_the_kind_does_not_take_are_usage_errors(self, capsys):
+        code, out, err = run_cli(capsys, "pencil", "trigonal_plain", "--gr", "4",
+                                 "--dv", "7", "--g", "99")
+        assert code == 1 and not out
+        assert "--dv" in err and "--g" in err and "--gr" not in err
+
+    @pytest.mark.parametrize("kind", PENCIL_KINDS)
+    def test_each_flag_is_checked_against_the_row(self, capsys, kind):
+        taken = PENCIL_TABLE[kind].params
+        for flag, value in (("gr", "16"), ("g", "36"), ("dv", "5")):
+            code, _, err = run_cli(capsys, "pencil", kind, f"--{flag}", value)
+            if flag in taken:
+                assert code != 1, (flag, err)
+            else:
+                assert code == 1 and f"--{flag}" in err, flag
+
+    def test_defaults_do_not_count_as_given(self, capsys):
+        code, out, _ = run_cli(capsys, "pencil", "rational_partial", "--dv", "5")
+        assert code == 0 and "delta_self" in out
+        assert run_cli(capsys, "pencil", "trigonal_plain") == \
+            run_cli(capsys, "pencil", "trigonal_plain", "--gr", "0")
+        assert run_cli(capsys, "pencil", "rational_partial")[0] == 0
+
+    @pytest.mark.parametrize("kind", [kind for kind, row in PENCIL_TABLE.items()
+                                      if row.params in (("gr",), ("gr", "v"))])
+    def test_genus_only_kinds_print_their_record(self, capsys, kind):
+        for gr in (1, 8):
+            code, out, _ = run_cli(capsys, "pencil", kind, "--gr", str(gr), "--json")
+            assert code == 0
+            assert json.loads(out) == partial_pencil_record(kind, gr=gr).to_json()
 
 
 class TestChowEval:
@@ -258,6 +290,19 @@ _EXPRESSION = st.lists(
               st.sampled_from(["z", "f", "H", "F", "Rs", "tau", "u", "2", "(u+v)", "(z+f)"]),
               st.one_of(st.integers(0, 101), st.integers(0, 10**12))),
     min_size=1, max_size=3).map("*".join)
+
+
+@st.composite
+def _pencil_argv(draw):
+    """Each flag is drawn on its own: a flag the kind does not take is a
+    usage error, so passing all three would never reach the engine."""
+    argv = ("pencil", draw(st.sampled_from(PENCIL_KINDS + ("nonexistent_kind",))))
+    for flag in ("--gr", "--g", "--dv"):
+        if draw(st.booleans()):
+            argv += (flag, draw(_INTEGER))
+    return argv
+
+
 _ARGV = st.one_of(
     st.tuples(st.just("slope"), _DEGREE, _INTEGER),
     st.tuples(st.just("class"), st.sampled_from(["maroni", "ce", "x"]), _DEGREE,
@@ -265,8 +310,7 @@ _ARGV = st.one_of(
     st.tuples(st.just("invariants"), st.just("--d"), _DEGREE, st.just("--g"), _INTEGER,
               st.just("--ch2e"), _INTEGER, st.just("--ch2f"), _INTEGER,
               st.just("--c1sq"), _INTEGER),
-    st.tuples(st.just("pencil"), st.sampled_from(PENCIL_KINDS + ("nonexistent_kind",)),
-              st.just("--gr"), _INTEGER, st.just("--g"), _INTEGER, st.just("--dv"), _INTEGER),
+    _pencil_argv(),
     st.tuples(st.just("chow"), st.just("eval"), _RING, _EXPRESSION),
     st.tuples(st.just("graphs"), st.just("enum"), st.just("--d"), _DEGREE,
               st.just("--g"), _INTEGER),

@@ -108,6 +108,61 @@ class TestPoly:
         assert q == Fraction(13, 2) * p("gR") + Fraction(9, 2)
 
 
+def term_by_term(poly, assignment):
+    """The evaluation before compiled forms: one Fraction per operation."""
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        value = coeff
+        for name, e in mono:
+            value *= Fraction(assignment[name]) ** e
+        total += value
+    return total
+
+
+values = st.one_of(st.integers(-40, 40),
+                   st.fractions(min_value=-40, max_value=40, max_denominator=12))
+assignments = st.fixed_dictionaries({"g": values, "b": values, "u": values})
+
+
+class TestCompiledEval:
+    @given(polys(), assignments)
+    def test_matches_term_by_term(self, q, at):
+        value = q.eval(at)
+        assert type(value) is Fraction
+        assert value == term_by_term(q, at)
+        assert q.eval(at) == value          # the compiled form is reused
+
+    @given(st.one_of(st.integers(-10**6, 10**6), rationals), assignments)
+    def test_constants_and_zero(self, c, at):
+        assert Poly.const(c).eval(at) == c
+        assert Poly.const(c).eval({}) == c
+        assert Poly.const(0).eval(at) == 0 and Poly().eval({}) == 0
+
+    @given(polys(), assignments)
+    def test_equality_and_hash_ignore_compilation(self, q, at):
+        twin = Poly(dict(q.terms))
+        q.eval(at)
+        assert q == twin and hash(q) == hash(twin)
+        assert len({q, twin}) == 1
+
+    @given(polys(), assignments)
+    def test_missing_variable_before_and_after_compiling(self, q, at):
+        names = sorted(q.variables())
+        if not names:
+            return
+        partial = {k: v for k, v in at.items() if k != names[0]}
+        with pytest.raises(MissingVariable):
+            q.eval(partial)
+        q.eval(at)
+        with pytest.raises(MissingVariable):
+            q.eval(partial)
+
+    def test_integer_assignment_on_fraction_coefficients(self):
+        q = p("g") ** 2 / 6 - Fraction(3, 4) * p("g") + Fraction(1, 10)
+        for g in range(-20, 21):
+            assert q.eval({"g": g}) == Fraction(g * g, 6) - Fraction(3 * g, 4) + Fraction(1, 10)
+
+
 class TestRationalFunction:
     def test_cross_multiplication_equality(self):
         g = p("g")

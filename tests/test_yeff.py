@@ -416,6 +416,44 @@ def test_rules_match_pinned_digest():
     assert digest.hexdigest() == _PINNED_RULE_DIGEST
 
 
+# SHA-256 over json.dumps(certify(d, g, scale).to_json()) at every
+# (d, g, scale) of _PINNED_CERT_POINTS, in that order: the 26 points of the
+# benchmark's certify sweep at three scales.  Recorded before polynomials
+# were evaluated over one common denominator and before labels were read
+# off both orientations in one pass; it pins the chains and bounds that
+# the rule digest above does not reach.
+_PINNED_CERT_DIGEST = "cbf2c78931532f88323d8c73f7ebcd905659779b08602ca6c8611a741dbdbe35"
+_PINNED_CERT_POINTS = [(d, g, scale)
+                       for d, genera in ((3, range(4, 41, 2)), (4, range(9, 34, 6)),
+                                         (5, (16, 36)))
+                       for g in genera
+                       for scale in (Fraction(1), Fraction(2), Fraction(1, 3))]
+
+
+def test_certificates_match_pinned_digest():
+    digest = hashlib.sha256()
+    for d, g, scale in _PINNED_CERT_POINTS:
+        digest.update(json.dumps(certify(d, g, scale).to_json()).encode())
+    assert len(_PINNED_CERT_POINTS) == 3 * 26
+    assert digest.hexdigest() == _PINNED_CERT_DIGEST
+
+
+def test_each_hyperelliptic_vertex_graph_is_labelled_once(monkeypatch):
+    # 39 three-vertex and 21 four-vertex graphs at (3, 40); labelling each
+    # rule's target again took 117 calls
+    calls = []
+
+    def counting(gr):
+        calls.append(gr)
+        return canonical_label(gr)
+
+    monkeypatch.setattr(yeff, "canonical_label", counting)
+    rules = build_rules(3, 40)
+    assert len(calls) == 39 + 21
+    assert len({canonical_label(gr) for gr in calls}) == 60
+    assert sum(rule.provenance.startswith("hyperelliptic") for rule in rules.values()) == 60
+
+
 _FORM_CACHES = ("_vertex_slack", "_composite_form", "_margin_forms", "_ram_reduction")
 
 
