@@ -46,14 +46,12 @@ class ChowPresentation:
     """
 
     def __init__(self, name: str, generators: Iterable[str],
-                 parameters: Iterable[str],
                  rewrites: Mapping[int, tuple[int, Mapping[Mono, PolyLike]]],
                  top_degree: int | None,
                  integration: Mapping[Mono, PolyLike],
                  spec: str | None = None):
         self.name = name
         self.generators = tuple(generators)
-        self.parameters = tuple(parameters)
         self.rewrites = {
             i: (p, {m: Poly.coerce(c) for m, c in repl.items()})
             for i, (p, repl) in rewrites.items()
@@ -300,7 +298,6 @@ def ring_p1xp1() -> ChowPresentation:
         "p1xp1",
         name="p1xp1",
         generators=("Rs", "Rt"),
-        parameters=(),
         rewrites={0: (2, {}), 1: (2, {})},
         top_degree=2,
         integration={(1, 1): 1},
@@ -314,7 +311,6 @@ def ring_hirzebruch(h: PolyLike | str = "h") -> ChowPresentation:
         f"hirzebruch:{hp}",
         name="hirzebruch",
         generators=("tau", "f"),
-        parameters=tuple(sorted(hp.variables())),
         rewrites={0: (2, {(1, 1): hp}), 1: (2, {})},
         top_degree=2,
         integration={(1, 1): 1},
@@ -338,7 +334,6 @@ def ring_proj_bundle_over_p1(rank: int, c1: PolyLike | str = "c1E") -> ChowPrese
         f"projbundle:{rank}:{c1p}",
         name=f"projbundle{rank}",
         generators=("z", "f"),
-        parameters=tuple(sorted(c1p.variables())),
         rewrites={0: (rank, {zeta_rule_target: c1p}), 1: (2, {})},
         top_degree=rank,
         integration={(rank - 1, 1): 1},
@@ -359,7 +354,6 @@ def ring_grassmann_bundle_g25(deg_f_dual: PolyLike | str = "c1Fdual") -> ChowPre
         f"grassmann25:{dp}",
         name="grassmann25",
         generators=("z", "f"),
-        parameters=tuple(sorted(dp.variables())),
         rewrites={1: (2, {})},
         top_degree=7,
         integration={(6, 1): 5, (7, 0): 14 * dp},
@@ -372,7 +366,6 @@ def ring_proj_space(n: int) -> ChowPresentation:
         f"projspace:{n}",
         name=f"projspace{n}",
         generators=("H",),
-        parameters=(),
         rewrites={0: (n + 1, {})},
         top_degree=n,
         integration={(n,): 1},
@@ -389,7 +382,6 @@ def ring_product_with_p1(base: ChowPresentation) -> ChowPresentation:
         f"projspace_x_p1:{n}",
         name=f"projspace{n}xP1",
         generators=("H", "F"),
-        parameters=(),
         rewrites={0: (n + 1, {}), 1: (2, {})},
         top_degree=n + 1,
         integration={(n, 1): 1},
@@ -406,7 +398,6 @@ def expansion_ring(square_zero: Iterable[str], free: Iterable[str]) -> ChowPrese
         f"expansion:{','.join(fr)}|{','.join(sq)}",
         name="expansion",
         generators=fr + sq,
-        parameters=(),
         rewrites={len(fr) + i: (2, {}) for i in range(len(sq))},
         top_degree=None,
         integration={},

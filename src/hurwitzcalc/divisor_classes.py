@@ -18,7 +18,7 @@ exposes that route as well so the closed formulas can be cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
@@ -31,51 +31,40 @@ from .symkernel import Poly, PolyLike, RationalFunction
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Coefficients over the basis (lambda, delta, D), plus named
-    higher-boundary symbols.  Coefficients are rational functions of g.
-    The classes are cached, so the boundary map is read-only."""
+    """Coefficients over the basis (lambda, delta, D).  Coefficients are
+    rational functions of g."""
 
     lambda_coef: RationalFunction
     delta_coef: RationalFunction
     d_coef: RationalFunction
-    boundary_coefs: Mapping[str, RationalFunction] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_coef", RationalFunction.coerce(self.lambda_coef))
         object.__setattr__(self, "delta_coef", RationalFunction.coerce(self.delta_coef))
         object.__setattr__(self, "d_coef", RationalFunction.coerce(self.d_coef))
-        object.__setattr__(self, "boundary_coefs",
-                           MappingProxyType(dict(self.boundary_coefs)))
 
     def scale(self, factor) -> "DivisorClass":
         f = RationalFunction.coerce(factor)
-        return DivisorClass(self.lambda_coef * f, self.delta_coef * f,
-                            self.d_coef * f,
-                            {k: v * f for k, v in self.boundary_coefs.items()})
+        return DivisorClass(self.lambda_coef * f, self.delta_coef * f, self.d_coef * f)
 
     def plus(self, other: "DivisorClass") -> "DivisorClass":
-        keys = set(self.boundary_coefs) | set(other.boundary_coefs)
-        zero = RationalFunction(0)
-        return DivisorClass(
-            self.lambda_coef + other.lambda_coef,
-            self.delta_coef + other.delta_coef,
-            self.d_coef + other.d_coef,
-            {k: self.boundary_coefs.get(k, zero) + other.boundary_coefs.get(k, zero)
-             for k in keys})
+        return DivisorClass(self.lambda_coef + other.lambda_coef,
+                            self.delta_coef + other.delta_coef,
+                            self.d_coef + other.d_coef)
 
     def eval_at(self, g: int) -> dict[str, Fraction]:
         try:
             return {"lambda": self.lambda_coef.eval({"g": g}),
                     "delta": self.delta_coef.eval({"g": g}),
-                    "D": self.d_coef.eval({"g": g}),
-                    **{k: v.eval({"g": g}) for k, v in self.boundary_coefs.items()}}
+                    "D": self.d_coef.eval({"g": g})}
         except ZeroDivisionError as exc:
             raise DegenerateDenominator(f"coefficients degenerate at g = {g}") from exc
 
     def to_json(self) -> dict:
+        # "boundary" stays, always empty, so that the JSON a class has
+        # printed so far keeps its bytes
         return {"lambda": str(self.lambda_coef), "delta": str(self.delta_coef),
-                "D": str(self.d_coef),
-                "boundary": {k: str(v) for k, v in self.boundary_coefs.items()}}
+                "D": str(self.d_coef), "boundary": {}}
 
 
 def _b_poly(d: int) -> Poly:

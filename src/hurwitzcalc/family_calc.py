@@ -590,7 +590,8 @@ def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
     families, evaluated from its row of :data:`PENCIL_TABLE`.  `gr` is the
     genus of the varying right side; the exact pentagonal records also
     take the total genus `g` (for the X-intersection), and the rational one
-    its degree `dv` (default 3)."""
+    its degree `dv` (default 3).  A keyword the row does not list is an
+    error."""
     row = PENCIL_TABLE.get(kind)
     if row is None:
         raise UnknownKind(f"unknown pencil kind {kind!r}; known: {PENCIL_KINDS}")
@@ -606,6 +607,9 @@ def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
         if params["gr"] < row.min_gr:
             raise OutOfRange(f"{kind} records need gr >= {row.min_gr}, got {params['gr']}")
         at = pencil_symbols(params["gr"], params.get("g"))
+    unused = [name for name in params if name not in row.params]
+    if unused:
+        raise OutOfRange(f"{kind} records take no {', '.join(unused)}")
     if row.copies == 1:
         return _evaluate_row(kind, row, at, row.hits)
     # the quoted base change: the blown-down section self-intersection, and

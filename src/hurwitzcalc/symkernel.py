@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import MissingVariable
 
@@ -422,7 +422,3 @@ class RationalFunction:
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
 
-
-def symbols(names: Iterable[str]) -> list[Poly]:
-    """Poly variables for each name, e.g. g, gR = symbols(["g", "gR"])."""
-    return [Poly.var(n) for n in names]

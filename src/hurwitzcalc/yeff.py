@@ -22,10 +22,13 @@ hyperelliptic-vertex shapes) with the varied vertex genus gR symbolic.  It
 reads the rows of `family_calc.PENCIL_TABLE`, the same rows the pencil
 records evaluate: the row's vertex pencil form, less its gluing sections
 in delta.  A profile that no row carries gets the same construction, one
-section per node, and its rule is flagged reconstructed.  The degree-five
-ramified composite is checked against its closed form identically, once
-per profile.  A rule only evaluates its shape's form at the graph's genera
-and multiplies by the scale of X.
+section per node.  The degree-five ramified composite is checked against
+its closed form identically, once per profile.  A rule only evaluates its
+shape's form at the graph's genera and multiplies by the scale of X.
+
+A rule's flags come from its shape's row too: it is reconstructed when no
+row carries the shape or the varied genus lies below the row's `min_gr`,
+and it is an equality when the row's family does not sweep its divisor.
 """
 
 from __future__ import annotations
@@ -212,19 +215,13 @@ def check_closed_form_d4(g: int) -> bool:
 
         3(13b/2 - a) C(i+1, 2) + ((13k/2 + 7/2) b - k a) i >= 0
 
-    for all i >= 0 with 3i + k <= (g-3)/2 and k in {0, 1, 2}, at
-    (a, b) = (13g + 15, 2g).  Verified exactly, term by term."""
-    a = Fraction(13 * g + 15)
-    b = Fraction(2 * g)
-    for k in (0, 1, 2):
-        i = 0
-        while 3 * i + k <= (g - 3) // 2:
-            value = (3 * (Fraction(13, 2) * b - a) * comb(i + 1, 2)
-                     + ((Fraction(13, 2) * k + Fraction(7, 2)) * b - k * a) * i)
-            if value < 0:
-                return False
-            i += 1
-    return True
+    for all i >= 0 with 3i + k <= (g-3)/2 and k in {0, 1, 2}, at the
+    degree-four (a, b) of X.  Verified exactly, term by term."""
+    a_poly, b_poly = slope_normalization(4)
+    a, b = a_poly.eval({"g": g}), b_poly.eval({"g": g})
+    return all(3 * (Fraction(13, 2) * b - a) * comb(i + 1, 2)
+               + ((Fraction(13, 2) * k + Fraction(7, 2)) * b - k * a) * i >= 0
+               for k in (0, 1, 2) for i in range(((g - 3) // 2 - k) // 3 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -258,112 +255,80 @@ def build_rules(d: int, g: int,
     rules: dict[str, InequalityRule] = {}
 
     for graph in enumerate_two_vertex(d, g):
-        profile = tuple(sorted((e.local_degree for e in graph.edges), reverse=True))
-        genera = sorted(v.genus for v in graph.vertices)
-        g_small, g_big = genera[0], genera[1]
+        profile = tuple(e.local_degree for e in graph.edges)
+        g_small, g_big = sorted(v.genus for v in graph.vertices)
         label = two_vertex_label(d, profile, g_small, g_big)
-        if d in (3, 4):
-            rules[label] = _rule_d34(d, g, scale, label, profile, g_big, g_small)
-        else:
-            rules[label] = _rule_d5(g, scale, label, profile, g_big, g_small)
+        rules[label] = _two_vertex_rule(d, g, scale, label, profile, g_big, g_small)
 
     if d == 3:
-        # the three-vertex graph at gR has gL = g - 1 - gR; it is the target
-        # of the three-vertex rule at gR + 1 and the four-vertex rule at gR + 1
+        # the three-vertex graph at gR has gL = g - 1 - gR.  A step of either
+        # shape rests on it at gR - 1, on the irreducible node at gR = 1, and
+        # on nothing at gR = 0, where the four-vertex form is the rational
+        # vertex pencil's 3b
         three_label = {g_r: canonical_label(graph_three_vertex_d3(g - 1 - g_r, g_r))
                        for g_r in range(1, g)}
-        three = symbolic_slack_threevertex("threevertex")
-        for g_r in range(1, g):
-            label = three_label[g_r]
-            if g_r - 1 == 0:
-                targets = ((IRREDUCIBLE_NODE, Fraction(1)),)
-            else:
-                targets = ((three_label[g_r - 1], Fraction(1)),)
-            rules[label] = InequalityRule(label, targets,
-                                          three.eval({"g": g, "gR": g_r}) * scale,
-                                          "hyperelliptic three-vertex step")
-        # at gR = 0 the four-vertex form is the rational vertex pencil's 3b
-        four = symbolic_slack_threevertex("fourvertex")
-        for g_r in range(0, g // 2 + 1):
-            label = canonical_label(graph_four_vertex_d3(g - g_r, g_r))
-            if g_r >= 2:
-                targets = ((three_label[g_r - 1], Fraction(1)),)
-            elif g_r == 1:
-                targets = ((IRREDUCIBLE_NODE, Fraction(1)),)
-            else:
-                targets = ()
-            rules[label] = InequalityRule(label, targets,
-                                          four.eval({"g": g, "gR": g_r}) * scale,
-                                          "hyperelliptic four-vertex step")
+        four_label = {g_r: canonical_label(graph_four_vertex_d3(g - g_r, g_r))
+                      for g_r in range(g // 2 + 1)}
+        rests = {0: (), 1: ((IRREDUCIBLE_NODE, Fraction(1)),)}
+        rests.update((g_r + 1, ((label, Fraction(1)),)) for g_r, label in three_label.items())
+        for shape, labels in (("three", three_label), ("four", four_label)):
+            form = symbolic_slack_threevertex(f"{shape}vertex")
+            for g_r, label in labels.items():
+                rules[label] = InequalityRule(label, rests[g_r],
+                                              form.eval({"g": g, "gR": g_r}) * scale,
+                                              f"hyperelliptic {shape}-vertex step")
     return rules
 
 
-def _rule_d34(d: int, g: int, scale: Fraction, label: str,
-              profile: tuple[int, ...], g_l: int, g_r: int) -> InequalityRule:
-    slack = symbolic_slack(d, profile).eval(pencil_symbols(g_r, g)) * scale
-    k = len(profile)
+def _two_vertex_rule(d: int, g: int, scale: Fraction, label: str,
+                     profile: tuple[int, ...], g_l: int, g_r: int) -> InequalityRule:
+    """The rule of the partial pencil varying the genus-g_r vertex of a
+    two-vertex graph with the given node profile, g_l being the other
+    vertex's genus.  A profile without a pencil-table row (degree four
+    beyond (2, 1, 1)) gets the same construction with more nonreduced
+    basepoints; the row, or its absence, sets the flags."""
+    unram = (1,) * d
+    if d == 5 and profile != unram:
+        return _composite_rule(g, scale, label, profile, g_l, g_r)
+    if d == 5 and g_r == 0:
+        # a genus-0 vertex is rational: its five-basepoint pencil grounds the chain
+        slack = _row_slack(5, "rational_partial").eval({"g": g, "dv": 5})
+        return InequalityRule(label, (), slack * scale, "degree-5 rational vertex pencil")
     targets: list[tuple[str, Fraction]] = []
-
-    split_right = g_r - (d - 1)
-    split_left = g_l + k - 1
-    if split_right >= 0:
-        unram = tuple([1] * d)
-        targets.append((two_vertex_label(d, unram, split_left, split_right),
+    if g_r >= d - 1:
+        targets.append((two_vertex_label(d, unram, g_l + len(profile) - 1, g_r - (d - 1)),
                         Fraction(1)))
     elif g_r >= 1:
         targets.append((DISCONNECTED, Fraction(1)))
-
     reduction = _ram_reduction(profile)
-    if reduction is not None and g_r - 1 >= 0:
+    if reduction is not None and g_r >= 1:
         reduced, multiplicity = reduction
         targets.append((two_vertex_label(d, reduced, g_l, g_r - 1), multiplicity))
 
-    family = "unramified" if profile == tuple([1] * d) else f"ramified {profile}"
-    # a profile without a row (degree four beyond (2, 1, 1)) is the same
-    # construction with more nonreduced basepoints
+    slack = symbolic_slack(d, profile).eval(pencil_symbols(g_r, g)) * scale
+    family = "unramified" if profile == unram else f"ramified {profile}"
+    row = PENCIL_TABLE.get(_KIND_BY_SHAPE.get(profile))
     return InequalityRule(label, tuple(targets), slack,
                           f"degree-{d} {family} partial pencil",
-                          reconstructed=profile not in _KIND_BY_SHAPE)
+                          reconstructed=row is None or g_r < row.min_gr,
+                          equality=row is not None and not row.sweeps)
 
 
-def _rule_d5(g: int, scale: Fraction, label: str,
-             profile: tuple[int, ...], g_l: int, g_r: int) -> InequalityRule:
-    unram = (1, 1, 1, 1, 1)
-    if profile == unram:
-        # the five-basepoint partial pencil: an exact relation
-        if g_r == 0:
-            slack = _row_slack(5, "rational_partial").eval({"g": g, "dv": 5})
-            return InequalityRule(label, (), slack * scale,
-                                  "degree-5 rational vertex pencil")
-        slack = symbolic_slack(5, unram).eval(pencil_symbols(g_r, g)) * scale
-        split_right = g_r - 4
-        if split_right >= 0:
-            targets = ((two_vertex_label(5, unram, g_l + 4, split_right), Fraction(1)),)
-        else:
-            targets = ((DISCONNECTED, Fraction(1)),)
-        return InequalityRule(label, targets, slack,
-                              "degree-5 unramified partial pencil",
-                              equality=True, reconstructed=g_r <
-                              PENCIL_TABLE["pentagonal_unramified_5pts"].min_gr)
-
-    # ramified: the base-changed general pencil, composed with the
-    # simple-collision relation to eliminate the collision divisor
+def _composite_rule(g: int, scale: Fraction, label: str,
+                    profile: tuple[int, ...], g_l: int, g_r: int) -> InequalityRule:
+    """The degree-five ramified rule: the base-changed general pencil,
+    composed with the simple-collision relation to eliminate the collision
+    divisor.  The family varies the smaller genus g_r when it can."""
     r = sum(m - 1 for m in profile)
-    orientations = [(g_l, g_r), (g_r, g_l)]
-    choice = None
-    for other, varied in orientations:
+    for fixed, varied in ((g_l, g_r), (g_r, g_l)):
         if varied - r >= 1:
-            choice = (other, varied - r)
-            if varied == min(g_l, g_r):
-                break
-    if choice is None:
+            break
+    else:
         raise PropagationFailure(label, "no admissible base-change orientation")
-    fixed_genus, fam_genus = choice
-
     coeff_unram, form = _composite_form(profile)
-    target = two_vertex_label(5, unram, fixed_genus, fam_genus)
+    target = two_vertex_label(5, (1,) * 5, fixed, varied - r)
     return InequalityRule(label, ((target, coeff_unram),),
-                          form.eval(pencil_symbols(fam_genus, g)) * scale,
+                          form.eval(pencil_symbols(varied - r, g)) * scale,
                           f"degree-5 base-change composite {profile}",
                           reconstructed=profile not in _KIND_BY_SHAPE, equality=True)
 

@@ -1,9 +1,12 @@
+import hashlib
+import importlib.util
 import io
 import json
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,3 +342,27 @@ class TestFuzz:
         assert code in (0, 1, 2, 3), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
         assert elapsed < _CALL_BOUND_S, (argv, elapsed)
+
+
+def _load_workloads():
+    """The benchmark's workload module, loaded from its file: `bench` is not
+    a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# SHA-256 over (argv, exit code, stdout) of every call the `cli_cold`
+# workload can make, recorded before the rule builders of `yeff` were merged
+_CLI_UNIVERSE_DIGEST = "2a8fe8c28f208098d7fe0d3fbb26bcd4a12b22f3474166f3b10de4c817e7790c"
+
+
+def test_cli_universe_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in _load_workloads().cli_universe():
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        digest.update(json.dumps([list(argv), code, out]).encode())
+    assert digest.hexdigest() == _CLI_UNIVERSE_DIGEST

@@ -172,10 +172,6 @@ class TestCache:
         assert maroni_class(4) is maroni_class(4) and ce_class(5) is ce_class(5)
         with pytest.raises(TypeError):
             class_x(3)["a"] = 0
-        with pytest.raises(TypeError):
-            maroni_class(3).boundary_coefs["delta_1"] = 0
-        with pytest.raises(TypeError):
-            class_x(4)["X"].boundary_coefs["delta_1"] = 0
 
 
 class TestDivisorClassSerialization:

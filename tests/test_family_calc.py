@@ -272,6 +272,15 @@ class TestPencilRecords:
                 with pytest.raises(OutOfRange, match="vertex genus gr"):
                     partial_pencil_record(kind, g=36)
 
+    @pytest.mark.parametrize("kind,params,unused", [
+        ("trigonal_plain", {"gr": 4, "dv": 7, "g": 99}, "dv, g"),
+        ("rational_partial", {"gr": 9}, "gr"),
+        ("hyperelliptic_4vertex", {"gr": 2, "g": 10}, "g"),
+    ])
+    def test_records_reject_keywords_their_row_does_not_take(self, kind, params, unused):
+        with pytest.raises(OutOfRange, match=f"{kind} records take no {unused}$"):
+            partial_pencil_record(kind, **params)
+
     def test_sweeping_records_never_store_negative_special_hits(self):
         with pytest.raises(ValueError):
             PencilRecord("x", {}, Fraction(0), Fraction(0), {},

@@ -124,6 +124,20 @@ class TestSlackDomain:
                 assert row.sections == len(row.shape), kind
 
 
+def _closed_form_d4_by_terms(g, a, b):
+    """The summed degree-four inequality at the given (a, b), with i
+    stepped until 3i + k passes (g - 3)/2."""
+    for k in (0, 1, 2):
+        i = 0
+        while 3 * i + k <= (g - 3) // 2:
+            value = (3 * (Fraction(13, 2) * b - a) * comb(i + 1, 2)
+                     + ((Fraction(13, 2) * k + Fraction(7, 2)) * b - k * a) * i)
+            if value < 0:
+                return False
+            i += 1
+    return True
+
+
 class TestSummedInequality:
     def test_sum_equals_closed_form_symbolically(self):
         a, b = Poly.var("a"), Poly.var("b")
@@ -142,6 +156,23 @@ class TestSummedInequality:
         assert check_closed_form_d4(9)
         assert check_closed_form_d4(15)
         assert check_closed_form_d4(57)
+
+    def test_direct_bound_matches_the_term_by_term_loop(self, monkeypatch):
+        assert all(check_closed_form_d4(g) == _closed_form_d4_by_terms(g, 13 * g + 15, 2 * g)
+                   for g in range(-10, 401))
+        # with a raised by t, the last term of the range in i is the first to
+        # turn negative, so a range one term short or long disagrees with the
+        # loop at the smallest failing t or just below it
+        g_var = Poly.var("g")
+        for g in (9, 15, 16, 21, 57, 58):
+            verdicts = set()
+            for t in range(40):
+                monkeypatch.setattr(yeff, "slope_normalization",
+                                    lambda d, t=t: (13 * g_var + 15 + t, 2 * g_var))
+                expected = _closed_form_d4_by_terms(g, 13 * g + 15 + t, 2 * g)
+                assert check_closed_form_d4(g) == expected, (g, t)
+                verdicts.add(expected)
+            assert verdicts == {True, False}
 
     def test_zero_at_i_zero(self):
         # the i = 0 instance of the closed form is identically zero
