@@ -20,8 +20,9 @@ exact and symbolic.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from .errors import DegreeMismatch, InvalidRank, OutOfRange, RingMismatch
 from .symkernel import Poly, PolyLike
@@ -30,10 +31,6 @@ from .symkernel import Poly, PolyLike
 Mono = tuple[int, ...]
 
 ClassLike = Union["ChowClass", PolyLike]
-
-
-def _mono_degree(mono: Mono) -> int:
-    return sum(mono)
 
 
 class ChowPresentation:
@@ -66,28 +63,25 @@ class ChowPresentation:
     # -- normal forms --------------------------------------------------------
 
     def _rewrite_once(self, mono: Mono, gen_index: int) -> dict[Mono, Poly]:
+        """The terms `mono` becomes under one rule, not yet summed: shifting
+        by the rest of `mono` keeps the replacement's monomials distinct."""
         power, replacement = self.rewrites[gen_index]
         rest = list(mono)
         rest[gen_index] -= power
-        out: dict[Mono, Poly] = {}
-        for repl_mono, coeff in replacement.items():
-            combined = tuple(r + m for r, m in zip(rest, repl_mono))
-            out[combined] = out.get(combined, Poly.const(0)) + coeff
-        return {m: c for m, c in out.items() if not c.is_zero()}
+        return {tuple(r + m for r, m in zip(rest, repl_mono)): coeff
+                for repl_mono, coeff in replacement.items()}
 
     def _accumulate(self, terms: Iterable[tuple[Mono, Poly]]) -> dict[Mono, Poly]:
-        """Sum coeff * normal_form(mono) over the terms, dropping zeros."""
+        """Sum coeff * normal_form(mono) over the terms, dropping zeros; the
+        one place where class terms are added up."""
         result: dict[Mono, Poly] = {}
         for mono, coeff in terms:
             if coeff.is_zero():
                 continue
             for m, c in self.normal_form(mono).items():
-                acc = result.get(m, Poly.const(0)) + coeff * c
-                if acc.is_zero():
-                    result.pop(m, None)
-                else:
-                    result[m] = acc
-        return result
+                term = coeff * c
+                result[m] = result[m] + term if m in result else term
+        return {m: c for m, c in result.items() if not c.is_zero()}
 
     def normal_form(self, mono: Mono) -> dict[Mono, Poly]:
         """Fully reduce a monomial to a combination of normal-form monomials."""
@@ -130,18 +124,19 @@ class ChowPresentation:
     # -- class construction --------------------------------------------------
 
     def zero(self) -> "ChowClass":
-        return ChowClass(self, {})
+        return ChowClass(self, ())
 
     def one(self) -> "ChowClass":
-        return ChowClass(self, {(0,) * len(self.generators): Poly.const(1)})
+        return ChowClass(self, [((0,) * len(self.generators), 1)])
 
     def gen(self, name: str) -> "ChowClass":
         i = self.generators.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(self.generators)))
-        return ChowClass(self, {mono: Poly.const(1)})
+        return ChowClass(self, [(mono, 1)])
 
-    def cls(self, terms: Mapping[Mono, PolyLike]) -> "ChowClass":
-        return ChowClass(self, {m: Poly.coerce(c) for m, c in terms.items()})
+    def cls(self, terms: Mapping[Mono, PolyLike] | Iterable[tuple[Mono, PolyLike]]
+            ) -> "ChowClass":
+        return ChowClass(self, terms)
 
     def mono_str(self, mono: Mono) -> str:
         parts = [g if e == 1 else f"{g}^{e}"
@@ -158,10 +153,13 @@ class ChowClass:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: ChowPresentation, terms: Mapping[Mono, Poly]):
+    def __init__(self, ring: ChowPresentation,
+                 terms: Mapping[Mono, PolyLike] | Iterable[tuple[Mono, PolyLike]]):
+        """The class of the terms, given as a mapping or as (monomial,
+        coefficient) pairs in which a monomial may repeat."""
         self.ring = ring
-        self.terms = ring._accumulate(
-            (mono, Poly.coerce(coeff)) for mono, coeff in terms.items())
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        self.terms = ring._accumulate((mono, Poly.coerce(coeff)) for mono, coeff in pairs)
 
     def _require_same_ring(self, other: "ChowClass") -> None:
         if self.ring is not other.ring:
@@ -171,21 +169,17 @@ class ChowClass:
     def _coerce(ring: ChowPresentation, x: ClassLike) -> "ChowClass":
         if isinstance(x, ChowClass):
             return x
-        unit = (0,) * len(ring.generators)
-        return ChowClass(ring, {unit: Poly.coerce(x)})
+        return ChowClass(ring, [((0,) * len(ring.generators), x)])
 
     def __add__(self, other: ClassLike) -> "ChowClass":
         other = ChowClass._coerce(self.ring, other)
         self._require_same_ring(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Poly.const(0)) + c
-        return ChowClass(self.ring, terms)
+        return ChowClass(self.ring, [*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(self.ring, {m: -c for m, c in self.terms.items()})
+        return ChowClass(self.ring, [(m, -c) for m, c in self.terms.items()])
 
     def __sub__(self, other: ClassLike) -> "ChowClass":
         return self + (-ChowClass._coerce(self.ring, other))
@@ -194,16 +188,11 @@ class ChowClass:
         return ChowClass._coerce(self.ring, other) + (-self)
 
     def __mul__(self, other: ClassLike) -> "ChowClass":
-        if isinstance(other, ChowClass):
-            self._require_same_ring(other)
-            terms: dict[Mono, Poly] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    terms[mono] = terms.get(mono, Poly.const(0)) + c1 * c2
-            return ChowClass(self.ring, terms)
-        return ChowClass(self.ring, {m: c * Poly.coerce(other)
-                                     for m, c in self.terms.items()})
+        other = ChowClass._coerce(self.ring, other)
+        self._require_same_ring(other)
+        return ChowClass(self.ring, ((tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+                                     for m1, c1 in self.terms.items()
+                                     for m2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -227,7 +216,7 @@ class ChowClass:
         return not self.terms
 
     def degrees(self) -> set[int]:
-        return {_mono_degree(m) for m in self.terms}
+        return {sum(m) for m in self.terms}
 
     def integrate(self) -> Poly:
         """Exact symbolic integral of a pure top-degree class."""
@@ -255,7 +244,7 @@ class ChowClass:
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=lambda m: (_mono_degree(m), m)):
+        for mono in sorted(self.terms, key=lambda m: (sum(m), m)):
             coeff = self.terms[mono]
             mono_s = self.ring.mono_str(mono)
             if mono_s == "1":

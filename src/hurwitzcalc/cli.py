@@ -104,16 +104,16 @@ class _PencilKinds:
 
 def _cmd_pencil(args) -> int:
     from .family_calc import PENCIL_TABLE, partial_pencil_record
-    # a flag given to a kind whose row does not name it is a usage error,
+    # a flag given to a kind whose row does not take it is a usage error,
     # not a value to drop; the vertex genus defaults to 0
-    params = PENCIL_TABLE[args.kind].params
+    inputs = PENCIL_TABLE[args.kind].inputs
     given = {name: getattr(args, name) for name in ("gr", "g", "dv")
              if getattr(args, name) is not None}
-    unused = [f"--{name}" for name in given if name not in params]
+    unused = [f"--{name}" for name in given if name not in inputs]
     if unused:
         print(f"error: pencil {args.kind} takes no {', '.join(unused)}", file=sys.stderr)
         return 1
-    defaults = {"gr": 0} if "gr" in params else {}
+    defaults = {"gr": 0} if "gr" in inputs else {}
     record = partial_pencil_record(args.kind, **{**defaults, **given})
     if args.json:
         print(json.dumps(record.to_json()))

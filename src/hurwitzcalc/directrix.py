@@ -94,13 +94,11 @@ def _class_form(n: int, r: int) -> ChowClass:
     directrix_in_quotient = eta ** kernel_rank + rotation * rt * eta ** (kernel_rank - 1)
     swept = directrix_in_quotient * hyperplane_of_quotient * rs
 
+    require(all(rs_exp == 1 for _, rs_exp, _ in swept.terms),
+            "every swept term lies in the fixed fiber Rs")
     product = ring_product_with_p1(ring_proj_space(n - 1))
-    result = product.zero()
-    h_gen, f_gen = product.gen("H"), product.gen("F")
-    for mono, coeff in swept.terms.items():
-        zexp, rs_exp, rt_exp = mono
-        require(rs_exp == 1, "every swept term lies in the fixed fiber Rs")
-        result = result + coeff * h_gen ** zexp * (f_gen ** rt_exp)
+    result = product.cls({(zexp, rt_exp): coeff
+                          for (zexp, _, rt_exp), coeff in swept.terms.items()})
     require(result == rotating_directrix_closed_form(DirectrixFamily(n, r, a, l)),
             f"directrix pipeline = closed form at N = {n}, r = {r}")
     return result

@@ -543,6 +543,14 @@ class PencilRow:
     copies: int = 1
     notes: tuple[str, ...] = ()
 
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        """The keywords a record of this row takes; the other `params` it
+        prints are derived from them."""
+        if self.vertex == "rational":
+            return ("dv",)
+        return ("gr",) if self.sweeps else ("gr", "g")
+
 
 _SPLIT = {"delta_self": -1, "delta_split": 1}
 _RAMIFIED = {"delta_self": -1, "delta_split": 1, "delta_ram": 1}
@@ -590,8 +598,8 @@ def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
     families, evaluated from its row of :data:`PENCIL_TABLE`.  `gr` is the
     genus of the varying right side; the exact pentagonal records also
     take the total genus `g` (for the X-intersection), and the rational one
-    its degree `dv` (default 3).  A keyword the row does not list is an
-    error."""
+    its degree `dv` (default 3).  A keyword outside the row's `inputs` is
+    an error."""
     row = PENCIL_TABLE.get(kind)
     if row is None:
         raise UnknownKind(f"unknown pencil kind {kind!r}; known: {PENCIL_KINDS}")
@@ -602,12 +610,12 @@ def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
     else:
         if "gr" not in params:
             raise OutOfRange(f"{kind} records need the vertex genus gr")
-        if "g" in row.params and "g" not in params:
+        if "g" in row.inputs and "g" not in params:
             raise OutOfRange(f"{kind} records need the total genus g")
         if params["gr"] < row.min_gr:
             raise OutOfRange(f"{kind} records need gr >= {row.min_gr}, got {params['gr']}")
         at = pencil_symbols(params["gr"], params.get("g"))
-    unused = [name for name in params if name not in row.params]
+    unused = [name for name in params if name not in row.inputs]
     if unused:
         raise OutOfRange(f"{kind} records take no {', '.join(unused)}")
     if row.copies == 1:

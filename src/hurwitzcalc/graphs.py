@@ -74,21 +74,12 @@ class DualGraph:
         return cls(vertices, edges)
 
 
-def violations(gr: DualGraph, d: int, g: int) -> list[str]:
-    """Structured list of convention violations; empty iff the graph is a
-    valid boundary-divisor graph for degree d and genus g."""
+def _incidence_problems(gr: DualGraph) -> list[str]:
+    """Edges that do not join an existing L-vertex to an R-vertex, and
+    vertices whose incident local degrees do not sum to their degree."""
     problems: list[str] = []
     by_id = {v.ident: v for v in gr.vertices}
-    if len(by_id) != len(gr.vertices):
-        problems.append("duplicate vertex identifiers")
-    for v in gr.vertices:
-        if v.side not in ("L", "R"):
-            problems.append(f"vertex {v.ident} on unknown side {v.side!r}")
-        if v.degree < 1 or v.genus < 0:
-            problems.append(f"vertex {v.ident} has invalid decorations")
     for e in gr.edges:
-        if e.local_degree < 1:
-            problems.append(f"edge {e.left}-{e.right} has nonpositive local degree")
         lv, rv = by_id.get(e.left), by_id.get(e.right)
         if lv is None or rv is None:
             problems.append(f"edge {e.left}-{e.right} references a missing vertex")
@@ -100,6 +91,24 @@ def violations(gr: DualGraph, d: int, g: int) -> list[str]:
         if incident != v.degree:
             problems.append(
                 f"vertex {v.ident}: local degrees sum to {incident}, not {v.degree}")
+    return problems
+
+
+def violations(gr: DualGraph, d: int, g: int) -> list[str]:
+    """Structured list of convention violations; empty iff the graph is a
+    valid boundary-divisor graph for degree d and genus g."""
+    problems: list[str] = []
+    if len({v.ident for v in gr.vertices}) != len(gr.vertices):
+        problems.append("duplicate vertex identifiers")
+    for v in gr.vertices:
+        if v.side not in ("L", "R"):
+            problems.append(f"vertex {v.ident} on unknown side {v.side!r}")
+        if v.degree < 1 or v.genus < 0:
+            problems.append(f"vertex {v.ident} has invalid decorations")
+    for e in gr.edges:
+        if e.local_degree < 1:
+            problems.append(f"edge {e.left}-{e.right} has nonpositive local degree")
+    problems += _incidence_problems(gr)
     for side in ("L", "R"):
         total = sum(v.degree for v in gr.side(side))
         if total != d:
@@ -116,16 +125,9 @@ def validate(gr: DualGraph, d: int, g: int) -> bool:
 
 
 def _check_structure(gr: DualGraph) -> None:
-    by_id = {v.ident: v for v in gr.vertices}
-    for e in gr.edges:
-        lv, rv = by_id.get(e.left), by_id.get(e.right)
-        if lv is None or rv is None or lv.side != "L" or rv.side != "R":
-            raise InvalidGraph("edges must join an L-vertex to an R-vertex")
-    for v in gr.vertices:
-        incident = sum(e.local_degree for e in gr.edges
-                       if v.ident in (e.left, e.right))
-        if incident != v.degree:
-            raise InvalidGraph(f"vertex {v.ident} degree mismatch")
+    problems = _incidence_problems(gr)
+    if problems:
+        raise InvalidGraph(problems[0])
 
 
 def ramification_index(gr: DualGraph) -> int:

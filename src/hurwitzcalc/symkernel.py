@@ -13,9 +13,10 @@ built at the end.  Every value is still exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import MissingVariable
 
@@ -78,16 +79,18 @@ class Poly:
     # integer numerator over that denominator
     __slots__ = ("terms", "compiled")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                # a Fraction is kept as it is: rebuilding each coefficient
-                # would dominate the evaluation of a cached form
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
-                if c:
-                    clean[mono] = c
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms: Mapping[Monomial, Scalar]
+                 | Iterable[tuple[Monomial, Scalar]] = ()):
+        """The sum of the terms, given as a mapping or as (monomial,
+        coefficient) pairs in which a monomial may repeat; this is the one
+        place where polynomial terms are added up."""
+        total: dict[Monomial, Fraction] = {}
+        for mono, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            # a Fraction is kept as it is: rebuilding each coefficient
+            # would dominate the evaluation of a cached form
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            total[mono] = total[mono] + c if mono in total else c
+        object.__setattr__(self, "terms", {m: c for m, c in total.items() if c})
         object.__setattr__(self, "compiled", None)
 
     # -- constructors ------------------------------------------------------
@@ -121,7 +124,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get((), Fraction(0))
+        return self.coefficient(())
 
     def variables(self) -> set[str]:
         return {name for mono in self.terms for name, _ in mono}
@@ -137,11 +140,7 @@ class Poly:
     def __add__(self, other: PolyLike) -> "Poly":
         if not Poly._coercible(other):
             return NotImplemented
-        other = Poly.coerce(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return Poly(terms)
+        return Poly([*self.terms.items(), *Poly.coerce(other).terms.items()])
 
     __radd__ = __add__
 
@@ -160,12 +159,8 @@ class Poly:
         if not Poly._coercible(other):
             return NotImplemented
         other = Poly.coerce(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _merge_monomials(m1, m2)
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return Poly(terms)
+        return Poly((_merge_monomials(m1, m2), c1 * c2)
+                    for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())
 
     __rmul__ = __mul__
 

@@ -1,8 +1,12 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hurwitzcalc.chow import (canonical_class, expansion_ring,
+from hurwitzcalc.chow import (ChowClass, canonical_class, expansion_ring,
                               grassmann_canonical_class,
                               grassmann_top_constant_from_twist,
                               grr_degree_on_p1xp1, parse_class, parse_poly,
@@ -79,6 +83,15 @@ def test_multiply_and_integrate():
     u, v = Poly.var("u"), Poly.var("v")
     mixed = ((2 * z - u * f) * (2 * z - v * f) * z).integrate()
     assert mixed == 2 * u + 2 * v
+
+
+def test_classes_take_pairs_or_a_mapping():
+    h = Poly.var("h")
+    ring = ring_hirzebruch(h)
+    # tau^2 = h tau f, so these pairs sum to zero
+    pairs = [((1, 0), 2), ((2, 0), 1), ((1, 0), -2), ((1, 1), -h)]
+    assert ring.cls(pairs).is_zero() and ChowClass(ring, iter(pairs)).is_zero()
+    assert ring.cls({(2, 0): 1}) == ChowClass(ring, {(1, 1): h}) == ring.gen("tau") ** 2
 
 
 def test_ring_mismatch_and_degree_mismatch():
@@ -262,3 +275,228 @@ def test_class_json_round_trip():
     rebuilt = sum((parse_poly(t["coeff"]) * parse_class(ring2, t["monomial"])
                    for t in data["terms"]), ring2.zero())
     assert rebuilt == cls
+
+
+# ---------------------------------------------------------------------------
+# Ring laws on random classes of every presentation kind
+# ---------------------------------------------------------------------------
+
+# every kind `ring_from_spec` builds, with symbolic and numeric parameters
+specs = st.one_of(
+    st.just("p1xp1"),
+    st.sampled_from(("h", "0", "3", "h + 1")).map("hirzebruch:{}".format),
+    st.builds("projbundle:{}:{}".format, st.integers(2, 4),
+              st.sampled_from(("c1E", "u + v", "-2"))),
+    st.sampled_from(("c1Fdual", "-2*g - 8")).map("grassmann25:{}".format),
+    st.integers(1, 4).map("projspace:{}".format),
+    st.integers(1, 3).map("projspace_x_p1:{}".format))
+
+# small coefficients c + k*a^e in a symbol no ring uses
+coeffs = st.builds(lambda c, k, e: c + k * Poly.var("a") ** e,
+                   st.integers(-3, 3), st.integers(-2, 2), st.integers(0, 2))
+
+
+@st.composite
+def rings(draw, spec_kinds_only=False):
+    if spec_kinds_only or draw(st.integers(0, 6)):
+        return ring_from_spec(draw(specs))
+    return expansion_ring(square_zero=("Rs", "Rt"), free=("zeta",))
+
+
+@st.composite
+def classes_in(draw, ring, count):
+    # terms of degree up to a third of the top degree keep many triple
+    # products below it
+    top = ring.top_degree if ring.top_degree is not None else 6
+    n = len(ring.generators)
+    monos = st.lists(st.integers(0, n - 1), max_size=max(1, top // 3)).map(
+        lambda picks: tuple(picks.count(i) for i in range(n)))
+    return [ring.cls(draw(st.lists(st.tuples(monos, coeffs), min_size=1, max_size=3)))
+            for _ in range(count)]
+
+
+@st.composite
+def ring_classes(draw, count, spec_kinds_only=False):
+    ring = draw(rings(spec_kinds_only))
+    return ring, draw(classes_in(ring, count))
+
+
+def _top_part(c):
+    ring = c.ring
+    return ring.cls({m: v for m, v in c.terms.items() if sum(m) == ring.top_degree})
+
+
+class TestRingLaws:
+    @settings(max_examples=40, deadline=None)
+    @given(ring_classes(3))
+    def test_sum_and_product_commute_and_associate(self, drawn):
+        _, (x, y, z) = drawn
+        assert x + y == y + x and x * y == y * x
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ring_classes(3), coeffs)
+    def test_product_distributes_over_sums(self, drawn, s):
+        _, (x, y, z) = drawn
+        assert x * (y + z) == x * y + x * z
+        assert s * (x - y) == s * x - s * y
+        assert (x - y) + y == x
+
+    @settings(max_examples=40, deadline=None)
+    @given(rings(), st.data())
+    def test_normal_form_is_idempotent(self, ring, data):
+        top = ring.top_degree if ring.top_degree is not None else 3
+        mono = data.draw(st.tuples(*[st.integers(0, top + 1)] * len(ring.generators)))
+        form = ring.normal_form(mono)
+        assert ring._accumulate(form.items()) == form
+        assert all(ring.normal_form(m) == {m: Poly.const(1)} for m in form)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ring_classes(2, spec_kinds_only=True), coeffs)
+    def test_integral_is_linear(self, drawn, s):
+        _, (x, y) = drawn
+        x, y = _top_part(x), _top_part(y)
+        assert (x + s * y).integrate() == x.integrate() + s * y.integrate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(ring_classes(1))
+    def test_string_round_trip(self, drawn):
+        ring, (x,) = drawn
+        assert parse_class(ring, str(x)) == x
+
+    @settings(max_examples=20, deadline=None)
+    @given(ring_classes(1, spec_kinds_only=True))
+    def test_json_names_the_ring(self, drawn):
+        ring, (x,) = drawn
+        assert ring_from_spec(x.to_json()["ring"]) is ring
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 6), st.sampled_from(("c1E", "u + v", "-3", "0")),
+           st.lists(coeffs, min_size=3, max_size=3))
+    def test_projective_bundle_top_integrals(self, rank, c1, top_coeffs):
+        # in top degree only z^r (integral c1) and z^(r-1) f (integral 1)
+        # survive; z^(r-2) f^2 vanishes
+        c1 = parse_poly(c1)
+        ring = ring_proj_bundle_over_p1(rank, c1)
+        top = ring.cls([((rank - b, b), c) for b, c in enumerate(top_coeffs)])
+        assert top.integrate() == top_coeffs[0] * c1 + top_coeffs[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.lists(coeffs, min_size=3, max_size=3))
+    def test_projective_space_times_line_top_integrals(self, n, top_coeffs):
+        # in top degree only H^n F survives, with integral 1
+        ring = ring_product_with_p1(ring_proj_space(n))
+        top = ring.cls([((n + 1 - b, b), c) for b, c in enumerate(top_coeffs)])
+        assert top.integrate() == top_coeffs[1]
+
+
+# ---------------------------------------------------------------------------
+# Pinned bytes: classes of every ring kind, the directrix class forms, and
+# Poly sums and products
+# ---------------------------------------------------------------------------
+
+# one ring of each kind a spec can name, in both a symbolic and a numeric
+# instance where the spec takes a parameter, and the directrix's expansion ring
+_DIGEST_SPECS = ("p1xp1", "hirzebruch:h", "hirzebruch:3", "projbundle:2:u",
+                 "projbundle:3:c1E", "projbundle:4:u + v", "grassmann25:c1Fdual",
+                 "grassmann25:-2*g - 8", "projspace:3", "projspace_x_p1:3")
+
+
+def _digest_rings():
+    return [ring_from_spec(spec) for spec in _DIGEST_SPECS] + [
+        expansion_ring(square_zero=("Rs", "Rt"), free=("zeta",))]
+
+
+def _seeded_poly(rng, names=("a", "b")):
+    return Poly({tuple((name, e) for name in names if (e := rng.randint(0, 2))):
+                 Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 4))})
+
+
+def _seeded_class(rng, ring, max_degree):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = [0] * len(ring.generators)
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(len(mono))] += 1
+        terms[tuple(mono)] = _seeded_poly(rng)
+    return ring.cls(terms)
+
+
+def _pinned_records():
+    """(kind, text) records of the seeded grid, in a fixed order."""
+    from hurwitzcalc.directrix import _class_form
+    rng = random.Random(1717)
+    for ring in _digest_rings():
+        for _ in range(6):
+            top = ring.top_degree if ring.top_degree is not None else 4
+            x, y, z = (_seeded_class(rng, ring, top // 2) for _ in range(3))
+            linear = _seeded_class(rng, ring, 1)
+            s = _seeded_poly(rng)
+            for value in (x + y, x - y, -x, s * x, x * s, 3 * y, x * y, (x + y) * z,
+                          x ** 2, x + s, s - y):
+                yield "class", str(value)
+                yield "json", json.dumps(value.to_json(), sort_keys=True)
+            if ring.top_degree is not None:
+                yield "integral", str(_top_part(x * y * linear).integrate())
+                yield "integral", str(_top_part(linear ** top).integrate())
+    for n in range(3, 7):
+        for r in range(1, n - 1):
+            form = _class_form(n, r)
+            yield "directrix", f"{n} {r} {form}"
+            yield "json", json.dumps(form.to_json(), sort_keys=True)
+    for _ in range(40):
+        p, q = _seeded_poly(rng, ("a", "b", "c")), _seeded_poly(rng, ("a", "b", "c"))
+        for value in (p + q, p - q, p * q, p * q + q, (p + 1) ** 3, p * 0, 2 * p / 3):
+            yield "poly", str(value)
+
+
+# SHA-256 over `_pinned_records()`, recorded before Poly and ChowClass
+# sums were moved into their constructors
+_CHOW_DIGEST = "32816f98dc65c4621fe2be4fc4ad5f0fffecf25e33686885a5f65c8be88e8664"
+
+
+def test_class_and_poly_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for record in _pinned_records():
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == _CHOW_DIGEST
+
+
+def _family_op():
+    from hurwitzcalc.directrix import (DirectrixFamily, rotating_directrix_class,
+                                       rotating_directrix_closed_form)
+    fam = DirectrixFamily(5, 2, 2, 1)
+    return lambda: rotating_directrix_class(fam) == rotating_directrix_closed_form(fam)
+
+
+def _class_sum():
+    rs, rt = ring_p1xp1().gen("Rs"), ring_p1xp1().gen("Rt")
+    return lambda: rs + rt
+
+
+def _class_product():
+    rs, rt = ring_p1xp1().gen("Rs"), ring_p1xp1().gen("Rt")
+    x = rs + rt
+    return lambda: x * rt
+
+
+# Poly objects one op built when every sum was taken twice, in the operator
+# and again in the constructor
+@pytest.mark.parametrize("make_op, summing_twice", [
+    (_family_op, 16), (_class_sum, 8), (_class_product, 9),
+], ids=["warm_directrix_family", "class_sum", "class_product"])
+def test_each_sum_is_taken_once(monkeypatch, make_op, summing_twice):
+    op = make_op()
+    op()
+    built = []
+    init = Poly.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Poly, "__init__", counting)
+    op()
+    assert len(built) < summing_twice

@@ -276,6 +276,10 @@ class TestPencilRecords:
         ("trigonal_plain", {"gr": 4, "dv": 7, "g": 99}, "dv, g"),
         ("rational_partial", {"gr": 9}, "gr"),
         ("hyperelliptic_4vertex", {"gr": 2, "g": 10}, "g"),
+        # fields a record derives and prints, not inputs
+        ("tetragonal_plain", {"gr": 5, "v": 99}, "v"),
+        ("pentagonal_plain", {"gr": 5, "k1": 99}, "k1"),
+        ("pentagonal_unramified_5pts", {"gr": 16, "g": 36, "kR": 99}, "kR"),
     ])
     def test_records_reject_keywords_their_row_does_not_take(self, kind, params, unused):
         with pytest.raises(OutOfRange, match=f"{kind} records take no {unused}$"):

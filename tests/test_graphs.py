@@ -72,10 +72,23 @@ class TestStatistics:
                 assert (ramification_index(gr) == 0) == all(m == 1 for m in profile)
 
     def test_invalid_graph_rejected(self):
-        gr = DualGraph((Vertex("a", "L", 0, 2), Vertex("b", "R", 0, 1)),
-                       (Edge("a", "b", 1),))
-        with pytest.raises(InvalidGraph):
-            ramification_index(gr)
+        # each with the message `violations` gives for it
+        for edge, message in ((Edge("a", "b", 1), "vertex a: local degrees sum to 1, not 2"),
+                              (Edge("a", "c", 2), "edge a-c references a missing vertex"),
+                              (Edge("b", "a", 2), "edge b-a does not join L to R")):
+            gr = DualGraph((Vertex("a", "L", 0, 2), Vertex("b", "R", 0, 2)), (edge,))
+            with pytest.raises(InvalidGraph, match=f"^{message}$"):
+                ramification_index(gr)
+            assert message in violations(gr, 2, 0)
+
+    def test_statistics_check_only_the_incidences(self):
+        # bad decorations and a repeated identifier are `violations`, but
+        # the statistics need only edges and local degrees that fit
+        gr = DualGraph((Vertex("a", "L", -1, 1), Vertex("b", "R", 0, 1),
+                        Vertex("b", "R", 0, 1)), (Edge("a", "b", 1),))
+        assert ramification_index(gr) == 0
+        assert violations(gr, 1, -1)[:2] == ["duplicate vertex identifiers",
+                                             "vertex a has invalid decorations"]
 
 
 class TestBoundaryMultiplicity:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc.errors import MissingVariable
 from hurwitzcalc.symkernel import (Poly, RationalFunction, ceil_div,
@@ -102,6 +102,13 @@ class TestPoly:
     def test_commutativity(self, a, b):
         assert a * b == b * a
         assert a + b == b + a
+
+    @settings(max_examples=30)
+    @given(polys(), polys())
+    def test_constructor_sums_repeated_monomials(self, a, b):
+        pairs = [*a.terms.items(), *b.terms.items()]
+        assert Poly(pairs) == Poly(iter(pairs)) == a + b
+        assert Poly([((("g", 1),), 2), ((("g", 1),), -2), ((), 1)]).terms == {(): 1}
 
     def test_substitution(self):
         q = (p("v") + 6 * p("gR") + 3).subs({"v": (p("gR") + 3) / 2})
