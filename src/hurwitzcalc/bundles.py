@@ -128,8 +128,7 @@ def generic_tame(d: int, g: int, m: int) -> SplittingType:
             best.append(t)
     if not best:
         raise NoTameType(f"no tame type of rank {rank}, degree {degree}, floor {m}")
-    if len(best) > 1:
-        raise AssertionError(f"weighted-sum maximizer not unique: {best}")
+    require(len(best) == 1, f"unique weighted-sum maximizer, {best}")
     return SplittingType(best[0])
 
 

@@ -1,12 +1,11 @@
 """Presentations of the small graded rings the divisor calculus lives in.
 
-Each presentation has degree-one generators, power-rewrite rules that put
-monomials into a unique normal form (confluence is checked exhaustively at
-construction), and an integration table on top-degree monomials.  The
-constructors below cover every ring the engine needs, and each returns the
-one presentation its spec names: a spec such as ``projbundle:3:u + v`` is
-built, and its confluence checked, once per process, so ring equality is
-identity.
+Each presentation has degree-one generators, at most one power-rewrite rule
+per generator (which makes normal forms unique), and an integration table
+on top-degree monomials.  The constructors below cover every ring the
+engine needs, and each returns the one presentation its spec names: a spec
+such as ``projbundle:3:u + v`` is built once per process, so ring equality
+is identity.
 
 * the quadric surface P1 x P1 and the Hirzebruch surfaces F_h,
 * projective bundles P(E) over the line with the convention
@@ -35,19 +34,30 @@ ClassLike = Union["ChowClass", PolyLike]
 
 class ChowPresentation:
     """A graded ring presentation with power rewrite rules and an
-    integration map on top-degree normal forms.
+    integration map on top-degree normal forms.  `spec` is its one name.
 
     ``rewrites`` maps a generator index to ``(power, replacement)`` where the
     replacement is a monomial combination of the same total degree; a
     replacement of ``{}`` kills the power entirely (square-zero classes).
+    ``canonical`` holds the canonical class's terms, or None if it has none.
+
+    Normal forms are unique by the rules' shape; nothing is checked at
+    construction.  Keyed by generator, the rules have pairwise coprime
+    leading monomials gen_i^p_i: where rules i and j both apply, each term
+    rule i leaves still has gen_j^p_j, so rewriting those by j gives the sum
+    the other order gives, and every critical pair joins (Buchberger's first
+    criterion).  Newman's lemma then needs termination, which every
+    constructor below has: the one rule that does not kill (tau^2 on F_h,
+    z^rank on P(E)) lowers its own exponent and raises only the square-zero
+    f.  A looping presentation would hit RecursionError at first use.
     """
 
-    def __init__(self, name: str, generators: Iterable[str],
+    def __init__(self, spec: str, generators: Iterable[str],
                  rewrites: Mapping[int, tuple[int, Mapping[Mono, PolyLike]]],
                  top_degree: int | None,
                  integration: Mapping[Mono, PolyLike],
-                 spec: str | None = None):
-        self.name = name
+                 canonical: Mapping[Mono, PolyLike] | None = None):
+        self.spec = spec
         self.generators = tuple(generators)
         self.rewrites = {
             i: (p, {m: Poly.coerce(c) for m, c in repl.items()})
@@ -55,10 +65,8 @@ class ChowPresentation:
         }
         self.top_degree = top_degree
         self.integration = {m: Poly.coerce(c) for m, c in integration.items()}
-        self.spec = spec or name
+        self.canonical = canonical
         self._nf_cache: dict[Mono, dict[Mono, Poly]] = {}
-        if top_degree is not None:
-            self._check_confluence()
 
     # -- normal forms --------------------------------------------------------
 
@@ -94,32 +102,6 @@ class ChowPresentation:
                 return result
         self._nf_cache[mono] = {mono: Poly.const(1)}
         return self._nf_cache[mono]
-
-    def _check_confluence(self) -> None:
-        """Every monomial of degree <= top reduces the same way no matter
-        which applicable rule fires first (local confluence + termination)."""
-        def monos(deg: int):
-            def rec(i: int, remaining: int):
-                if i == len(self.generators) - 1:
-                    yield (remaining,)
-                    return
-                for e in range(remaining + 1):
-                    for rest in rec(i + 1, remaining - e):
-                        yield (e,) + rest
-            yield from rec(0, deg)
-
-        for deg in range(self.top_degree + 1):
-            for mono in monos(deg):
-                reference = None
-                for i, (power, _) in self.rewrites.items():
-                    if mono[i] >= power:
-                        candidate = self._accumulate(
-                            self._rewrite_once(mono, i).items())
-                        if reference is None:
-                            reference = candidate
-                        elif candidate != reference:
-                            raise AssertionError(
-                                f"non-confluent rewrite at {mono} in {self.name}")
 
     # -- class construction --------------------------------------------------
 
@@ -163,7 +145,7 @@ class ChowClass:
 
     def _require_same_ring(self, other: "ChowClass") -> None:
         if self.ring is not other.ring:
-            raise RingMismatch(f"{self.ring.name} vs {other.ring.name}")
+            raise RingMismatch(f"{self.ring.spec} vs {other.ring.spec}")
 
     @staticmethod
     def _coerce(ring: ChowPresentation, x: ClassLike) -> "ChowClass":
@@ -222,7 +204,7 @@ class ChowClass:
         """Exact symbolic integral of a pure top-degree class."""
         top = self.ring.top_degree
         if top is None:
-            raise DegreeMismatch(f"{self.ring.name} has no integration map")
+            raise DegreeMismatch(f"{self.ring.spec} has no integration map")
         if self.is_zero():
             return Poly.const(0)
         if self.degrees() != {top}:
@@ -254,7 +236,7 @@ class ChowClass:
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"ChowClass[{self.ring.name}]({self})"
+        return f"ChowClass[{self.ring.spec}]({self})"
 
     def to_json(self) -> dict:
         return {
@@ -273,11 +255,10 @@ _RINGS: dict[str, ChowPresentation] = {}
 
 
 def _interned(spec: str, **presentation) -> ChowPresentation:
-    """The presentation named by `spec`, built (and its confluence checked)
-    on the first request only."""
+    """The presentation named by `spec`, built on the first request only."""
     ring = _RINGS.get(spec)
     if ring is None:
-        ring = _RINGS[spec] = ChowPresentation(spec=spec, **presentation)
+        ring = _RINGS[spec] = ChowPresentation(spec, **presentation)
     return ring
 
 
@@ -285,11 +266,11 @@ def ring_p1xp1() -> ChowPresentation:
     """P1 x P1 with ruling classes Rs, Rt: Rs^2 = Rt^2 = 0, integral(Rs*Rt) = 1."""
     return _interned(
         "p1xp1",
-        name="p1xp1",
         generators=("Rs", "Rt"),
         rewrites={0: (2, {}), 1: (2, {})},
         top_degree=2,
         integration={(1, 1): 1},
+        canonical={(1, 0): -2, (0, 1): -2},
     )
 
 
@@ -298,11 +279,11 @@ def ring_hirzebruch(h: PolyLike | str = "h") -> ChowPresentation:
     hp = Poly.var(h) if isinstance(h, str) else Poly.coerce(h)
     return _interned(
         f"hirzebruch:{hp}",
-        name="hirzebruch",
         generators=("tau", "f"),
         rewrites={0: (2, {(1, 1): hp}), 1: (2, {})},
         top_degree=2,
         integration={(1, 1): 1},
+        canonical={(1, 0): -2, (0, 1): hp - 2},
     )
 
 
@@ -321,11 +302,11 @@ def ring_proj_bundle_over_p1(rank: int, c1: PolyLike | str = "c1E") -> ChowPrese
     zeta_rule_target = (rank - 1, 1)
     return _interned(
         f"projbundle:{rank}:{c1p}",
-        name=f"projbundle{rank}",
         generators=("z", "f"),
         rewrites={0: (rank, {zeta_rule_target: c1p}), 1: (2, {})},
         top_degree=rank,
         integration={(rank - 1, 1): 1},
+        canonical={(1, 0): -rank, (0, 1): c1p - 2},
     )
 
 
@@ -341,7 +322,6 @@ def ring_grassmann_bundle_g25(deg_f_dual: PolyLike | str = "c1Fdual") -> ChowPre
     dp = Poly.var(deg_f_dual) if isinstance(deg_f_dual, str) else Poly.coerce(deg_f_dual)
     return _interned(
         f"grassmann25:{dp}",
-        name="grassmann25",
         generators=("z", "f"),
         rewrites={1: (2, {})},
         top_degree=7,
@@ -353,7 +333,6 @@ def ring_proj_space(n: int) -> ChowPresentation:
     """P^n with hyperplane class H."""
     return _interned(
         f"projspace:{n}",
-        name=f"projspace{n}",
         generators=("H",),
         rewrites={0: (n + 1, {})},
         top_degree=n,
@@ -369,7 +348,6 @@ def ring_product_with_p1(base: ChowPresentation) -> ChowPresentation:
         raise RingMismatch("product construction expects a projective-space base")
     return _interned(
         f"projspace_x_p1:{n}",
-        name=f"projspace{n}xP1",
         generators=("H", "F"),
         rewrites={0: (n + 1, {}), 1: (2, {})},
         top_degree=n + 1,
@@ -385,7 +363,6 @@ def expansion_ring(square_zero: Iterable[str], free: Iterable[str]) -> ChowPrese
     fr = tuple(free)
     return _interned(
         f"expansion:{','.join(fr)}|{','.join(sq)}",
-        name="expansion",
         generators=fr + sq,
         rewrites={len(fr) + i: (2, {}) for i in range(len(sq))},
         top_degree=None,
@@ -426,22 +403,12 @@ def ring_from_spec(spec: str) -> ChowPresentation:
 # ---------------------------------------------------------------------------
 
 def canonical_class(ring: ChowPresentation) -> ChowClass:
-    """The canonical divisor class of the standard presentations.
-
-    * P1 x P1: -2Rs - 2Rt.
-    * F_h: -2tau + (h-2)f (adjunction fixes this against tau^2 = h).
-    * P(E) over P1, rank r: -r z + (c1(E) - 2) f.
-    """
-    if ring.name == "p1xp1":
-        return ring.cls({(1, 0): -2, (0, 1): -2})
-    if ring.name == "hirzebruch":
-        h = ring.rewrites[0][1][(1, 1)]
-        return ring.cls({(1, 0): -2, (0, 1): h - 2})
-    if ring.name.startswith("projbundle"):
-        rank = ring.top_degree
-        c1 = ring.rewrites[0][1][(rank - 1, 1)]
-        return ring.cls({(1, 0): -rank, (0, 1): c1 - 2})
-    raise RingMismatch(f"no canonical class wired for {ring.name}")
+    """The canonical class its constructor gives a presentation: -2Rs - 2Rt
+    on P1 x P1, -2tau + (h-2)f on F_h (adjunction fixes it against
+    tau^2 = h), and -r z + (c1(E) - 2) f on P(E) over P1 of rank r."""
+    if ring.canonical is None:
+        raise RingMismatch(f"no canonical class wired for {ring.spec}")
+    return ring.cls(ring.canonical)
 
 
 def grassmann_canonical_class(ring: ChowPresentation) -> ChowClass:
@@ -450,7 +417,7 @@ def grassmann_canonical_class(ring: ChowPresentation) -> ChowClass:
 
         K = -(2 c1(S-dual) + 3 c1(Q)) - 2f = -5z + (2 c1(F-dual) - 2) f.
     """
-    if ring.name != "grassmann25":
+    if not ring.spec.startswith("grassmann25:"):
         raise RingMismatch("expected the Grassmannian-bundle presentation")
     c1_f_dual = ring.integration[(7, 0)] / 14
     z = ring.gen("z")
@@ -483,7 +450,7 @@ def grr_degree_on_p1xp1(c1_a: ChowClass, c2_a: PolyLike) -> Poly:
 
         deg = c1 . Rs + c1^2 / 2 - c2.
     """
-    if c1_a.ring.name != "p1xp1":
+    if c1_a.ring is not ring_p1xp1():
         raise RingMismatch("Chern data must live on the P1 x P1 presentation")
     rs = c1_a.ring.gen("Rs")
     first = (c1_a * rs).integrate()
@@ -513,7 +480,7 @@ class Surface:
 
     def dot(self, x: ChowClass, y: ChowClass) -> Poly:
         if x.ring is not self.ring or y.ring is not self.ring:
-            raise RingMismatch(f"classes must live on {self.ring.name}")
+            raise RingMismatch(f"classes must live on {self.ring.spec}")
         product = x * y
         if self.fundamental is not None:
             product = product * self.fundamental
@@ -578,9 +545,11 @@ MAX_EXPONENT = 100
 # expression is a domain error; at this limit a parse takes seconds at most
 MAX_TERM_WORK = 20_000
 
-# the largest bundle rank or space dimension a parsed ring spec may name;
-# building a presentation grows about with the square of it (rank 100 takes
-# milliseconds, rank 1000 over a second), so a larger one is a domain error
+# the largest bundle rank or space dimension a parsed ring spec may name.
+# Building a presentation costs the same at any rank; the bound matches
+# MAX_EXPONENT, so one parsed power reaches the top degree of every ring a
+# spec may name, and a larger rank, far past the rings the engine uses, is a
+# domain error before any presentation is built
 MAX_RANK = 100
 
 
@@ -675,6 +644,8 @@ class _Parser:
             return -self.factor()
         if tok.isdigit():
             return self.atom(int(tok))
+        if not (tok[0].isalpha() or tok[0] == "_"):
+            raise ValueError(f"expected an operand, got {tok!r}")
         return self.atom(tok)
 
 

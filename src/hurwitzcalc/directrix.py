@@ -29,7 +29,7 @@ from math import comb
 from .bundles import SplittingType, balanced_type, k1_pentagonal, m_r_pentagonal
 from .chow import (ChowClass, expansion_ring, grr_degree_on_p1xp1, ring_p1xp1,
                    ring_product_with_p1, ring_proj_space)
-from .errors import InvalidFamily, require
+from .errors import InvalidFamily, OutOfRange, require
 from .symkernel import Poly
 
 
@@ -166,6 +166,8 @@ def maroni_intersection_pentagonal(g_r: int) -> Fraction:
     substitutions are a = k_R and l + 1 = m_R.  When 4 divides 3(g+4) the
     quotients are perfectly balanced and the jump-count route applies.
     """
+    if g_r < 0:
+        raise OutOfRange(f"pencil genus must be >= 0, got {g_r}")
     k_r = k1_pentagonal(g_r)
     m_r = m_r_pentagonal(g_r)
     quotient_type = balanced_type(4, -3 * (g_r + 4))

@@ -117,7 +117,7 @@ def pencil_delta_on_surface(surface: Surface, pencil_class: ChowClass) -> Poly:
     """Number of singular elements of a general pencil in |L| on a smooth
     surface, by the jet-bundle count: 3 L^2 + 2 L.K + c2(Omega)."""
     if pencil_class.ring is not surface.ring:
-        raise RingMismatch(f"pencil class must live on {surface.ring.name}")
+        raise RingMismatch(f"pencil class must live on {surface.ring.spec}")
     if pencil_class.degrees() != {1}:
         raise RingMismatch("pencil class must be a divisor class")
     l_sq = surface.dot(pencil_class, pencil_class)
@@ -610,8 +610,10 @@ def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
     else:
         if "gr" not in params:
             raise OutOfRange(f"{kind} records need the vertex genus gr")
-        if "g" in row.inputs and "g" not in params:
-            raise OutOfRange(f"{kind} records need the total genus g")
+        if "g" in row.inputs:
+            if "g" not in params:
+                raise OutOfRange(f"{kind} records need the total genus g")
+            _nonnegative_genus(params["g"])
         if params["gr"] < row.min_gr:
             raise OutOfRange(f"{kind} records need gr >= {row.min_gr}, got {params['gr']}")
         at = pencil_symbols(params["gr"], params.get("g"))
@@ -647,6 +649,7 @@ def pentagonal_basechange_profile_record(g: int, g_r: int,
     hits = _basechange_hits(profile)
     if g_r < 1:
         raise OutOfRange("base-change families need genus >= 1")
+    _nonnegative_genus(g)
     row = PENCIL_TABLE["pentagonal_basechange"]
     return _evaluate_row("pentagonal_basechange", row, pencil_symbols(g_r, g), hits,
                          extra_notes=(f"reconstructed for profile {profile}",))
@@ -671,13 +674,14 @@ def _basechange_hits(profile: tuple[int, ...]) -> dict[str, Fraction]:
     """Boundary hits of the base-changed degree-five family whose marked
     fiber has the given ramification profile (see
     :func:`pentagonal_basechange_profile_record`); they depend on the
-    profile alone, not on the genera."""
-    check_profile(5, profile)
+    profile alone, not on the genera.  The self hit is the blown-up section
+    self-intersection of :func:`basechange_section_bookkeeping`."""
+    books = basechange_section_bookkeeping(5, 10, profile)
     r = sum(m - 1 for m in profile)
     if r < 1:
         raise InvalidProfile("the profile must carry ramification")
     n = factorial(5)
-    hits = {"delta_self": Fraction(-9 * n),
+    hits = {"delta_self": books["blownSelfInt"],
             "delta_profile": Fraction(n, lcm(*profile))}
     simple = Fraction((10 - r) * n, 2)
     if simple:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
+from math import lcm
 
 from .divisor_classes import admissible_genus, class_x
 from .errors import NotDivisorial, PropagationFailure, UnknownKind, require
@@ -216,12 +216,18 @@ def check_closed_form_d4(g: int) -> bool:
         3(13b/2 - a) C(i+1, 2) + ((13k/2 + 7/2) b - k a) i >= 0
 
     for all i >= 0 with 3i + k <= (g-3)/2 and k in {0, 1, 2}, at the
-    degree-four (a, b) of X.  Verified exactly, term by term."""
+    degree-four (a, b) of X.  Each term is i * L_k(i) with L_k linear in i,
+    so it is read off L_k at i = 1 and at the last i, exactly; a k whose
+    range has no i >= 1 holds only the zero term."""
     a_poly, b_poly = slope_normalization(4)
     a, b = a_poly.eval({"g": g}), b_poly.eval({"g": g})
-    return all(3 * (Fraction(13, 2) * b - a) * comb(i + 1, 2)
-               + ((Fraction(13, 2) * k + Fraction(7, 2)) * b - k * a) * i >= 0
-               for k in (0, 1, 2) for i in range(((g - 3) // 2 - k) // 3 + 1))
+
+    def line(k: int, i: int) -> Fraction:
+        return (3 * (Fraction(13, 2) * b - a) * (i + 1) / 2
+                + (Fraction(13, 2) * k + Fraction(7, 2)) * b - k * a)
+    lasts = {k: ((g - 3) // 2 - k) // 3 for k in (0, 1, 2)}
+    return all(line(k, i) >= 0 for k, last in lasts.items() if last >= 1
+               for i in (1, last))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -213,6 +215,12 @@ def test_canonical_classes():
     pe = ring_proj_bundle_over_p1(3, Poly.var("c"))
     z, fz = pe.gen("z"), pe.gen("f")
     assert canonical_class(pe) == -3 * z + (Poly.var("c") - 2) * fz
+    # a presentation's spec is its only name; the class is data it carries
+    assert not hasattr(pe, "name") and ring_from_spec(pe.spec) is pe
+    for ring in (ring_proj_space(2), ring_grassmann_bundle_g25(),
+                 expansion_ring(("Rs",), ("zeta",))):
+        with pytest.raises(RingMismatch, match=re.escape(ring.spec)):
+            canonical_class(ring)
 
 
 def test_grr_degree_instances():
@@ -234,27 +242,32 @@ def test_surface_euler_numbers():
 
 
 def test_rewriting_is_order_independent():
-    # reduce every doubly-reducible monomial by each applicable rule first
-    # and compare the resulting normal forms (the constructors also run
-    # this check exhaustively at construction time)
-    for ring in (ring_hirzebruch(Poly.var("h")),
-                 ring_proj_bundle_over_p1(4, Poly.var("c")),
-                 ring_p1xp1()):
-        top = ring.top_degree
-        for i in range(top + 1):
-            for j in range(top + 1 - i):
-                mono = (i, j)
-                outcomes = []
-                for gen_index, (power, _) in ring.rewrites.items():
-                    if mono[gen_index] >= power:
-                        once = ring._rewrite_once(mono, gen_index)
-                        collapsed = {}
-                        for m, c in once.items():
-                            for m2, c2 in ring.normal_form(m).items():
-                                collapsed[m2] = collapsed.get(m2, Poly.const(0)) + c * c2
-                        outcomes.append({m: c for m, c in collapsed.items()
-                                         if not c.is_zero()})
-                assert all(o == outcomes[0] for o in outcomes)
+    # nothing is checked at construction: the rules, one per generator, have
+    # pairwise coprime leading powers, so normal forms are unique.  Here every
+    # monomial up to the top degree (6 where there is none) is reduced by each
+    # applicable rule first, and every order must reach its normal form
+    rings = [ring_p1xp1(), ring_hirzebruch(Poly.var("h")), ring_hirzebruch(3),
+             *(ring_proj_bundle_over_p1(rank, Poly.var("c")) for rank in range(2, 6)),
+             ring_grassmann_bundle_g25(), ring_proj_space(4),
+             ring_product_with_p1(ring_proj_space(3)),
+             expansion_ring(square_zero=("Rs", "Rt"), free=("zeta",)),
+             expansion_ring(square_zero=("F",), free=("H", "z"))]
+    for ring in rings:
+        top = ring.top_degree if ring.top_degree is not None else 6
+        for mono in itertools.product(range(top + 1), repeat=len(ring.generators)):
+            if sum(mono) > top:
+                continue
+            outcomes = []
+            for gen_index, (power, _) in ring.rewrites.items():
+                if mono[gen_index] >= power:
+                    once = ring._rewrite_once(mono, gen_index)
+                    collapsed = {}
+                    for m, c in once.items():
+                        for m2, c2 in ring.normal_form(m).items():
+                            collapsed[m2] = collapsed.get(m2, Poly.const(0)) + c * c2
+                    outcomes.append({m: c for m, c in collapsed.items()
+                                     if not c.is_zero()})
+            assert all(o == ring.normal_form(mono) for o in outcomes), (ring, mono)
 
 
 def test_parse_round_trips():
@@ -263,6 +276,14 @@ def test_parse_round_trips():
     assert cls.integrate() == 4 * Poly.var("v")
     assert parse_poly("2*g + 8") == 2 * Poly.var("g") + 8
     assert parse_poly("-3*(gR+4)") == -3 * (Poly.var("gR") + 4)
+
+
+@pytest.mark.parametrize("text", ["x*)", "Rs*+", "/", "2+*3"])
+def test_an_operator_is_not_an_operand(text):
+    with pytest.raises(ValueError, match="expected an operand"):
+        parse_poly(text)
+    with pytest.raises(ValueError):
+        parse_class(ring_p1xp1(), text)
 
 
 def test_class_json_round_trip():

@@ -75,6 +75,12 @@ class TestPencil:
         code, out, err = run_cli(capsys, "pencil", "trigonal_plain", "--gr", "-5")
         assert code == 2 and "domain error" in err and not out
 
+    @pytest.mark.parametrize("kind,gr,g", [("pentagonal_unramified_5pts", "2", "-7"),
+                                           ("pentagonal_basechange", "16", "-36")])
+    def test_negative_total_genus_is_domain_error(self, capsys, kind, gr, g):
+        code, out, err = run_cli(capsys, "pencil", kind, "--gr", gr, "--g", g)
+        assert code == 2 and "domain error" in err and not out
+
     def test_pentagonal_without_total_genus_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "pencil", "pentagonal_unramified_5pts",
                                "--gr", "16")
@@ -168,6 +174,15 @@ class TestChowEval:
                                 env=engine_env, capture_output=True, text=True, timeout=10)
         assert result.returncode == 2 and limit in result.stderr
         assert not result.stdout
+
+    @pytest.mark.parametrize("expr", ["Rs*+", "/", "Rs*)", "Rs/Rt"])
+    def test_malformed_operand_is_domain_error(self, capsys, expr):
+        code, out, err = run_cli(capsys, "chow", "eval", "p1xp1", expr)
+        assert code == 2 and "domain error" in err and not out
+
+    def test_division_by_a_constant_class(self, capsys):
+        code, out, _ = run_cli(capsys, "chow", "eval", "p1xp1", "Rs*Rt/2", "--json")
+        assert code == 0 and json.loads(out)["integral"] == "1/2"
 
     def test_deep_nesting_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "chow", "eval", "p1xp1",

@@ -10,7 +10,7 @@ from hurwitzcalc.directrix import (DirectrixFamily, directrix_pushforward_degree
                                    perfectly_balanced_jump_count,
                                    rotating_directrix_class,
                                    rotating_directrix_closed_form)
-from hurwitzcalc.errors import InvalidFamily
+from hurwitzcalc.errors import InvalidFamily, OutOfRange
 from hurwitzcalc.symkernel import Poly
 
 
@@ -123,6 +123,11 @@ class TestMaroniIntersection:
         for g_r in range(2, 60):
             expected = k1_pentagonal(g_r) + m_r_pentagonal(g_r)
             assert maroni_intersection_pentagonal(g_r) == expected
+
+    def test_negative_genus_is_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            maroni_intersection_pentagonal(-5)
+        assert maroni_intersection_pentagonal(0) == k1_pentagonal(0) + m_r_pentagonal(0)
 
     def test_nonnegative_on_admissible_range(self):
         for g_r in range(2, 80):

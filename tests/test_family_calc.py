@@ -5,11 +5,14 @@ import sys
 
 import pytest
 
+from hurwitzcalc.bundles import k1_pentagonal
 from hurwitzcalc.chow import surface_hirzebruch, surface_p1xp1
 from hurwitzcalc.divisor_classes import chern_from_basis
 from hurwitzcalc.errors import InvalidProfile, OutOfRange, RingMismatch, UnknownKind
 from hurwitzcalc.family_calc import (PENCIL_KINDS, ChernData, PencilRecord,
-                                     basechange_section_bookkeeping,
+                                     _checked_pencil_delta, _hyperelliptic_form,
+                                     _pentagonal_form, _tetragonal_form,
+                                     _trigonal_form, basechange_section_bookkeeping,
                                      c2_omega_tetragonal_ambient_restricted,
                                      c2_omega_tetragonal_surface,
                                      hyperelliptic_pencil_delta,
@@ -102,6 +105,30 @@ class TestPencilDeltas:
         tau, f = surface.ring.gen("tau"), surface.ring.gen("f")
         assert pencil_delta_on_surface(surface, 2 * tau + f) == 8 * h + 4
         assert hyperelliptic_pencil_delta(7) == 60
+
+    def test_cached_forms_equal_the_derivation_on_numeric_rings(self):
+        # each form is derived once with symbolic parameters; the same
+        # derivation on rings built with numbers, which carry their canonical
+        # class as data, must give its values
+        for h in range(12):
+            surface = surface_hirzebruch(h)
+            tau, f = surface.ring.gen("tau"), surface.ring.gen("f")
+            assert _checked_pencil_delta(surface, 2 * tau + f) == \
+                _hyperelliptic_form().eval({"h": h})
+        for u, v in ((1, 2), (3, 3), (4, 7), (9, 5)):
+            surface = surface_tetragonal(u, v)
+            z, f = surface.ring.gen("z"), surface.ring.gen("f")
+            assert _checked_pencil_delta(surface, 2 * z - u * f) == \
+                _tetragonal_form().eval({"u": u, "v": v})
+        quadric = surface_p1xp1()
+        rs, rt = quadric.ring.gen("Rs"), quadric.ring.gen("Rt")
+        for g in range(0, 21, 2):
+            assert _checked_pencil_delta(quadric, (g // 2 + 1) * rs + 3 * rt) == \
+                _trigonal_form().eval({"g": g})
+        for g, k1 in ((2, k1_pentagonal(2)), (16, k1_pentagonal(16)), (7, 3)):
+            numeric = pentagonal_pencil_symbolic(g, k1)
+            assert numeric == {name: Poly.const(form.eval({"g": g, "k1": k1}))
+                               for name, form in _pentagonal_form().items()}
 
     def test_euler_route_agrees_on_all_surfaces(self):
         surfaces = [surface_p1xp1(), surface_hirzebruch(Poly.var("h")),
@@ -289,6 +316,14 @@ class TestPencilRecords:
         with pytest.raises(ValueError):
             PencilRecord("x", {}, Fraction(0), Fraction(0), {},
                          maroni_hit=Fraction(-1), sweeps=True)
+
+    def test_negative_total_genus_is_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            partial_pencil_record("pentagonal_unramified_5pts", gr=2, g=-7)
+        with pytest.raises(OutOfRange):
+            partial_pencil_record("pentagonal_basechange", gr=16, g=-36)
+        with pytest.raises(OutOfRange):
+            pentagonal_basechange_profile_record(-5, 3, (2, 2, 1))
 
     def test_json_round_trip(self):
         rec = partial_pencil_record("pentagonal_basechange", gr=16, g=36)

@@ -9,8 +9,8 @@ import pytest
 
 from hurwitzcalc import family_calc, yeff
 from hurwitzcalc.bundles import k1_pentagonal, m_r_pentagonal
-from hurwitzcalc.errors import (EngineError, InvalidProfile, NotDivisorial,
-                               OutOfRange, PropagationFailure)
+from hurwitzcalc.errors import (DerivationMismatch, EngineError, InvalidProfile,
+                               NotDivisorial, OutOfRange, PropagationFailure)
 from hurwitzcalc.family_calc import (PENCIL_TABLE, hyperelliptic_pencil_delta,
                                      partial_pencil_record,
                                      pentagonal_basechange_profile_record,
@@ -525,6 +525,19 @@ class TestOneDerivationPerShape:
         assert first[1] == 6 and len(checks) == 6 * 3 + 1
         certify(5, 36)
         assert derivations() == first and len(checks) == 6 * 3 + 1
+
+    def test_self_hit_comes_from_the_section_bookkeeping(self, monkeypatch):
+        # the composite's self-intersection check compares the section
+        # bookkeeping with 9 * 5!, so a wrong bookkeeping makes it fire
+        real = family_calc.basechange_section_bookkeeping
+
+        def sabotaged(d, branch_points, profile):
+            books = real(d, branch_points, profile)
+            return {**books, "blownSelfInt": books["blownSelfInt"] - 1}
+        monkeypatch.setattr(family_calc, "basechange_section_bookkeeping", sabotaged)
+        yeff._composite_form.cache_clear()
+        with pytest.raises(DerivationMismatch, match="self-intersection"):
+            symbolic_slack(5, (2, 1, 1, 1))
 
     def test_composite_check_survives_optimize(self, engine_env):
         script = (
