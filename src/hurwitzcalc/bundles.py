@@ -9,16 +9,14 @@ the discrete invariants the divisor theory is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from math import comb
-from typing import Iterator
 
-from .errors import IndexOutOfRange, NoTameType, OutOfRange, require
+from .errors import IndexOutOfRange, NoTameType, OutOfRange, Record, require
 from .symkernel import Poly, PolyLike, ceil_div
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(Record):
     """A bundle on the line as its sorted multiset of twist degrees."""
 
     degrees: tuple[int, ...]
@@ -181,8 +179,7 @@ def syzygy_rank(d: int, i: int) -> int:
     return value // (d - 1)
 
 
-@dataclass(frozen=True)
-class CoverInvariants:
+class CoverInvariants(Record):
     """Numerical invariants of a degree-d genus-g cover of the line."""
 
     d: int

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Union
 
 from .errors import DegreeMismatch, InvalidRank, OutOfRange, RingMismatch
 from .symkernel import Poly, PolyLike
@@ -29,7 +28,7 @@ from .symkernel import Poly, PolyLike
 # Exponent vector over the presentation's generator list.
 Mono = tuple[int, ...]
 
-ClassLike = Union["ChowClass", PolyLike]
+ClassLike = "ChowClass | PolyLike"
 
 
 class ChowPresentation:
@@ -326,6 +325,10 @@ def ring_grassmann_bundle_g25(deg_f_dual: PolyLike | str = "c1Fdual") -> ChowPre
         rewrites={1: (2, {})},
         top_degree=7,
         integration={(6, 1): 5, (7, 0): 14 * dp},
+        # K = -c1(T_rel) - 2f, with the relative tangent bundle Hom(S, Q):
+        # c1(Q) = z and c1(S-dual) = z - c1(F-dual) f, so
+        # c1(T_rel) = 2 c1(S-dual) + 3 c1(Q) = 5z - 2 c1(F-dual) f
+        canonical={(1, 0): -5, (0, 1): 2 * dp - 2},
     )
 
 
@@ -405,27 +408,11 @@ def ring_from_spec(spec: str) -> ChowPresentation:
 def canonical_class(ring: ChowPresentation) -> ChowClass:
     """The canonical class its constructor gives a presentation: -2Rs - 2Rt
     on P1 x P1, -2tau + (h-2)f on F_h (adjunction fixes it against
-    tau^2 = h), and -r z + (c1(E) - 2) f on P(E) over P1 of rank r."""
+    tau^2 = h), -r z + (c1(E) - 2) f on P(E) over P1 of rank r, and
+    -5z + (2 c1(F-dual) - 2) f on the G(2,5)-bundle."""
     if ring.canonical is None:
         raise RingMismatch(f"no canonical class wired for {ring.spec}")
     return ring.cls(ring.canonical)
-
-
-def grassmann_canonical_class(ring: ChowPresentation) -> ChowClass:
-    """Canonical class of the G(2,5)-bundle, derived from the relative
-    tangent bundle Hom(S, Q): c1(Q) = z, c1(S) = -z + c1(F-dual) f, so
-
-        K = -(2 c1(S-dual) + 3 c1(Q)) - 2f = -5z + (2 c1(F-dual) - 2) f.
-    """
-    if not ring.spec.startswith("grassmann25:"):
-        raise RingMismatch("expected the Grassmannian-bundle presentation")
-    c1_f_dual = ring.integration[(7, 0)] / 14
-    z = ring.gen("z")
-    f = ring.gen("f")
-    c1_s_dual = z - f * c1_f_dual
-    c1_q = z
-    c1_relative_tangent = 2 * c1_s_dual + 3 * c1_q
-    return -c1_relative_tangent - 2 * f
 
 
 def grassmann_top_constant_from_twist() -> tuple[Fraction, Fraction]:

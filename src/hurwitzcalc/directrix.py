@@ -21,7 +21,6 @@ k_R + m_R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -29,25 +28,28 @@ from math import comb
 from .bundles import SplittingType, balanced_type, k1_pentagonal, m_r_pentagonal
 from .chow import (ChowClass, expansion_ring, grr_degree_on_p1xp1, ring_p1xp1,
                    ring_product_with_p1, ring_proj_space)
-from .errors import InvalidFamily, OutOfRange, require
+from .errors import InvalidFamily, OutOfRange, Record, require
 from .symkernel import Poly
 
 
-@dataclass(frozen=True)
-class DirectrixFamily:
+class DirectrixFamily(Record):
     """Parameters of the family: ambient rank N, number r of minimal
     summands of the balanced quotient, twist a of the varying sub-line
-    bundle, and lower balanced degree l."""
+    bundle, and lower balanced degree l.  Built once per family, so it
+    spells out its __init__ (see Record)."""
 
     n: int
     r: int
     a: int
     l: int
 
-    def __post_init__(self):
-        if self.n < 3 or not 1 <= self.r <= self.n - 2:
-            raise InvalidFamily(
-                f"need N >= 3 and 1 <= r <= N-2, got N={self.n}, r={self.r}")
+    def __init__(self, n: int, r: int, a: int, l: int):
+        if n < 3 or not 1 <= r <= n - 2:
+            raise InvalidFamily(f"need N >= 3 and 1 <= r <= N-2, got N={n}, r={r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "l", l)
 
 
 @cache

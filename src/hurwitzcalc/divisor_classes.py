@@ -18,19 +18,17 @@ exposes that route as well so the closed formulas can be cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
-from typing import Callable, Mapping
 
 from .bundles import divisorial_conditions
-from .errors import CongruenceViolation, DegenerateDenominator, NotDivisorial, require
+from .errors import CongruenceViolation, DegenerateDenominator, NotDivisorial, Record, require
 from .symkernel import Poly, PolyLike, RationalFunction
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """Coefficients over the basis (lambda, delta, D).  Coefficients are
     rational functions of g."""
 

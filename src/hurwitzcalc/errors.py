@@ -1,8 +1,10 @@
-"""Exception hierarchy for the engine.
+"""Exception hierarchy for the engine, and the base of its value records.
 
 Every domain failure raises a subclass of :class:`EngineError`, so callers
 (including the CLI) can distinguish bad input from genuine bugs.
 """
+
+from operator import attrgetter
 
 
 class EngineError(Exception):
@@ -83,3 +85,63 @@ class PropagationFailure(EngineError):
     def __init__(self, label: str, message: str = ""):
         self.label = label
         super().__init__(message or f"propagation failed at {label}")
+
+
+class Record:
+    """Base of the engine's value classes.  The fields are the keys of the
+    class's own annotations, in order, and a class attribute is a field's
+    default.  `__init__` (positional or keyword, then `__post_init__`),
+    equality, `repr` and, unless the class is declared `frozen=False`,
+    hashing and the refusal to assign are set up at class creation,
+    without generating code as `dataclasses` does.
+
+    The generic `__init__` pairs fields and values in a dict, which costs
+    about twice what a generated one does: a record built per graph or
+    per rule spells out its `__init__` instead, with one
+    `object.__setattr__` per field, and keeps the rest of the base."""
+
+    def __init_subclass__(cls, frozen: bool = True):
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = dict.fromkeys(names)
+        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        cls._key = attrgetter(*names)
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args))
+        if kwargs or len(args) != len(fields):
+            values.update(kwargs)
+            # too many, repeated or unknown fields; then missing ones
+            misuse = len(values) != len(args) + len(kwargs) or not kwargs.keys() <= fields.keys()
+            if len(values) != len(fields):
+                values = self._defaults | values
+            if misuse or len(values) != len(fields):
+                raise TypeError(f"{type(self).__name__} takes the fields "
+                                f"{', '.join(fields)}, each once")
+        # a fresh dict: filling vars(self) in place would make attribute
+        # reads on the record about 3x slower
+        object.__setattr__(self, "__dict__", values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check or normalise the fields; a record without a check inherits this."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
+
+    __delattr__ = __setattr__

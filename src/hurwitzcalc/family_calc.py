@@ -19,16 +19,15 @@ record evaluates its row with the symbolic form of the row's vertex pencil,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
 
 from .bundles import k1_pentagonal, m_r_pentagonal, v_tetragonal
-from .chow import (ChowClass, Surface, canonical_class, grassmann_canonical_class,
+from .chow import (ChowClass, Surface, canonical_class,
                    ring_grassmann_bundle_g25, ring_proj_bundle_over_p1,
                    surface_hirzebruch, surface_p1xp1)
-from .errors import InvalidProfile, OutOfRange, RingMismatch, UnknownKind, require
+from .errors import InvalidProfile, OutOfRange, Record, RingMismatch, UnknownKind, require
 from .symkernel import Poly, PolyLike, RationalFunction
 
 
@@ -36,13 +35,14 @@ from .symkernel import Poly, PolyLike, RationalFunction
 # lambda / kappa / delta / T / D from Chern data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
     """Chern data of the structural bundles of a one-parameter family.
 
     `d` and `g` may be symbols, so the identities among the derived
-    invariants can be certified as polynomial identities.  At d = 3 the
-    bundle of quadrics has rank zero, so ch2F must vanish.
+    invariants can be certified as polynomial identities.  A numeric d is
+    at least 3, since the bundle of quadrics has rank d(d-3)/2, and a
+    numeric g is at least 0.  At d = 3 that bundle has rank zero, so ch2F
+    must vanish.
     """
 
     d: PolyLike
@@ -54,6 +54,10 @@ class ChernData:
     def __post_init__(self):
         for name in ("d", "g", "ch2e", "ch2f", "c1sq"):
             object.__setattr__(self, name, Poly.coerce(getattr(self, name)))
+        if self.d.is_constant() and self.d.constant_value() < 3:
+            raise OutOfRange(f"need a degree d >= 3, got d = {self.d}")
+        if self.g.is_constant() and self.g.constant_value() < 0:
+            raise OutOfRange(f"need a genus g >= 0, got g = {self.g}")
         if self.d == Poly.const(3) and not self.ch2f.is_zero():
             raise OutOfRange("degree-three covers have no bundle of quadrics")
 
@@ -63,8 +67,7 @@ class ChernData:
         return 2 * self.g + 2 * self.d - 2
 
 
-@dataclass(frozen=True)
-class FamilyInvariants:
+class FamilyInvariants(Record):
     """The five divisor-theoretic invariants of a family, plus the
     self-intersection of the ramification divisor."""
 
@@ -147,6 +150,12 @@ def _nonnegative_genus(g_r: int) -> int:
     if g_r < 0:
         raise OutOfRange(f"pencil genus must be >= 0, got {g_r}")
     return g_r
+
+
+def _check_total_genus(g: int, g_r: int) -> None:
+    """A two-vertex graph has total genus at least its vertex genus gR."""
+    if g < g_r:
+        raise OutOfRange(f"the total genus g must be >= the vertex genus gr = {g_r}, got {g}")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +297,7 @@ def pentagonal_pencil_symbolic(g: PolyLike = "g", k1: PolyLike = "k1") -> dict[s
 
     # canonical class of the surface: the five cutting divisors plus K of
     # the bundle; the z-terms cancel and only a fiber multiple survives
-    k_bundle = grassmann_canonical_class(ring)
+    k_bundle = canonical_class(ring)
     cutting = ring.zero()
     for k in ks[1:]:
         cutting = cutting + (z + f * k)
@@ -385,8 +394,7 @@ def basechange_section_bookkeeping(d: int, branch_points: int,
 # Pencil records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PencilRecord:
+class PencilRecord(Record):
     """The numeric shadow of a (partial) pencil family: its lambda and
     delta, its intersection numbers with the boundary divisors it touches
     (by role), and its intersection with the divisor class X.
@@ -405,10 +413,12 @@ class PencilRecord:
     maroni_hit: Fraction | str = ">=0"
     ce_hit: Fraction | str = ">=0"
     sweeps: bool = True
-    extras: dict[str, Fraction] = field(default_factory=dict)
+    extras: dict[str, Fraction] | None = None
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.extras is None:
+            object.__setattr__(self, "extras", {})
         if self.sweeps:
             for tag in (self.maroni_hit, self.ce_hit):
                 if not isinstance(tag, str) and tag < 0:
@@ -523,8 +533,7 @@ def pencil_symbols(g_r: int, g: int | None = None) -> dict[str, int | None]:
             "mR": m_r_pentagonal(g_r)}
 
 
-@dataclass(frozen=True)
-class PencilRow:
+class PencilRow(Record):
     """One (partial) pencil family: the plain pencil of a vertex type less
     `sections` gluing sections in delta, and its boundary hits by role.
     `shape` is the rule shape it grounds: a two-vertex node profile or a
@@ -610,12 +619,12 @@ def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
     else:
         if "gr" not in params:
             raise OutOfRange(f"{kind} records need the vertex genus gr")
+        if params["gr"] < row.min_gr:
+            raise OutOfRange(f"{kind} records need gr >= {row.min_gr}, got {params['gr']}")
         if "g" in row.inputs:
             if "g" not in params:
                 raise OutOfRange(f"{kind} records need the total genus g")
-            _nonnegative_genus(params["g"])
-        if params["gr"] < row.min_gr:
-            raise OutOfRange(f"{kind} records need gr >= {row.min_gr}, got {params['gr']}")
+            _check_total_genus(params["g"], params["gr"])
         at = pencil_symbols(params["gr"], params.get("g"))
     unused = [name for name in params if name not in row.inputs]
     if unused:
@@ -649,7 +658,7 @@ def pentagonal_basechange_profile_record(g: int, g_r: int,
     hits = _basechange_hits(profile)
     if g_r < 1:
         raise OutOfRange("base-change families need genus >= 1")
-    _nonnegative_genus(g)
+    _check_total_genus(g, g_r)
     row = PENCIL_TABLE["pentagonal_basechange"]
     return _evaluate_row("pentagonal_basechange", row, pencil_symbols(g_r, g), hits,
                          extra_notes=(f"reconstructed for profile {profile}",))

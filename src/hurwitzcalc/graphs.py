@@ -14,33 +14,47 @@ derived from the degree-sum rule, never taken on faith.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .errors import InvalidGraph, OutOfRange
+from .errors import InvalidGraph, OutOfRange, Record
 
 
-@dataclass(frozen=True)
-class Vertex:
+# A certificate builds thousands of vertices, edges and graphs, so these
+# three spell out their __init__ (see Record).
+
+class Vertex(Record):
     ident: str
     side: str           # "L" or "R"
     genus: int
     degree: int
 
+    def __init__(self, ident: str, side: str, genus: int, degree: int):
+        object.__setattr__(self, "ident", ident)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "degree", degree)
 
-@dataclass(frozen=True)
-class Edge:
+
+class Edge(Record):
     left: str
     right: str
     local_degree: int
 
+    def __init__(self, left: str, right: str, local_degree: int):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "local_degree", local_degree)
 
-@dataclass(frozen=True)
-class DualGraph:
+
+class DualGraph(Record):
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
+
+    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     def vertex(self, ident: str) -> Vertex:
         for v in self.vertices:

@@ -16,14 +16,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Union
 
 from .errors import MissingVariable
 
 Rational = Fraction
 
-Scalar = Union[int, Fraction]
-PolyLike = Union[int, Fraction, "Poly"]
+Scalar = "int | Fraction"
+PolyLike = "int | Fraction | Poly"
 
 # A monomial is a tuple of (variable, exponent) pairs, sorted by variable
 # name, with all exponents > 0.  The empty tuple is the constant monomial.
@@ -330,7 +329,7 @@ class RationalFunction:
         object.__setattr__(self, "den", den)
 
     @staticmethod
-    def coerce(x: Union["RationalFunction", PolyLike]) -> "RationalFunction":
+    def coerce(x: RationalFunction | PolyLike) -> "RationalFunction":
         if isinstance(x, RationalFunction):
             return x
         return RationalFunction(Poly.coerce(x))

@@ -33,13 +33,12 @@ and it is an equality when the row's family does not sweep its divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import lcm
 
 from .divisor_classes import admissible_genus, class_x
-from .errors import NotDivisorial, PropagationFailure, UnknownKind, require
+from .errors import NotDivisorial, PropagationFailure, Record, UnknownKind, require
 from .family_calc import (PENCIL_TABLE, _basechange_hits, _nonnegative_genus,
                           check_profile, pencil_symbols, vertex_pencil_form)
 from .graphs import (canonical_label, graph_four_vertex_d3,
@@ -52,16 +51,27 @@ IRREDUCIBLE_NODE = "irreducible-node divisor (coefficient 0)"
 DISCONNECTED = "disconnected residual (multi-vertex, covered by margin)"
 
 
-@dataclass(frozen=True)
-class InequalityRule:
-    """One propagation step: c(source) >= sum of coeff * c(target) + slack."""
+class InequalityRule(Record):
+    """One propagation step: c(source) >= sum of coeff * c(target) + slack.
+    Built once per boundary graph, so it spells out its __init__ (see
+    Record), as does GraphResult."""
 
     source: str
     targets: tuple[tuple[str, Fraction], ...]
     slack: Fraction
     provenance: str
-    reconstructed: bool = False
-    equality: bool = False
+    reconstructed: bool
+    equality: bool
+
+    def __init__(self, source: str, targets: tuple[tuple[str, Fraction], ...],
+                 slack: Fraction, provenance: str, reconstructed: bool = False,
+                 equality: bool = False):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "slack", slack)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "reconstructed", reconstructed)
+        object.__setattr__(self, "equality", equality)
 
     def to_json(self) -> dict:
         return {"source": self.source,
@@ -72,22 +82,25 @@ class InequalityRule:
                 "equality": self.equality}
 
 
-@dataclass
-class GraphResult:
+class GraphResult(Record, frozen=False):
     label: str
     lower_bound: Fraction
     chain: list[dict]
 
+    def __init__(self, label: str, lower_bound: Fraction, chain: list[dict]):
+        self.label = label
+        self.lower_bound = lower_bound
+        self.chain = chain
 
-@dataclass
-class Certificate:
+
+class Certificate(Record, frozen=False):
     d: int
     g: int
     a: Fraction
     b: Fraction
     per_graph: dict[str, GraphResult]
     status: str
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
 
     @property
     def certified(self) -> bool:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc.chow import (ChowClass, canonical_class, expansion_ring,
-                              grassmann_canonical_class,
                               grassmann_top_constant_from_twist,
                               grr_degree_on_p1xp1, parse_class, parse_poly,
                               ring_from_spec, ring_grassmann_bundle_g25,
@@ -148,7 +147,7 @@ def test_grassmann_twist_invariance_and_constant():
 def test_grassmann_canonical_class():
     dual_degree = Poly.var("c1Fdual")
     ring = ring_grassmann_bundle_g25(dual_degree)
-    k = grassmann_canonical_class(ring)
+    k = canonical_class(ring)
     z, f = ring.gen("z"), ring.gen("f")
     assert k == -5 * z + (2 * dual_degree - 2) * f
 
@@ -217,8 +216,7 @@ def test_canonical_classes():
     assert canonical_class(pe) == -3 * z + (Poly.var("c") - 2) * fz
     # a presentation's spec is its only name; the class is data it carries
     assert not hasattr(pe, "name") and ring_from_spec(pe.spec) is pe
-    for ring in (ring_proj_space(2), ring_grassmann_bundle_g25(),
-                 expansion_ring(("Rs",), ("zeta",))):
+    for ring in (ring_proj_space(2), expansion_ring(("Rs",), ("zeta",))):
         with pytest.raises(RingMismatch, match=re.escape(ring.spec)):
             canonical_class(ring)
 

@@ -81,6 +81,12 @@ class TestPencil:
         code, out, err = run_cli(capsys, "pencil", kind, "--gr", gr, "--g", g)
         assert code == 2 and "domain error" in err and not out
 
+    @pytest.mark.parametrize("kind,gr,g", [("pentagonal_unramified_5pts", "30", "2"),
+                                           ("pentagonal_basechange", "16", "0")])
+    def test_total_genus_below_vertex_genus_is_domain_error(self, capsys, kind, gr, g):
+        code, out, err = run_cli(capsys, "pencil", kind, "--gr", gr, "--g", g)
+        assert code == 2 and "vertex genus gr" in err and not out
+
     def test_pentagonal_without_total_genus_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "pencil", "pentagonal_unramified_5pts",
                                "--gr", "16")
@@ -134,6 +140,16 @@ class TestPencil:
             code, out, _ = run_cli(capsys, "pencil", kind, "--gr", str(gr), "--json")
             assert code == 0
             assert json.loads(out) == partial_pencil_record(kind, gr=gr).to_json()
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("d,g,reason", [("2", "3", "degree d >= 3"),
+                                            ("0", "5", "degree d >= 3"),
+                                            ("3", "-5", "genus g >= 0")])
+    def test_impossible_cover_is_domain_error(self, capsys, d, g, reason):
+        code, out, err = run_cli(capsys, "invariants", "--d", d, "--g", g,
+                                 "--ch2e", "1", "--ch2f", "0", "--c1sq", "3")
+        assert code == 2 and reason in err and not out
 
 
 class TestChowEval:

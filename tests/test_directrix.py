@@ -1,10 +1,14 @@
 import subprocess
 import sys
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc import directrix
-from hurwitzcalc.bundles import k1_pentagonal, m_r_pentagonal
+from hurwitzcalc.bundles import SplittingType, k1_pentagonal, m_r_pentagonal
+from hurwitzcalc.chow import (expansion_ring, grr_degree_on_p1xp1, ring_p1xp1,
+                              ring_product_with_p1, ring_proj_space)
 from hurwitzcalc.directrix import (DirectrixFamily, directrix_pushforward_degree,
                                    maroni_intersection_pentagonal,
                                    perfectly_balanced_jump_count,
@@ -54,6 +58,40 @@ def test_exhaustive_small_window():
                     fam = DirectrixFamily(n, r, a, l)
                     assert rotating_directrix_class(fam) == \
                         rotating_directrix_closed_form(fam)
+
+
+_SHAPE = st.integers(3, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 2)))
+_TWIST = st.integers(-40, 40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SHAPE, _TWIST, _TWIST)
+def test_class_form_commutes_with_evaluation(shape, a, l):
+    # the class derived once with a and l symbolic, at (a, l), equals the
+    # steps of its derivation re-run with the numbers a and l
+    n, r = shape
+    quadric = ring_p1xp1()
+    rs, rt = quadric.gen("Rs"), quadric.gen("Rt")
+    c1_w = (Poly.var("degV") + a) * rs + rt
+    c2_w = ((a * rs + rt) * c1_w).integrate()
+    c1_l = -(l + 1) * rs
+    c1_tw = c1_w + (n - 1) * c1_l
+    c2_tw = (c2_w + (n - 2) * (c1_w * c1_l).integrate()
+             + comb(n - 1, 2) * (c1_l * c1_l).integrate())
+    degree = grr_degree_on_p1xp1(c1_tw, c2_tw)
+    assert degree == directrix_pushforward_degree(DirectrixFamily(n, r, a, l))
+
+    generic = (l,) * r + (l + 1,) * (n - 1 - r)
+    kernel_rank = SplittingType(tuple(x - (l + 1) for x in generic)).h0()
+    ring = expansion_ring(square_zero=("Rs", "Rt"), free=("zeta",))
+    zeta, rs, rt = ring.gen("zeta"), ring.gen("Rs"), ring.gen("Rt")
+    eta = zeta - (l + 1) * rs
+    directrix_in_quotient = eta ** kernel_rank - degree * rt * eta ** (kernel_rank - 1)
+    swept = directrix_in_quotient * (zeta + a * rs + rt) * rs
+    product = ring_product_with_p1(ring_proj_space(n - 1))
+    numeric = product.cls({(zexp, rt_exp): coeff
+                           for (zexp, _, rt_exp), coeff in swept.terms.items()})
+    assert numeric == rotating_directrix_class(DirectrixFamily(n, r, a, l))
 
 
 class TestOneDerivationPerShape:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc.divisor_classes import (admissible_genus,
                                          bogomolov, bogomolov_from_ch2,
@@ -119,6 +120,25 @@ class TestClassX:
     def test_rejects_other_degrees(self):
         with pytest.raises(NotDivisorial):
             class_x(6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(3, 4, 2), (4, 3, 6), (5, 16, 20)]), st.integers(0, 500))
+    def test_class_x_commutes_with_evaluation(self, progression, k):
+        # X derived once with g symbolic, at an admissible g, equals the
+        # combination of M and CE taken after evaluating at g, with D = 0
+        d, first, step = progression
+        g = first + step * k
+        assert admissible_genus(d, g)
+        data = class_x(d)
+        weight_m, weight_ce = data["weightM"].eval({"g": g}), data["weightCE"].eval({"g": g})
+        m = maroni_class(d).eval_at(g)
+        ce = ce_class(d).eval_at(g) if d > 3 else {"lambda": 0, "delta": 0, "D": 0}
+        x = data["X"].eval_at(g)
+        assert x["D"] == 0
+        for name in ("lambda", "delta"):
+            assert x[name] == weight_m * m[name] + weight_ce * ce[name]
+        if d > 3:
+            assert weight_m * m["D"] + weight_ce * ce["D"] == 0
 
 
 class TestSlopeBound:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc.bundles import k1_pentagonal
 from hurwitzcalc.chow import surface_hirzebruch, surface_p1xp1
@@ -58,6 +59,14 @@ class TestFamilyInvariants:
     def test_degree_three_rejects_nonzero_ch2f(self):
         with pytest.raises(OutOfRange):
             ChernData(3, 5, 1, 1, 1)
+
+    def test_impossible_covers_are_out_of_range(self):
+        # the bundle of quadrics would have rank d(d-3)/2 < 0 at d = 2
+        for d, g in ((2, 3), (0, 5), (-4, 6), (3, -5), (5, -1)):
+            with pytest.raises(OutOfRange):
+                ChernData(d, g, 1, 0, 3)
+        ChernData(3, 0, 1, 0, 3)
+        ChernData(Poly.var("d"), Poly.var("g") - 10, 1, 1, 3)
 
     def test_ramification_self_intersection(self):
         d, g, e2, f2, s, inv = _symbolic_invariants()
@@ -129,6 +138,28 @@ class TestPencilDeltas:
             numeric = pentagonal_pencil_symbolic(g, k1)
             assert numeric == {name: Poly.const(form.eval({"g": g, "k1": k1}))
                                for name, form in _pentagonal_form().items()}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 400), st.integers(0, 80), st.integers(0, 80),
+           st.integers(0, 200), st.integers(-20, 200))
+    def test_cached_forms_commute_with_evaluation(self, h, u, v, half_g, k1):
+        # the same contract as above, at random points
+        surface = surface_hirzebruch(h)
+        tau, f = surface.ring.gen("tau"), surface.ring.gen("f")
+        assert _checked_pencil_delta(surface, 2 * tau + f) == \
+            _hyperelliptic_form().eval({"h": h})
+        surface = surface_tetragonal(u, v)
+        z, f = surface.ring.gen("z"), surface.ring.gen("f")
+        assert _checked_pencil_delta(surface, 2 * z - u * f) == \
+            _tetragonal_form().eval({"u": u, "v": v})
+        quadric = surface_p1xp1()
+        rs, rt = quadric.ring.gen("Rs"), quadric.ring.gen("Rt")
+        assert _checked_pencil_delta(quadric, (half_g + 1) * rs + 3 * rt) == \
+            _trigonal_form().eval({"g": 2 * half_g})
+        g = 2 * half_g + h % 2
+        assert pentagonal_pencil_symbolic(g, k1) == \
+            {name: Poly.const(form.eval({"g": g, "k1": k1}))
+             for name, form in _pentagonal_form().items()}
 
     def test_euler_route_agrees_on_all_surfaces(self):
         surfaces = [surface_p1xp1(), surface_hirzebruch(Poly.var("h")),
@@ -324,6 +355,16 @@ class TestPencilRecords:
             partial_pencil_record("pentagonal_basechange", gr=16, g=-36)
         with pytest.raises(OutOfRange):
             pentagonal_basechange_profile_record(-5, 3, (2, 2, 1))
+
+    def test_total_genus_below_vertex_genus_is_out_of_range(self):
+        # a two-vertex graph has g >= gR
+        with pytest.raises(OutOfRange, match="vertex genus gr = 30, got 2"):
+            partial_pencil_record("pentagonal_unramified_5pts", gr=30, g=2)
+        with pytest.raises(OutOfRange, match="vertex genus gr = 16, got 0"):
+            partial_pencil_record("pentagonal_basechange", gr=16, g=0)
+        with pytest.raises(OutOfRange, match="vertex genus gr = 3, got 2"):
+            pentagonal_basechange_profile_record(2, 3, (2, 2, 1))
+        assert partial_pencil_record("pentagonal_basechange", gr=16, g=16).params["g"] == 16
 
     def test_json_round_trip(self):
         rec = partial_pencil_record("pentagonal_basechange", gr=16, g=36)

@@ -1,5 +1,6 @@
-"""Repository guards: the demos run, the engine holds no `assert`, and a
-cold start imports only what its subcommand uses."""
+"""Repository guards: the demos run, the engine holds no `assert` and
+imports neither `dataclasses` nor `typing`, and a cold start imports only
+what its subcommand uses."""
 
 import ast
 import json
@@ -36,6 +37,17 @@ def test_no_assert_in_the_engine(module):
     assert not lines, f"assert at {module.name} lines {lines}"
 
 
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_dataclasses_or_typing_in_the_engine(module):
+    # both cost a cold start their import; records derive from errors.Record
+    tree = ast.parse(module.read_text(), filename=str(module))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not {name.split(".")[0] for name in imported} & {"dataclasses", "typing"}
+
+
 # the package's names: its exports plus the engine submodules it binds
 PACKAGE_NAMES = [
     "Certificate", "ChernData", "ChowClass", "ChowPresentation", "CoverInvariants",
@@ -56,20 +68,26 @@ PACKAGE_NAMES = [
     "syzygy_rank", "validate", "yeff"]
 
 # run a CLI call (or none) in a fresh interpreter, then print on a last
-# line the engine modules it loaded
+# line every module it has loaded
 LOADED = (
     "import json, sys\n"
     "import hurwitzcalc.cli\n"
     "code = hurwitzcalc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    "print(json.dumps([m.split('.')[1] for m in sys.modules if m.startswith('hurwitzcalc.')]))\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
     "raise SystemExit(code)\n")
 
 
-def loaded_modules(engine_env, *argv):
+def modules_after(engine_env, *argv):
     result = subprocess.run([sys.executable, "-c", LOADED, *argv], env=engine_env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def loaded_modules(engine_env, *argv):
+    """The engine modules a CLI call loads."""
+    return {name.split(".")[1] for name in modules_after(engine_env, *argv)
+            if name.startswith("hurwitzcalc.")}
 
 
 def test_cli_import_loads_no_engine_module(engine_env):
@@ -89,6 +107,28 @@ def test_graphs_enum_loads_no_chow(engine_env):
 def test_slope_loads_no_pencil_or_certificate_module(engine_env):
     loaded = loaded_modules(engine_env, "slope", "3", "4")
     assert "divisor_classes" in loaded and not loaded & {"family_calc", "yeff"}
+
+
+@pytest.fixture(scope="module")
+def preloaded(engine_env):
+    """The modules a bare interpreter loads (through `site`, for instance)
+    before any engine code runs."""
+    script = "import json, sys; print(json.dumps(list(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", script], env=engine_env,
+                            capture_output=True, text=True, timeout=60)
+    return set(json.loads(result.stdout))
+
+
+@pytest.mark.parametrize("argv", [
+    ("yeff", "certify", "--d", "3", "--g", "12", "--json"),
+    ("selftest",),
+    ("pencil", "pentagonal_basechange", "--gr", "16", "--g", "36"),
+    ("invariants", "--d", "4", "--g", "9", "--ch2e", "1", "--ch2f", "1", "--c1sq", "1"),
+    ("slope", "3", "4"),
+    ("graphs", "enum", "--d", "3", "--g", "4"),
+], ids=lambda argv: argv[0])
+def test_cli_calls_load_no_dataclasses_or_inspect(engine_env, preloaded, argv):
+    assert not modules_after(engine_env, *argv) & ({"dataclasses", "inspect"} - preloaded)
 
 
 def test_package_names_resolve(engine_env):

@@ -1,0 +1,159 @@
+"""The contract of `errors.Record`, the base of the engine's value classes:
+construction, equality and hashing, immutability, `repr`, and the
+validation hooks."""
+
+import inspect
+from fractions import Fraction
+
+import pytest
+
+from hurwitzcalc import bundles, directrix, divisor_classes, family_calc, graphs, yeff
+from hurwitzcalc.bundles import CoverInvariants, SplittingType
+from hurwitzcalc.directrix import DirectrixFamily
+from hurwitzcalc.errors import InvalidFamily, OutOfRange, Record
+from hurwitzcalc.family_calc import ChernData, PencilRecord
+from hurwitzcalc.graphs import DualGraph, Edge, Vertex
+from hurwitzcalc.symkernel import RationalFunction
+from hurwitzcalc.yeff import Certificate, GraphResult, InequalityRule
+
+RECORDS = {
+    bundles: ("SplittingType", "CoverInvariants"),
+    directrix: ("DirectrixFamily",),
+    divisor_classes: ("DivisorClass",),
+    family_calc: ("ChernData", "FamilyInvariants", "PencilRecord", "PencilRow"),
+    graphs: ("Vertex", "Edge", "DualGraph"),
+    yeff: ("InequalityRule", "GraphResult", "Certificate"),
+}
+
+
+def _pencil_record(**fields):
+    return PencilRecord("x", {"gr": 2}, Fraction(0), Fraction(3),
+                        {"delta_self": Fraction(-1)}, **fields)
+
+
+def test_the_fourteen_value_classes_are_records():
+    classes = [getattr(module, name) for module, names in RECORDS.items() for name in names]
+    assert len(classes) == 14
+    assert all(issubclass(cls, Record) for cls in classes)
+
+
+@pytest.mark.parametrize("first,second", [
+    (DirectrixFamily(6, 3, 1, 2), DirectrixFamily(l=2, a=1, r=3, n=6)),
+    (SplittingType((3, 1, 2)), SplittingType((1, 2, 3))),
+    (InequalityRule("s", (), Fraction(1, 2), "p"),
+     InequalityRule("s", (), Fraction(1, 2), "p", equality=False, reconstructed=False)),
+    (DualGraph((Vertex("a", "L", 1, 3), Vertex("b", "R", 0, 3)), (Edge("a", "b", 3),)),
+     DualGraph((Vertex("a", "L", 1, 3), Vertex("b", "R", 0, 3)), (Edge("a", "b", 3),))),
+], ids=["positional-keyword", "normalised", "defaults", "nested"])
+def test_equal_records_are_equal_and_hash_equal(first, second):
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+
+
+def test_records_differ_by_field_and_by_class():
+    assert DirectrixFamily(6, 3, 1, 2) != DirectrixFamily(6, 3, 1, 3)
+    assert DirectrixFamily(6, 3, 1, 2) != (6, 3, 1, 2)
+    assert Vertex("a", "L", 1, 3) != Edge("a", "L", 1)
+
+
+def test_frozen_records_refuse_assignment_and_deletion():
+    fam = DirectrixFamily(6, 3, 1, 2)
+    with pytest.raises(AttributeError, match="'n'"):
+        fam.n = 7
+    with pytest.raises(AttributeError, match="'n'"):
+        del fam.n
+    with pytest.raises(AttributeError):
+        fam.extra = 1
+    assert fam.n == 6 and not hasattr(fam, "extra")
+
+
+def test_mutable_records_assign_and_do_not_hash():
+    result = GraphResult("label", Fraction(1), [])
+    result.lower_bound = Fraction(2)
+    assert result == GraphResult("label", Fraction(2), [])
+    cert = Certificate(3, 4, Fraction(30), Fraction(4), {"label": result}, "certified", [])
+    cert.status = "failed"
+    assert not cert.certified
+    for value in (result, cert, _pencil_record()):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_repr_is_the_dataclass_form():
+    assert repr(DirectrixFamily(6, 3, 1, 2)) == "DirectrixFamily(n=6, r=3, a=1, l=2)"
+    assert repr(SplittingType((2, 1))) == "SplittingType(degrees=(1, 2))"
+    assert repr(InequalityRule("s", (("t", Fraction(1)),), Fraction(1, 2), "p")) == (
+        "InequalityRule(source='s', targets=(('t', Fraction(1, 1)),), "
+        "slack=Fraction(1, 2), provenance='p', reconstructed=False, equality=False)")
+    assert repr(DualGraph((Vertex("a", "L", 0, 1),), (Edge("a", "b", 1),))) == (
+        "DualGraph(vertices=(Vertex(ident='a', side='L', genus=0, degree=1),), "
+        "edges=(Edge(left='a', right='b', local_degree=1),))")
+    assert repr(_pencil_record()) == (
+        "PencilRecord(kind='x', params={'gr': 2}, lam=Fraction(0, 1), "
+        "delta=Fraction(3, 1), boundary_hits={'delta_self': Fraction(-1, 1)}, "
+        "x_hit='>=0', maroni_hit='>=0', ce_hit='>=0', sweeps=True, extras={}, notes=())")
+    assert repr(GraphResult("label", Fraction(1), [])) == \
+        "GraphResult(label='label', lower_bound=Fraction(1, 1), chain=[])"
+
+
+def test_construction_by_position_keyword_and_default():
+    rule = InequalityRule("s", (), Fraction(1), "p", equality=True)
+    assert (rule.source, rule.slack, rule.reconstructed, rule.equality) == \
+        ("s", Fraction(1), False, True)
+    assert InequalityRule(provenance="p", slack=1, targets=(), source="s") == \
+        InequalityRule("s", (), 1, "p", False, False)
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    ((3,), {}),                         # missing
+    ((3, 4, 5), {}),                    # one too many
+    ((3, 4), {"m": 0}),                 # unknown
+    ((3,), {"m": 4}),                   # unknown in place of a missing one
+    ((3, 4), {"d": 3}),                 # given twice
+    ((), {}),
+], ids=["missing", "too-many", "unknown", "unknown-for-missing", "twice", "none"])
+def test_wrong_fields_are_a_type_error(args, kwargs):
+    with pytest.raises(TypeError, match="CoverInvariants takes the fields d, g, each once"):
+        CoverInvariants(*args, **kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DirectrixFamily(6, 3, 1),
+    lambda: DirectrixFamily(6, 3, 1, 2, 5),
+    lambda: DirectrixFamily(6, 3, 1, 2, m=0),
+    lambda: DirectrixFamily(6, 3, 1, 2, n=6),
+    lambda: Vertex("a", "L", 1),
+    lambda: InequalityRule("s", (), 1, "p", bogus=True),
+], ids=["missing", "too-many", "unknown", "twice", "vertex", "rule"])
+def test_spelled_out_inits_refuse_wrong_fields(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_spelled_out_inits_take_the_fields_in_order():
+    spelled_out = [cls for module, names in RECORDS.items() for cls in
+                   (getattr(module, name) for name in names) if "__init__" in vars(cls)]
+    assert len(spelled_out) == 6
+    for cls in spelled_out:
+        assert list(inspect.signature(cls).parameters) == list(cls._fields), cls
+
+
+def test_records_share_no_mutable_default():
+    first, second = _pencil_record(), _pencil_record()
+    assert first.extras == {} and first.extras is not second.extras
+    first.extras["sectionSelfInt"] = Fraction(-120)
+    assert second.extras == {} and _pencil_record().extras == {}
+
+
+def test_each_validation_hook_fires():
+    with pytest.raises(ValueError, match="rank >= 1"):
+        SplittingType(())
+    with pytest.raises(InvalidFamily):
+        DirectrixFamily(2, 1, 0, 0)
+    with pytest.raises(ValueError, match="nonnegatively"):
+        _pencil_record(maroni_hit=Fraction(-1))
+    with pytest.raises(OutOfRange, match="no bundle of quadrics"):
+        ChernData(3, 5, 1, 1, 1)
+    # the normalising hooks rewrite their fields
+    assert isinstance(divisor_classes.DivisorClass(1, 2, 3).d_coef, RationalFunction)
+    assert SplittingType([2, 0, 1]).degrees == (0, 1, 2)
