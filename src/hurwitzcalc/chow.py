@@ -309,22 +309,26 @@ def ring_proj_bundle_over_p1(rank: int, c1: PolyLike | str = "c1E") -> ChowPrese
     )
 
 
+G14_PLUCKER_DEGREE = 5      # integral(z^6 f) on the G(2,5)-bundle: deg G(1,4) in Plucker space
+
+
 def ring_grassmann_bundle_g25(deg_f_dual: PolyLike | str = "c1Fdual") -> ChowPresentation:
     """The relative Grassmannian of lines in the fibers of a rank-five
     bundle on the line; seven-dimensional total space.
 
     Only the two integration facts the engine needs are stored:
-    integral(z^6 * f) = 5 (the degree of G(1,4) in Plucker space) and
-    integral(z^7) = 14 * deg_f_dual.  The constant 14 is rederived from the
-    first fact by :func:`grassmann_top_constant_from_twist`.
+    integral(z^6 * f) = G14_PLUCKER_DEGREE = 5 and integral(z^7) =
+    14 * deg_f_dual, the 14 derived from the first by
+    :func:`grassmann_top_constant_from_twist`.
     """
     dp = Poly.var(deg_f_dual) if isinstance(deg_f_dual, str) else Poly.coerce(deg_f_dual)
+    a, b = grassmann_top_constant_from_twist()
     return _interned(
         f"grassmann25:{dp}",
         generators=("z", "f"),
         rewrites={1: (2, {})},
         top_degree=7,
-        integration={(6, 1): 5, (7, 0): 14 * dp},
+        integration={(6, 1): G14_PLUCKER_DEGREE, (7, 0): a * dp + b},
         # K = -c1(T_rel) - 2f, with the relative tangent bundle Hom(S, Q):
         # c1(Q) = z and c1(S-dual) = z - c1(F-dual) f, so
         # c1(T_rel) = 2 c1(S-dual) + 3 c1(Q) = 5z - 2 c1(F-dual) f
@@ -424,8 +428,7 @@ def grassmann_top_constant_from_twist() -> tuple[Fraction, Fraction]:
     product bundle (c1(F-dual) = 0) the class z is pulled back from a
     six-dimensional Grassmannian, so z^7 = 0 and the constant term vanishes.
     """
-    zeta_six_f = Fraction(5)
-    slope_in_l = 7 * 2 * zeta_six_f   # from expanding (z + 2l f)^7 with f^2 = 0
+    slope_in_l = 7 * 2 * Fraction(G14_PLUCKER_DEGREE)   # (z + 2l f)^7 with f^2 = 0
     a = slope_in_l / 5                # twist moves c1(F-dual) by 5l
     b = Fraction(0)                   # grounded on the product instance
     return a, b

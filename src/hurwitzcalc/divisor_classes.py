@@ -249,7 +249,7 @@ def slope_bound(d: int, g: int) -> Fraction:
     if not admissible_genus(d, g):
         raise CongruenceViolation(f"g = {g} is not admissible for d = {d}")
     conditions = divisorial_conditions(d, g)
-    if not conditions["maroni"] or (d > 3 and not conditions["ce"]):
-        raise CongruenceViolation(f"divisoriality fails at (d, g) = ({d}, {g})")
+    require(conditions["maroni"] and (d == 3 or conditions["ce"]),
+            f"admissible_genus and divisorial_conditions agree at (d, g) = ({d}, {g})")
     data = class_x(d)
     return data["a"].eval({"g": g}) / data["b"].eval({"g": g})

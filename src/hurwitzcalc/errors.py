@@ -91,23 +91,20 @@ class Record:
     """Base of the engine's value classes.  The fields are the keys of the
     class's own annotations, in order, and a class attribute is a field's
     default.  `__init__` (positional or keyword, then `__post_init__`),
-    equality, `repr` and, unless the class is declared `frozen=False`,
-    hashing and the refusal to assign are set up at class creation,
-    without generating code as `dataclasses` does.
+    equality, hashing (not of a record holding a list or dict), `repr` and
+    the refusal to assign are set up at class creation, without generating
+    code as `dataclasses` does.
 
     The generic `__init__` pairs fields and values in a dict, which costs
     about twice what a generated one does: a record built per graph or
     per rule spells out its `__init__` instead, with one
     `object.__setattr__` per field, and keeps the rest of the base."""
 
-    def __init_subclass__(cls, frozen: bool = True):
+    def __init_subclass__(cls):
         names = tuple(cls.__dict__.get("__annotations__", ()))
         cls._fields = dict.fromkeys(names)
         cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
         cls._key = attrgetter(*names)
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

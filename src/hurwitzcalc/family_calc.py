@@ -209,7 +209,6 @@ def _c2_omega_tetragonal_pipeline(u: Poly, v: Poly, g_r: Poly) -> tuple[Poly, Po
     c1_rel = f * c1e - 3 * z
     c2_rel = _twisted_split_c2(3, c1e, f, -z)
     # relative cotangent sequence adds the pullback of Omega of the base line
-    c1_ambient = c1_rel - 2 * f
     c2_ambient = c2_rel + c1_rel * (-2 * f)
 
     intermediate_raw = (c2_ambient * surface_class).integrate()

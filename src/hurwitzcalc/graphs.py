@@ -194,8 +194,8 @@ def two_vertex_label(d: int, profile: tuple[int, ...], genus_left: int,
                      genus_right: int) -> str:
     """`canonical_label(two_vertex_graph(...))`.  The label does not
     depend on which genus is on the left, so it is kept once per profile
-    and unordered genus pair: the enumeration builds and labels each graph
-    once, and the certifier then finds every target of its rules labelled."""
+    and unordered genus pair: the enumeration builds, validates and labels
+    each graph once, and the certifier then finds every rule target labelled."""
     return _two_vertex(d, profile, *sorted((genus_left, genus_right)))[1]
 
 
@@ -203,6 +203,8 @@ def two_vertex_label(d: int, profile: tuple[int, ...], genus_left: int,
 def _two_vertex(d: int, profile: tuple[int, ...], genus_small: int,
                 genus_big: int) -> tuple[DualGraph, str]:
     graph = two_vertex_graph(d, profile, genus_small, genus_big)
+    if not validate(graph, d, genus_small + genus_big + len(profile) - 1):
+        raise InvalidGraph("enumeration produced an invalid graph")
     return graph, canonical_label(graph)
 
 
@@ -321,7 +323,5 @@ def enumerate_two_vertex(d: int, g: int) -> list[DualGraph]:
         for genus_left in range(genus_total // 2 + 1):
             graph, label = _two_vertex(d, profile, genus_left,
                                        genus_total - genus_left)
-            if not validate(graph, d, g):
-                raise InvalidGraph("enumeration produced an invalid graph")
             seen.setdefault(label, graph)
     return [seen[label] for label in sorted(seen)]

@@ -27,7 +27,7 @@ its closed form identically, once per profile.  A rule only evaluates its
 shape's form at the graph's genera and multiplies by the scale of X.
 
 A rule's flags come from its shape's row too: it is reconstructed when no
-row carries the shape or the varied genus lies below the row's `min_gr`,
+row carries the shape or its family's genus is below the row's `min_gr`,
 and it is an equality when the row's family does not sweep its divisor.
 """
 
@@ -39,7 +39,7 @@ from math import lcm
 
 from .divisor_classes import admissible_genus, class_x
 from .errors import NotDivisorial, PropagationFailure, Record, UnknownKind, require
-from .family_calc import (PENCIL_TABLE, _basechange_hits, _nonnegative_genus,
+from .family_calc import (PENCIL_TABLE, PencilRow, _basechange_hits, _nonnegative_genus,
                           check_profile, pencil_symbols, vertex_pencil_form)
 from .graphs import (canonical_label, graph_four_vertex_d3,
                      graph_three_vertex_d3, enumerate_two_vertex,
@@ -82,18 +82,18 @@ class InequalityRule(Record):
                 "equality": self.equality}
 
 
-class GraphResult(Record, frozen=False):
+class GraphResult(Record):
     label: str
     lower_bound: Fraction
     chain: list[dict]
 
     def __init__(self, label: str, lower_bound: Fraction, chain: list[dict]):
-        self.label = label
-        self.lower_bound = lower_bound
-        self.chain = chain
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "lower_bound", lower_bound)
+        object.__setattr__(self, "chain", chain)
 
 
-class Certificate(Record, frozen=False):
+class Certificate(Record):
     d: int
     g: int
     a: Fraction
@@ -329,8 +329,13 @@ def _two_vertex_rule(d: int, g: int, scale: Fraction, label: str,
     row = PENCIL_TABLE.get(_KIND_BY_SHAPE.get(profile))
     return InequalityRule(label, tuple(targets), slack,
                           f"degree-{d} {family} partial pencil",
-                          reconstructed=row is None or g_r < row.min_gr,
+                          reconstructed=_reconstructed(row, g_r),
                           equality=row is not None and not row.sweeps)
+
+
+def _reconstructed(row: PencilRow | None, genus: int) -> bool:
+    """No pencil-table row carries the rule's shape, or its family's genus is below `min_gr`."""
+    return row is None or genus < row.min_gr
 
 
 def _composite_rule(g: int, scale: Fraction, label: str,
@@ -346,10 +351,11 @@ def _composite_rule(g: int, scale: Fraction, label: str,
         raise PropagationFailure(label, "no admissible base-change orientation")
     coeff_unram, form = _composite_form(profile)
     target = two_vertex_label(5, (1,) * 5, fixed, varied - r)
+    row = PENCIL_TABLE.get(_KIND_BY_SHAPE.get(profile))
     return InequalityRule(label, ((target, coeff_unram),),
                           form.eval(pencil_symbols(varied - r, g)) * scale,
                           f"degree-5 base-change composite {profile}",
-                          reconstructed=profile not in _KIND_BY_SHAPE, equality=True)
+                          reconstructed=_reconstructed(row, varied - r), equality=True)
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +450,8 @@ def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
 
 def replay(cert: Certificate) -> bool:
     """Re-run `certify` at the certificate's (d, g) and scale and confirm
-    that it reaches the same graphs with the same lower bounds; the
-    recorded chains themselves are not checked.  The scale of the class X
-    is read off the recorded a, and the recorded b must match it."""
-    a, b = _slope_pair(cert.d, cert.g, Fraction(1))
-    scale = cert.a / a
-    if cert.b != b * scale:
-        return False
-    fresh = certify(cert.d, cert.g, scale)
-    if set(fresh.per_graph) != set(cert.per_graph):
-        return False
-    return all(fresh.per_graph[k].lower_bound == v.lower_bound
-               for k, v in cert.per_graph.items())
+    that the fresh certificate equals it whole: b, the status, the notes
+    and every graph's lower bound and chain.  The scale of the class X is
+    read off the recorded a."""
+    scale = cert.a / _slope_pair(cert.d, cert.g, Fraction(1))[0]
+    return certify(cert.d, cert.g, scale) == cert

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hurwitzcalc import chow
 from hurwitzcalc.chow import (ChowClass, canonical_class, expansion_ring,
                               grassmann_top_constant_from_twist,
                               grr_degree_on_p1xp1, parse_class, parse_poly,
@@ -142,6 +143,29 @@ def test_grassmann_twist_invariance_and_constant():
     invariant_before = (z ** 7).integrate() - 14 * (-2 * (g + 4))
     invariant_after = twisted_top - 14 * dual_shift
     assert invariant_before == invariant_after
+
+
+def _fresh_grassmann_integrals(w):
+    """integral(z^6 f) and integral(z^7) on a ring built on a spec no other
+    test uses, which is then dropped from the table."""
+    try:
+        ring = ring_grassmann_bundle_g25(w)
+        z, f = ring.gen("z"), ring.gen("f")
+        return (z ** 6 * f).integrate(), (z ** 7).integrate()
+    finally:
+        chow._RINGS.pop(f"grassmann25:{w}", None)
+
+
+def test_grassmann_top_integral_follows_the_derivation(monkeypatch):
+    w = Poly.var("w")
+    with monkeypatch.context() as patch:
+        patch.setattr(chow, "grassmann_top_constant_from_twist",
+                      lambda: (Fraction(3), Fraction(1)))
+        assert _fresh_grassmann_integrals(w) == (5, 3 * w + 1)
+    # the ring and the derivation read one constant
+    monkeypatch.setattr(chow, "G14_PLUCKER_DEGREE", 10)
+    assert grassmann_top_constant_from_twist() == (Fraction(28), Fraction(0))
+    assert _fresh_grassmann_integrals(w) == (10, 28 * w)
 
 
 def test_grassmann_canonical_class():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hurwitzcalc import divisor_classes
 from hurwitzcalc.divisor_classes import (admissible_genus,
                                          bogomolov, bogomolov_from_ch2,
                                          ce_class, ce_class_from_bogomolov,
@@ -10,7 +11,7 @@ from hurwitzcalc.divisor_classes import (admissible_genus,
                                          maroni_class_from_bogomolov,
                                          slope_bound)
 from hurwitzcalc.errors import (CongruenceViolation, DegenerateDenominator,
-                                NotDivisorial)
+                                DerivationMismatch, NotDivisorial)
 from hurwitzcalc.symkernel import Poly, RationalFunction
 from hurwitzcalc.yeff import slope_normalization
 
@@ -171,6 +172,15 @@ class TestSlopeBound:
             slope_bound(4, 10)
         with pytest.raises(CongruenceViolation):
             slope_bound(5, 17)
+
+    def test_disagreeing_domains_are_an_engine_bug(self, monkeypatch):
+        # admissible_genus implies divisorial_conditions, so only an engine
+        # bug can make the second check fail
+        monkeypatch.setattr(divisor_classes, "divisorial_conditions",
+                            lambda d, g: {"maroni": True, "ce": False})
+        assert slope_bound(3, 4) == Fraction(17, 2)
+        with pytest.raises(DerivationMismatch, match="admissible_genus and divisorial_conditions"):
+            slope_bound(4, 9)
 
 
 class TestCache:

@@ -254,6 +254,9 @@ class TestEnumeration:
                        for d in (3, 4, 5) for g in range(0, 61))
         assert returned == 13714
         assert counts == {"validate": returned, "canonical_label": returned}
+        # a cached graph is not validated again
+        enumerate_two_vertex(3, 40)
+        assert counts == {"validate": returned, "canonical_label": returned}
 
 
 class TestShapes:

@@ -11,7 +11,7 @@ from hurwitzcalc import bundles, directrix, divisor_classes, family_calc, graphs
 from hurwitzcalc.bundles import CoverInvariants, SplittingType
 from hurwitzcalc.directrix import DirectrixFamily
 from hurwitzcalc.errors import InvalidFamily, OutOfRange, Record
-from hurwitzcalc.family_calc import ChernData, PencilRecord
+from hurwitzcalc.family_calc import PENCIL_TABLE, ChernData, FamilyInvariants, PencilRecord
 from hurwitzcalc.graphs import DualGraph, Edge, Vertex
 from hurwitzcalc.symkernel import RationalFunction
 from hurwitzcalc.yeff import Certificate, GraphResult, InequalityRule
@@ -56,24 +56,35 @@ def test_records_differ_by_field_and_by_class():
     assert Vertex("a", "L", 1, 3) != Edge("a", "L", 1)
 
 
-def test_frozen_records_refuse_assignment_and_deletion():
-    fam = DirectrixFamily(6, 3, 1, 2)
-    with pytest.raises(AttributeError, match="'n'"):
-        fam.n = 7
-    with pytest.raises(AttributeError, match="'n'"):
-        del fam.n
-    with pytest.raises(AttributeError):
-        fam.extra = 1
-    assert fam.n == 6 and not hasattr(fam, "extra")
-
-
-def test_mutable_records_assign_and_do_not_hash():
+def _one_of_each_record():
     result = GraphResult("label", Fraction(1), [])
-    result.lower_bound = Fraction(2)
-    assert result == GraphResult("label", Fraction(2), [])
+    return [SplittingType((1, 2)), CoverInvariants(3, 4), DirectrixFamily(6, 3, 1, 2),
+            divisor_classes.DivisorClass(1, 2, 3), ChernData(4, 3, 1, 1, 1),
+            FamilyInvariants(1, 2, 3, 4, 5, 6), _pencil_record(),
+            PENCIL_TABLE["trigonal_plain"], Vertex("a", "L", 1, 3), Edge("a", "b", 3),
+            DualGraph((Vertex("a", "L", 1, 3),), ()), InequalityRule("s", (), Fraction(1), "p"),
+            result, Certificate(3, 4, Fraction(30), Fraction(4), {"label": result},
+                                "certified", [])]
+
+
+def test_frozen_records_refuse_assignment_and_deletion():
+    records = _one_of_each_record()
+    assert len({type(record) for record in records}) == 14
+    for record in records:
+        name = next(iter(record._fields))
+        before = getattr(record, name)
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            setattr(record, name, 7)
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, name) is before and not hasattr(record, "extra")
+
+
+def test_records_holding_a_list_or_dict_do_not_hash():
+    result = GraphResult("label", Fraction(1), [])
     cert = Certificate(3, 4, Fraction(30), Fraction(4), {"label": result}, "certified", [])
-    cert.status = "failed"
-    assert not cert.certified
     for value in (result, cert, _pencil_record()):
         with pytest.raises(TypeError):
             hash(value)

@@ -219,6 +219,30 @@ class TestRules:
         assert not simple.reconstructed
         assert full.reconstructed
 
+    @pytest.mark.parametrize("d,g", [(d, g) for d, genera in
+                                     ((3, range(4, 41, 2)), (4, range(9, 34, 6)),
+                                      (5, (16, 36, 56, 96, 196)))
+                                     for g in genera])
+    def test_reconstructed_flag_is_the_table_rule(self, d, g):
+        # a rule is reconstructed when no pencil-table row carries its shape
+        # or its family's genus is below the row's min_gr; a degree-five
+        # composite's family has genus varied - r, varying the smaller
+        # genus when it can, and a rational vertex has its own row
+        kind_by_shape = {row.shape: kind for kind, row in PENCIL_TABLE.items()}
+        rules = build_rules(d, g)
+        for graph in enumerate_two_vertex(d, g):
+            profile = tuple(e.local_degree for e in graph.edges)
+            g_r, g_l = sorted(v.genus for v in graph.vertices)
+            family = g_r
+            if d == 5 and profile != (1,) * 5:
+                r = sum(m - 1 for m in profile)
+                family = g_r - r if g_r - r >= 1 else g_l - r
+            kind = kind_by_shape.get(profile)
+            if d == 5 and profile == (1,) * 5 and g_r == 0:
+                kind = "rational_partial"
+            expected = kind is None or family < PENCIL_TABLE[kind].min_gr
+            assert rules[canonical_label(graph)].reconstructed == expected, (graph, family)
+
     def test_reconstructed_rules_are_marked(self):
         rules = build_rules(4, 9)
         deep = [r for r in rules.values() if "(2, 2)" in r.provenance
@@ -278,9 +302,20 @@ class TestCertification:
         cert = certify(3, 8, scale=2)
         assert cert.certified and replay(cert)
         assert replay(Certificate.from_json(cert.to_json()))
-        label = sorted(cert.per_graph)[0]
-        cert.per_graph[label].lower_bound /= 2
-        assert not replay(cert)
+        data = cert.to_json()
+        entry = data["graphs"][sorted(cert.per_graph)[0]]
+        entry["lowerBound"] = str(Fraction(entry["lowerBound"]) / 2)
+        assert not replay(Certificate.from_json(data))
+
+    @pytest.mark.parametrize("tamper", [
+        lambda data, step: step.update(slack="999"),
+        lambda data, step: data["notes"].__setitem__(0, "multi-vertex margin: -1"),
+        lambda data, step: step.update(reconstructed=not step["reconstructed"]),
+    ], ids=["slack", "note", "reconstructed"])
+    def test_replay_checks_chains_and_notes(self, tamper):
+        data = certify(4, 9).to_json()
+        tamper(data, data["graphs"][min(data["graphs"])]["chain"][-1])
+        assert not replay(Certificate.from_json(data))
 
     def test_later_genus_builds_no_ring(self):
         # the pencil counts are derived once with the genus symbolic, so a
@@ -292,11 +327,9 @@ class TestCertification:
         assert len(chow._RINGS) == built
 
     def test_certificate_json_round_trip(self):
-        cert = certify(3, 4)
-        rebuilt = Certificate.from_json(cert.to_json())
-        assert rebuilt.status == cert.status
-        assert {k: v.lower_bound for k, v in rebuilt.per_graph.items()} == \
-            {k: v.lower_bound for k, v in cert.per_graph.items()}
+        for d, g, scale in _PINNED_CERT_POINTS:
+            cert = certify(d, g, scale)
+            assert Certificate.from_json(cert.to_json()) == cert, (d, g, scale)
 
     def test_chains_ground_in_base_cases(self):
         cert = certify(3, 6)
@@ -392,7 +425,8 @@ def _rules_by_records(d, g, scale):
         assert coeff == Fraction(9 * lcm(*profile) * r, 10)
         return InequalityRule(label, ((key(unram, fixed, fam), coeff),), slack,
                               f"degree-5 base-change composite {profile}",
-                              reconstructed=profile != (2, 1, 1, 1), equality=True)
+                              reconstructed=profile != (2, 1, 1, 1) or fam < 2,
+                              equality=True)
 
     rules = {}
     for graph in enumerate_two_vertex(d, g):
@@ -429,8 +463,9 @@ def _rules_by_records(d, g, scale):
 # SHA-256 over json.dumps({label: rule.to_json()}, sort_keys=True) of
 # build_rules at every (d, g, scale) of _PINNED_RULE_POINTS, in that order,
 # recorded from the per-genus record route before the rules were derived
-# from the pencil table
-_PINNED_RULE_DIGEST = "d30713a44c05a09687ac61242546b2bbd3d05770937a17f1e95a524f65fa4d19"
+# from the pencil table, and re-recorded when the (2, 1, 1, 1) composite
+# whose family has genus one was flagged reconstructed (its only change)
+_PINNED_RULE_DIGEST = "f21be9f67e15caa96422eba98972a4d313aa082e20063d7bb8cd040bb10d8a01"
 _PINNED_RULE_POINTS = [(d, g, scale)
                        for d, genera in ((3, (4, 6, 10, 24)), (4, (3, 9, 15, 33)),
                                          (5, (16, 36, 56)))
@@ -452,8 +487,10 @@ def test_rules_match_pinned_digest():
 # benchmark's certify sweep at three scales.  Recorded before polynomials
 # were evaluated over one common denominator and before labels were read
 # off both orientations in one pass; it pins the chains and bounds that
-# the rule digest above does not reach.
-_PINNED_CERT_DIGEST = "cbf2c78931532f88323d8c73f7ebcd905659779b08602ca6c8611a741dbdbe35"
+# the rule digest above does not reach.  Re-recorded with the rule digest,
+# for the one flag in the chain of that composite's graph at (5, 16) and
+# (5, 36).
+_PINNED_CERT_DIGEST = "4cc0faddd593cdf1e325ce176f550afce4dbba165e7ebdfe74eedebec74a61e5"
 _PINNED_CERT_POINTS = [(d, g, scale)
                        for d, genera in ((3, range(4, 41, 2)), (4, range(9, 34, 6)),
                                          (5, (16, 36)))
