@@ -23,7 +23,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .errors import DegreeMismatch, InvalidRank, OutOfRange, RingMismatch
-from .symkernel import Poly, PolyLike
+from .symkernel import _ONE, Poly, PolyLike
 
 # Exponent vector over the presentation's generator list.
 Mono = tuple[int, ...]
@@ -85,8 +85,12 @@ class ChowPresentation:
         for mono, coeff in terms:
             if coeff.is_zero():
                 continue
-            for m, c in self.normal_form(mono).items():
-                term = coeff * c
+            form = self.normal_form(mono)
+            # a normal monomial's form is itself with the shared unit, and
+            # its term is added with no product
+            products = ([(mono, coeff)] if form.get(mono) is _ONE
+                        else [(m, coeff * c) for m, c in form.items()])
+            for m, term in products:
                 result[m] = result[m] + term if m in result else term
         return {m: c for m, c in result.items() if not c.is_zero()}
 
@@ -99,7 +103,7 @@ class ChowPresentation:
                 result = self._accumulate(self._rewrite_once(mono, i).items())
                 self._nf_cache[mono] = result
                 return result
-        self._nf_cache[mono] = {mono: Poly.const(1)}
+        self._nf_cache[mono] = {mono: _ONE}
         return self._nf_cache[mono]
 
     # -- class construction --------------------------------------------------
@@ -108,12 +112,12 @@ class ChowPresentation:
         return ChowClass(self, ())
 
     def one(self) -> "ChowClass":
-        return ChowClass(self, [((0,) * len(self.generators), 1)])
+        return ChowClass(self, [((0,) * len(self.generators), _ONE)])
 
     def gen(self, name: str) -> "ChowClass":
         i = self.generators.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(self.generators)))
-        return ChowClass(self, [(mono, 1)])
+        return ChowClass(self, [(mono, _ONE)])
 
     def cls(self, terms: Mapping[Mono, PolyLike] | Iterable[tuple[Mono, PolyLike]]
             ) -> "ChowClass":
@@ -139,7 +143,7 @@ class ChowClass:
         """The class of the terms, given as a mapping or as (monomial,
         coefficient) pairs in which a monomial may repeat."""
         self.ring = ring
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        pairs = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
         self.terms = ring._accumulate((mono, Poly.coerce(coeff)) for mono, coeff in pairs)
 
     def _require_same_ring(self, other: "ChowClass") -> None:
@@ -180,10 +184,15 @@ class ChowClass:
     def __pow__(self, n: int) -> "ChowClass":
         if n < 0:
             raise ValueError("negative class power")
-        result = self.ring.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        result = None
+        base = self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return self.ring.one() if result is None else result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChowClass):
@@ -478,7 +487,7 @@ class Surface:
 
     def adjunction_genus(self, c: ChowClass) -> Poly:
         """1 + (C^2 + C.K)/2 for a curve class C."""
-        return Poly.const(1) + (self.dot(c, c) + self.dot(c, self.K)) / 2
+        return _ONE + (self.dot(c, c) + self.dot(c, self.K)) / 2
 
 
 def surface_p1xp1() -> Surface:

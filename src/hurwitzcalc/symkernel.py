@@ -84,7 +84,8 @@ class Poly:
         coefficient) pairs in which a monomial may repeat; this is the one
         place where polynomial terms are added up."""
         total: dict[Monomial, Fraction] = {}
-        for mono, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+        mapping = type(terms) is dict or isinstance(terms, Mapping)
+        for mono, coeff in terms.items() if mapping else terms:
             # a Fraction is kept as it is: rebuilding each coefficient
             # would dominate the evaluation of a cached form
             c = coeff if type(coeff) is Fraction else Fraction(coeff)
@@ -100,7 +101,7 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @staticmethod
     def coerce(x: PolyLike) -> "Poly":
@@ -155,24 +156,36 @@ class Poly:
         return Poly.coerce(other) + (-self)
 
     def __mul__(self, other: PolyLike) -> "Poly":
-        if not Poly._coercible(other):
-            return NotImplemented
-        other = Poly.coerce(other)
+        if not isinstance(other, Poly):
+            return self._scaled(other) if Poly._coercible(other) else NotImplemented
+        mine, theirs = self.terms, other.terms
+        if len(theirs) == 1 and () in theirs and mine != _ONE.terms:
+            return self._scaled(theirs[()])
+        if len(mine) == 1 and () in mine:
+            return other._scaled(mine[()])
         return Poly((_merge_monomials(m1, m2), c1 * c2)
-                    for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())
+                    for m1, c1 in mine.items() for m2, c2 in theirs.items())
 
     __rmul__ = __mul__
+
+    def _scaled(self, k: Scalar) -> "Poly":
+        """self times the constant k, with no monomial merge; times 1 it is
+        self, which is safe to share because a Poly is immutable."""
+        if k == 1:
+            return self
+        return Poly({m: c * k for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.const(1)
+        result = _ONE
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is _ONE else result * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __truediv__(self, other: Scalar) -> "Poly":
@@ -324,7 +337,7 @@ class RationalFunction:
         # fold constant denominators into the numerator
         if den.is_constant():
             num = num / den.constant_value()
-            den = Poly.const(1)
+            den = _ONE
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -338,7 +351,7 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == Poly.const(1)
+        return self.den == _ONE
 
     def as_poly(self) -> Poly:
         if not self.is_polynomial():

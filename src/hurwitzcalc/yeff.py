@@ -414,7 +414,7 @@ def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
         total = rule.slack
         steps = []
         for target, coeff in rule.targets:
-            total += coeff * bound(target)
+            total += bound(target) if coeff == 1 else coeff * bound(target)
             steps.extend(chains[target])
         in_progress.discard(label)
         bounds[label] = total

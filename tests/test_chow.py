@@ -395,6 +395,20 @@ class TestRingLaws:
         assert ring._accumulate(form.items()) == form
         assert all(ring.normal_form(m) == {m: Poly.const(1)} for m in form)
 
+    @pytest.mark.parametrize("spec", ["p1xp1", "hirzebruch:h", "projbundle:3:u + v",
+                                      "grassmann25:c1Fdual", "projspace:3",
+                                      "projspace_x_p1:2", None])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 8))
+    def test_power_is_the_repeated_product(self, spec, data, n):
+        ring = (ring_from_spec(spec) if spec is not None
+                else expansion_ring(square_zero=("Rs", "Rt"), free=("zeta",)))
+        (x,) = data.draw(classes_in(ring, 1))
+        repeated = ring.one()
+        for _ in range(n):
+            repeated = repeated * x
+        assert x ** n == repeated
+
     @settings(max_examples=40, deadline=None)
     @given(ring_classes(2, spec_kinds_only=True), coeffs)
     def test_integral_is_linear(self, drawn, s):
@@ -525,21 +539,44 @@ def _class_product():
     return lambda: x * rt
 
 
-# Poly objects one op built when every sum was taken twice, in the operator
-# and again in the constructor
-@pytest.mark.parametrize("make_op, summing_twice", [
-    (_family_op, 16), (_class_sum, 8), (_class_product, 9),
-], ids=["warm_directrix_family", "class_sum", "class_product"])
-def test_each_sum_is_taken_once(monkeypatch, make_op, summing_twice):
-    op = make_op()
-    op()
-    built = []
-    init = Poly.__init__
+def _counting(monkeypatch, name):
+    """Wrap the Poly method `name` to record each call's receiver."""
+    calls = []
+    method = getattr(Poly, name)
 
     def counting(self, *args):
-        built.append(self)
-        init(self, *args)
+        calls.append(self)
+        return method(self, *args)
 
-    monkeypatch.setattr(Poly, "__init__", counting)
+    monkeypatch.setattr(Poly, name, counting)
+    return calls
+
+
+# the most Poly objects one warm op may build and the most Poly products it
+# may take: a normal monomial's term is added with no product, a constant
+# factor scales and a unit factor shares its operand.  Summing every sum
+# twice built 16, 8 and 9; multiplying by the unit built 8, 2 and 3
+@pytest.mark.parametrize("make_op, most_built, most_products", [
+    (_family_op, 4, 0), (_class_sum, 0, 0), (_class_product, 0, 2),
+], ids=["warm_directrix_family", "class_sum", "class_product"])
+def test_each_sum_is_taken_once(monkeypatch, make_op, most_built, most_products):
+    op = make_op()
     op()
-    assert len(built) < summing_twice
+    built = _counting(monkeypatch, "__init__")
+    products = _counting(monkeypatch, "__mul__")
+    op()
+    assert len(built) <= most_built and len(products) <= most_products
+
+
+# squaring stops at the last bit: g^4 is (g^2)^2, and g^1 is g
+@pytest.mark.parametrize("n, most_products", [(0, 0), (1, 0), (2, 1), (4, 2), (5, 3)])
+def test_power_squares_no_further_than_its_last_bit(monkeypatch, n, most_products):
+    g = Poly.var("g")
+    products = _counting(monkeypatch, "__mul__")
+    g ** n
+    assert len(products) <= most_products
+
+
+def test_cold_certificate_builds_few_polys(polys_built):
+    # 1025 when every class term and every power multiplied by the unit Poly
+    assert polys_built("from hurwitzcalc.yeff import certify\ncertify(5, 16)\n") <= 593

@@ -1,6 +1,6 @@
 """Repository guards: the demos run, the engine holds no `assert` and
-imports neither `dataclasses` nor `typing`, and a cold start imports only
-what its subcommand uses."""
+imports neither `dataclasses` nor `typing`, a cold start imports only
+what its subcommand uses, and importing the engine builds no `Poly`."""
 
 import ast
 import json
@@ -144,3 +144,11 @@ def test_package_names_resolve(engine_env):
     names, public, missing, unknown = json.loads(result.stdout)
     assert names == PACKAGE_NAMES and public == PACKAGE_NAMES
     assert not missing and not unknown
+
+
+def test_import_builds_no_poly(polys_built):
+    # kernel work at import time is paid by every cold CLI call
+    others = sorted(path.stem for path in PACKAGE.glob("*.py")
+                    if path.stem not in ("__init__", "symkernel"))
+    assert len(others) == 10
+    assert polys_built("".join(f"import hurwitzcalc.{name}\n" for name in others)) == 0

@@ -15,6 +15,10 @@ def p(name):
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
+values = st.one_of(st.integers(-40, 40),
+                   st.fractions(min_value=-40, max_value=40, max_denominator=12))
+assignments = st.fixed_dictionaries({"g": values, "b": values, "u": values})
+
 
 @st.composite
 def polys(draw, names=("g", "b", "u")):
@@ -28,6 +32,20 @@ def polys(draw, names=("g", "b", "u")):
                 mono.append((name, e))
         coeff = draw(st.fractions(min_value=-50, max_value=50, max_denominator=8))
         terms[tuple(sorted(mono))] = terms.get(tuple(sorted(mono)), 0) + coeff
+    return Poly(terms)
+
+
+def merged_product(a, b):
+    """The product term by term, each pair of monomials merged: the generic
+    path, with no shortcut for a constant or a unit factor."""
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            exps = dict(m1)
+            for name, e in m2:
+                exps[name] = exps.get(name, 0) + e
+            mono = tuple(sorted(exps.items()))
+            terms[mono] = terms.get(mono, 0) + c1 * c2
     return Poly(terms)
 
 
@@ -110,6 +128,30 @@ class TestPoly:
         assert Poly(pairs) == Poly(iter(pairs)) == a + b
         assert Poly([((("g", 1),), 2), ((("g", 1),), -2), ((), 1)]).terms == {(): 1}
 
+    @settings(max_examples=40, deadline=None)
+    @given(polys(), st.integers(0, 8))
+    def test_power_is_the_repeated_product(self, a, n):
+        repeated = Poly.const(1)
+        for _ in range(n):
+            repeated = merged_product(repeated, a)
+        assert a ** n == repeated
+
+    @given(polys(), st.sampled_from([0, 1, Fraction(1), Fraction(-3, 2)]))
+    def test_constant_factor_is_the_merged_product(self, a, k):
+        expected = merged_product(a, Poly.const(k))
+        for product in (a * k, k * a, a * Poly.const(k), Poly.const(k) * a):
+            assert product == expected and str(product) == str(expected)
+            assert all(type(c) is Fraction for c in product.terms.values())
+        if k == 1:
+            assert a * k is a and k * a is a and Poly.const(k) * a is a
+
+    @given(polys(), assignments)
+    def test_a_product_shared_with_one_evaluates_as_its_operand(self, a, at):
+        expected = term_by_term(a, at)
+        for product in (a * 1, Poly.const(1) * a, a ** 1):
+            assert product.eval(at) == expected
+        assert a.eval(at) == expected
+
     def test_substitution(self):
         q = (p("v") + 6 * p("gR") + 3).subs({"v": (p("gR") + 3) / 2})
         assert q == Fraction(13, 2) * p("gR") + Fraction(9, 2)
@@ -124,11 +166,6 @@ def term_by_term(poly, assignment):
             value *= Fraction(assignment[name]) ** e
         total += value
     return total
-
-
-values = st.one_of(st.integers(-40, 40),
-                   st.fractions(min_value=-40, max_value=40, max_denominator=12))
-assignments = st.fixed_dictionaries({"g": values, "b": values, "u": values})
 
 
 class TestCompiledEval:
