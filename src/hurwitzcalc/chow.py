@@ -85,12 +85,8 @@ class ChowPresentation:
         for mono, coeff in terms:
             if coeff.is_zero():
                 continue
-            form = self.normal_form(mono)
-            # a normal monomial's form is itself with the shared unit, and
-            # its term is added with no product
-            products = ([(mono, coeff)] if form.get(mono) is _ONE
-                        else [(m, coeff * c) for m, c in form.items()])
-            for m, term in products:
+            for m, c in self.normal_form(mono).items():
+                term = coeff * c
                 result[m] = result[m] + term if m in result else term
         return {m: c for m, c in result.items() if not c.is_zero()}
 
@@ -143,7 +139,7 @@ class ChowClass:
         """The class of the terms, given as a mapping or as (monomial,
         coefficient) pairs in which a monomial may repeat."""
         self.ring = ring
-        pairs = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
         self.terms = ring._accumulate((mono, Poly.coerce(coeff)) for mono, coeff in pairs)
 
     def _require_same_ring(self, other: "ChowClass") -> None:

@@ -84,8 +84,7 @@ class Poly:
         coefficient) pairs in which a monomial may repeat; this is the one
         place where polynomial terms are added up."""
         total: dict[Monomial, Fraction] = {}
-        mapping = type(terms) is dict or isinstance(terms, Mapping)
-        for mono, coeff in terms.items() if mapping else terms:
+        for mono, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             # a Fraction is kept as it is: rebuilding each coefficient
             # would dominate the evaluation of a cached form
             c = coeff if type(coeff) is Fraction else Fraction(coeff)
@@ -159,7 +158,9 @@ class Poly:
         if not isinstance(other, Poly):
             return self._scaled(other) if Poly._coercible(other) else NotImplemented
         mine, theirs = self.terms, other.terms
-        if len(theirs) == 1 and () in theirs and mine != _ONE.terms:
+        # the right side first: a class term's coefficient times its normal
+        # form's unit is then the coefficient itself, constant or not
+        if len(theirs) == 1 and () in theirs:
             return self._scaled(theirs[()])
         if len(mine) == 1 and () in mine:
             return other._scaled(mine[()])
