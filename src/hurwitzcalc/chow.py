@@ -19,7 +19,7 @@ exact and symbolic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
 from .errors import DegreeMismatch, InvalidRank, OutOfRange, RingMismatch
@@ -139,7 +139,7 @@ class ChowClass:
         """The class of the terms, given as a mapping or as (monomial,
         coefficient) pairs in which a monomial may repeat."""
         self.ring = ring
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        pairs = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
         self.terms = ring._accumulate((mono, Poly.coerce(coeff)) for mono, coeff in pairs)
 
     def _require_same_ring(self, other: "ChowClass") -> None:
@@ -214,14 +214,14 @@ class ChowClass:
         if self.degrees() != {top}:
             raise DegreeMismatch(
                 f"integration needs pure degree {top}, got degrees {sorted(self.degrees())}")
-        total = Poly.const(0)
+        pairs = []
         for mono, coeff in self.terms.items():
             weight = self.ring.integration.get(mono)
             if weight is None:
                 raise DegreeMismatch(
                     f"no integration entry for {self.ring.mono_str(mono)}")
-            total = total + coeff * weight
-        return total
+            pairs.extend((coeff * weight).terms.items())
+        return Poly(pairs)
 
     def coefficient(self, mono: Mono) -> Poly:
         return self.terms.get(mono, Poly.const(0))
@@ -258,37 +258,36 @@ class ChowClass:
 _RINGS: dict[str, ChowPresentation] = {}
 
 
-def _interned(spec: str, **presentation) -> ChowPresentation:
-    """The presentation named by `spec`, built on the first request only."""
+def _interned(spec: str, presentation: Callable[[], dict]) -> ChowPresentation:
+    """The presentation named by `spec`, built on the first request only:
+    `presentation` returns its tables, so a later request builds none."""
     ring = _RINGS.get(spec)
     if ring is None:
-        ring = _RINGS[spec] = ChowPresentation(spec, **presentation)
+        ring = _RINGS[spec] = ChowPresentation(spec, **presentation())
     return ring
 
 
 def ring_p1xp1() -> ChowPresentation:
     """P1 x P1 with ruling classes Rs, Rt: Rs^2 = Rt^2 = 0, integral(Rs*Rt) = 1."""
-    return _interned(
-        "p1xp1",
+    return _interned("p1xp1", lambda: dict(
         generators=("Rs", "Rt"),
         rewrites={0: (2, {}), 1: (2, {})},
         top_degree=2,
         integration={(1, 1): 1},
         canonical={(1, 0): -2, (0, 1): -2},
-    )
+    ))
 
 
 def ring_hirzebruch(h: PolyLike | str = "h") -> ChowPresentation:
     """Hirzebruch surface F_h with section class tau (tau^2 = h) and fiber f."""
     hp = Poly.var(h) if isinstance(h, str) else Poly.coerce(h)
-    return _interned(
-        f"hirzebruch:{hp}",
+    return _interned(f"hirzebruch:{hp}", lambda: dict(
         generators=("tau", "f"),
         rewrites={0: (2, {(1, 1): hp}), 1: (2, {})},
         top_degree=2,
         integration={(1, 1): 1},
         canonical={(1, 0): -2, (0, 1): hp - 2},
-    )
+    ))
 
 
 def ring_proj_bundle_over_p1(rank: int, c1: PolyLike | str = "c1E") -> ChowPresentation:
@@ -304,14 +303,13 @@ def ring_proj_bundle_over_p1(rank: int, c1: PolyLike | str = "c1E") -> ChowPrese
         raise InvalidRank(f"projective bundle needs rank >= 2, got {rank}")
     c1p = Poly.var(c1) if isinstance(c1, str) else Poly.coerce(c1)
     zeta_rule_target = (rank - 1, 1)
-    return _interned(
-        f"projbundle:{rank}:{c1p}",
+    return _interned(f"projbundle:{rank}:{c1p}", lambda: dict(
         generators=("z", "f"),
         rewrites={0: (rank, {zeta_rule_target: c1p}), 1: (2, {})},
         top_degree=rank,
         integration={(rank - 1, 1): 1},
         canonical={(1, 0): -rank, (0, 1): c1p - 2},
-    )
+    ))
 
 
 G14_PLUCKER_DEGREE = 5      # integral(z^6 f) on the G(2,5)-bundle: deg G(1,4) in Plucker space
@@ -328,8 +326,7 @@ def ring_grassmann_bundle_g25(deg_f_dual: PolyLike | str = "c1Fdual") -> ChowPre
     """
     dp = Poly.var(deg_f_dual) if isinstance(deg_f_dual, str) else Poly.coerce(deg_f_dual)
     a, b = grassmann_top_constant_from_twist()
-    return _interned(
-        f"grassmann25:{dp}",
+    return _interned(f"grassmann25:{dp}", lambda: dict(
         generators=("z", "f"),
         rewrites={1: (2, {})},
         top_degree=7,
@@ -338,18 +335,17 @@ def ring_grassmann_bundle_g25(deg_f_dual: PolyLike | str = "c1Fdual") -> ChowPre
         # c1(Q) = z and c1(S-dual) = z - c1(F-dual) f, so
         # c1(T_rel) = 2 c1(S-dual) + 3 c1(Q) = 5z - 2 c1(F-dual) f
         canonical={(1, 0): -5, (0, 1): 2 * dp - 2},
-    )
+    ))
 
 
 def ring_proj_space(n: int) -> ChowPresentation:
     """P^n with hyperplane class H."""
-    return _interned(
-        f"projspace:{n}",
+    return _interned(f"projspace:{n}", lambda: dict(
         generators=("H",),
         rewrites={0: (n + 1, {})},
         top_degree=n,
         integration={(n,): 1},
-    )
+    ))
 
 
 def ring_product_with_p1(base: ChowPresentation) -> ChowPresentation:
@@ -358,13 +354,12 @@ def ring_product_with_p1(base: ChowPresentation) -> ChowPresentation:
     n = base.top_degree
     if base is not _RINGS.get(f"projspace:{n}"):
         raise RingMismatch("product construction expects a projective-space base")
-    return _interned(
-        f"projspace_x_p1:{n}",
+    return _interned(f"projspace_x_p1:{n}", lambda: dict(
         generators=("H", "F"),
         rewrites={0: (n + 1, {}), 1: (2, {})},
         top_degree=n + 1,
         integration={(n, 1): 1},
-    )
+    ))
 
 
 def expansion_ring(square_zero: Iterable[str], free: Iterable[str]) -> ChowPresentation:
@@ -373,13 +368,12 @@ def expansion_ring(square_zero: Iterable[str], free: Iterable[str]) -> ChowPrese
     that expand a product and read off coefficients afterwards."""
     sq = tuple(square_zero)
     fr = tuple(free)
-    return _interned(
-        f"expansion:{','.join(fr)}|{','.join(sq)}",
+    return _interned(f"expansion:{','.join(fr)}|{','.join(sq)}", lambda: dict(
         generators=fr + sq,
         rewrites={len(fr) + i: (2, {}) for i in range(len(sq))},
         top_degree=None,
         integration={},
-    )
+    ))
 
 
 def _spec_rank(text: str) -> int:

@@ -1,9 +1,12 @@
 """Exact arithmetic substrate: rationals, sparse multivariate polynomials,
 and rational functions in named symbolic parameters.
 
-Everything is built on :class:`fractions.Fraction`; no operation anywhere in
-the engine produces a floating-point value.  Values are immutable after
-construction and safe to share between threads.
+Coefficients are integers first: a coefficient is a Python ``int`` while it
+is integral and becomes a :class:`fractions.Fraction` only when a division
+makes it one, as FLINT's ``fmpz``/``fmpq`` split keeps them.  What callers
+read is a Fraction (``eval``, ``coefficient``, ``constant_value``), and no
+operation anywhere in the engine produces a floating-point value.  Values
+are immutable after construction and safe to share between threads.
 
 A polynomial is evaluated the way FLINT's ``fmpq_poly`` stores one: its
 coefficients are put once over one common denominator, the numerators are
@@ -50,6 +53,18 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _exact(q: Fraction) -> int | Fraction:
+    """q as an int when it is integral: a coefficient is a Fraction only
+    when a division has made it one."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _pairs(x: PolyLike) -> Iterable[tuple[Monomial, Scalar]]:
+    """The (monomial, coefficient) pairs of a Poly, or of a scalar as a
+    constant, with no Poly built for the scalar."""
+    return x.terms.items() if isinstance(x, Poly) else (((), x),)
+
+
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     exps: dict[str, int] = dict(m1)
     for name, e in m2:
@@ -68,7 +83,8 @@ def _monomial_str(m: Monomial) -> str:
 class Poly:
     """A multivariate polynomial with exact rational coefficients.
 
-    Terms are stored sparsely as a map from monomials to nonzero Fractions.
+    Terms are stored sparsely as a map from monomials to nonzero
+    coefficients, each an int when integral and a Fraction otherwise.
     Addition and multiplication are exact; the string form is canonical
     (terms sorted by total degree, then by variables), e.g. ``7*g + 6``.
     """
@@ -83,28 +99,36 @@ class Poly:
         """The sum of the terms, given as a mapping or as (monomial,
         coefficient) pairs in which a monomial may repeat; this is the one
         place where polynomial terms are added up."""
-        total: dict[Monomial, Fraction] = {}
-        for mono, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            # a Fraction is kept as it is: rebuilding each coefficient
-            # would dominate the evaluation of a cached form
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+        total: dict[Monomial, int | Fraction] = {}
+        pairs = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
+        for mono, coeff in pairs:
+            # an int or a Fraction is kept as it is: rebuilding each
+            # coefficient would dominate the evaluation of a cached form
+            c = coeff if type(coeff) is int or type(coeff) is Fraction else Fraction(coeff)
             total[mono] = total[mono] + c if mono in total else c
-        object.__setattr__(self, "terms", {m: c for m, c in total.items() if c})
+        object.__setattr__(self, "terms", {m: c if type(c) is int else _exact(c)
+                                           for m, c in total.items() if c})
         object.__setattr__(self, "compiled", None)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        return cls({(): value})
+        """The constant `value`: one term, so there is nothing to sum."""
+        if type(value) is not int:
+            value = _exact(value if type(value) is Fraction else Fraction(value))
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", {(): value} if value else {})
+        object.__setattr__(p, "compiled", None)
+        return p
 
     @staticmethod
     def coerce(x: PolyLike) -> "Poly":
-        if isinstance(x, Poly):
+        if type(x) is Poly or isinstance(x, Poly):
             return x
         return Poly.const(x)
 
@@ -132,14 +156,14 @@ class Poly:
         return max((_monomial_degree(m) for m in self.terms), default=0)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+        return Fraction(self.terms.get(mono, 0))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: PolyLike) -> "Poly":
         if not Poly._coercible(other):
             return NotImplemented
-        return Poly([*self.terms.items(), *Poly.coerce(other).terms.items()])
+        return Poly([*self.terms.items(), *_pairs(other)])
 
     __radd__ = __add__
 
@@ -149,12 +173,16 @@ class Poly:
     def __sub__(self, other: PolyLike) -> "Poly":
         if not Poly._coercible(other):
             return NotImplemented
-        return self + (-Poly.coerce(other))
+        return Poly([*self.terms.items(), *((m, -c) for m, c in _pairs(other))])
 
     def __rsub__(self, other: PolyLike) -> "Poly":
-        return Poly.coerce(other) + (-self)
+        if not Poly._coercible(other):
+            return NotImplemented
+        return Poly([*_pairs(other), *((m, -c) for m, c in self.terms.items())])
 
     def __mul__(self, other: PolyLike) -> "Poly":
+        if other is _ONE:
+            return self
         if not isinstance(other, Poly):
             return self._scaled(other) if Poly._coercible(other) else NotImplemented
         mine, theirs = self.terms, other.terms
@@ -285,7 +313,7 @@ def _univariate_exact_div(num: Poly, den: Poly, name: str) -> Poly | None:
     rem = list(nc)
     lead = dc[-1]
     for k in range(len(quotient) - 1, -1, -1):
-        q = rem[k + len(dc) - 1] / lead
+        q = Fraction(rem[k + len(dc) - 1]) / lead
         quotient[k] = q
         for j, d in enumerate(dc):
             rem[k + j] -= q * d
@@ -319,7 +347,7 @@ def _leading_ratio_hash(num: Poly, den: Poly) -> int:
     num_mono, num_coeff = _leading_term(num)
     den_mono, den_coeff = _leading_term(den)
     shift = _merge_monomials(num_mono, tuple((n, -e) for n, e in den_mono))
-    ratio = num_coeff / den_coeff
+    ratio = Fraction(num_coeff) / den_coeff
     return hash((shift, ratio)) if shift else hash(ratio)
 
 

@@ -44,7 +44,7 @@ from .family_calc import (PENCIL_TABLE, PencilRow, _basechange_hits, _nonnegativ
 from .graphs import (canonical_label, graph_four_vertex_d3,
                      graph_three_vertex_d3, enumerate_two_vertex,
                      two_vertex_label)
-from .symkernel import Poly
+from .symkernel import Poly, _exact
 
 # pseudo-targets that ground the induction
 IRREDUCIBLE_NODE = "irreducible-node divisor (coefficient 0)"
@@ -143,8 +143,16 @@ def _slope_pair(d: int, g: int, scale: Fraction) -> tuple[Fraction, Fraction]:
     if not admissible_genus(d, g):
         raise NotDivisorial(f"(d, g) = ({d}, {g}) is not admissible")
     a_poly, b_poly = slope_normalization(d)
-    return a_poly.eval({"g": g}) * scale, b_poly.eval({"g": g}) * scale
+    return _scaled(a_poly.eval({"g": g}), scale), _scaled(b_poly.eval({"g": g}), scale)
 
+
+def _scaled(value: Fraction, scale: Fraction) -> Fraction:
+    """value * scale, with no product at scale 1."""
+    return value if scale == 1 else value * scale
+
+
+# the coefficient of a target that a rule rests on once, shared by every rule
+_UNIT = Fraction(1)
 
 # the kind of the pencil-table row that grounds each rule shape; a shape
 # that no row carries gets a reconstructed rule
@@ -288,13 +296,13 @@ def build_rules(d: int, g: int,
                        for g_r in range(1, g)}
         four_label = {g_r: canonical_label(graph_four_vertex_d3(g - g_r, g_r))
                       for g_r in range(g // 2 + 1)}
-        rests = {0: (), 1: ((IRREDUCIBLE_NODE, Fraction(1)),)}
-        rests.update((g_r + 1, ((label, Fraction(1)),)) for g_r, label in three_label.items())
+        rests = {0: (), 1: ((IRREDUCIBLE_NODE, _UNIT),)}
+        rests.update((g_r + 1, ((label, _UNIT),)) for g_r, label in three_label.items())
         for shape, labels in (("three", three_label), ("four", four_label)):
             form = symbolic_slack_threevertex(f"{shape}vertex")
             for g_r, label in labels.items():
                 rules[label] = InequalityRule(label, rests[g_r],
-                                              form.eval({"g": g, "gR": g_r}) * scale,
+                                              _scaled(form.eval({"g": g, "gR": g_r}), scale),
                                               f"hyperelliptic {shape}-vertex step")
     return rules
 
@@ -312,19 +320,20 @@ def _two_vertex_rule(d: int, g: int, scale: Fraction, label: str,
     if d == 5 and g_r == 0:
         # a genus-0 vertex is rational: its five-basepoint pencil grounds the chain
         slack = _row_slack(5, "rational_partial").eval({"g": g, "dv": 5})
-        return InequalityRule(label, (), slack * scale, "degree-5 rational vertex pencil")
+        return InequalityRule(label, (), _scaled(slack, scale),
+                              "degree-5 rational vertex pencil")
     targets: list[tuple[str, Fraction]] = []
     if g_r >= d - 1:
         targets.append((two_vertex_label(d, unram, g_l + len(profile) - 1, g_r - (d - 1)),
-                        Fraction(1)))
+                        _UNIT))
     elif g_r >= 1:
-        targets.append((DISCONNECTED, Fraction(1)))
+        targets.append((DISCONNECTED, _UNIT))
     reduction = _ram_reduction(profile)
     if reduction is not None and g_r >= 1:
         reduced, multiplicity = reduction
         targets.append((two_vertex_label(d, reduced, g_l, g_r - 1), multiplicity))
 
-    slack = symbolic_slack(d, profile).eval(pencil_symbols(g_r, g)) * scale
+    slack = _scaled(symbolic_slack(d, profile).eval(pencil_symbols(g_r, g)), scale)
     family = "unramified" if profile == unram else f"ramified {profile}"
     row = PENCIL_TABLE.get(_KIND_BY_SHAPE.get(profile))
     return InequalityRule(label, tuple(targets), slack,
@@ -353,7 +362,7 @@ def _composite_rule(g: int, scale: Fraction, label: str,
     target = two_vertex_label(5, (1,) * 5, fixed, varied - r)
     row = PENCIL_TABLE.get(_KIND_BY_SHAPE.get(profile))
     return InequalityRule(label, ((target, coeff_unram),),
-                          form.eval(pencil_symbols(varied - r, g)) * scale,
+                          _scaled(form.eval(pencil_symbols(varied - r, g)), scale),
                           f"degree-5 base-change composite {profile}",
                           reconstructed=_reconstructed(row, varied - r), equality=True)
 
@@ -387,7 +396,7 @@ def multivertex_margin(d: int, g: int, scale: Fraction = Fraction(1)) -> Fractio
     Each slack is linear in the vertex genus, so its minimum over 1..g sits
     at g_r = 1 or g_r = g."""
     endpoints = (1, _nonnegative_genus(g))
-    return min(form.eval({"g": g, "gR": g_r}) * scale
+    return min(_scaled(form.eval({"g": g, "gR": g_r}), scale)
                for form in _margin_forms(d) for g_r in endpoints)
 
 
@@ -397,12 +406,13 @@ def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
     a, b = _slope_pair(d, g, scale)
     rules = build_rules(d, g, scale)
 
-    bounds: dict[str, Fraction] = {IRREDUCIBLE_NODE: Fraction(0),
-                                   DISCONNECTED: Fraction(0)}
+    # a bound is an int while it is integral: integers add with no gcd, and
+    # a Fraction is built only for the graph's record
+    bounds: dict[str, int | Fraction] = {IRREDUCIBLE_NODE: 0, DISCONNECTED: 0}
     chains: dict[str, list[dict]] = {IRREDUCIBLE_NODE: [], DISCONNECTED: []}
     in_progress: set[str] = set()
 
-    def bound(label: str) -> Fraction:
+    def bound(label: str) -> int | Fraction:
         if label in bounds:
             return bounds[label]
         if label in in_progress:
@@ -411,17 +421,17 @@ def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
             raise PropagationFailure(label, "no rule reaches this graph")
         in_progress.add(label)
         rule = rules[label]
-        total = rule.slack
+        slack = total = _exact(rule.slack)
         steps = []
         for target, coeff in rule.targets:
-            total += bound(target) if coeff == 1 else coeff * bound(target)
+            total += bound(target) if coeff == 1 else _exact(coeff) * bound(target)
             steps.extend(chains[target])
         in_progress.discard(label)
-        bounds[label] = total
+        bounds[label] = total = _exact(total)
         chains[label] = steps + [{
             "rule": rule.provenance,
             "source": label,
-            "slack": str(rule.slack),
+            "slack": str(slack),
             "targets": [[t, str(c), str(bounds[t])] for t, c in rule.targets],
             "reconstructed": rule.reconstructed,
             "equality": rule.equality,
@@ -432,7 +442,7 @@ def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
     status = "certified"
     for label in sorted(rules):
         value = bound(label)
-        per_graph[label] = GraphResult(label, value, chains[label])
+        per_graph[label] = GraphResult(label, Fraction(value), chains[label])
         if value < 0 and status == "certified":
             status = f"failed:{label}"
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import hurwitzcalc
+from hurwitzcalc.symkernel import Poly
 
 SRC = str(Path(hurwitzcalc.__file__).resolve().parents[1])
 
@@ -18,28 +19,59 @@ def engine_env():
     return {**os.environ, "PYTHONPATH": SRC}
 
 
-# import symkernel, count every Poly built from then on while the code on
-# the command line runs, and print the count
-POLYS_BUILT = (
+# import symkernel, count every Poly built from then on, through __init__
+# or Poly.const, and every Fraction, while the code on the command line
+# runs, and print both counts
+BUILT = (
     "import sys\n"
+    "from fractions import Fraction\n"
     "from hurwitzcalc.symkernel import Poly\n"
-    "built = []\n"
-    "init = Poly.__init__\n"
-    "def counting(self, *args):\n"
-    "    built.append(self)\n"
+    "built = {'Poly': 0, 'Fraction': 0}\n"
+    "init, const, new = Poly.__init__, Poly.const.__func__, Fraction.__new__\n"
+    "def counting_init(self, *args):\n"
+    "    built['Poly'] += 1\n"
     "    init(self, *args)\n"
-    "Poly.__init__ = counting\n"
+    "def counting_const(cls, value):\n"
+    "    built['Poly'] += 1\n"
+    "    return const(cls, value)\n"
+    "def counting_new(cls, *args, **kwargs):\n"
+    "    built['Fraction'] += 1\n"
+    "    return new(cls, *args, **kwargs)\n"
+    "Poly.__init__, Poly.const = counting_init, classmethod(counting_const)\n"
+    "Fraction.__new__ = counting_new\n"
     "exec(sys.argv[1])\n"
-    "print(len(built))\n")
+    "print(built['Poly'], built['Fraction'])\n")
 
 
 @pytest.fixture(scope="session")
-def polys_built(engine_env):
-    """The number of Poly objects a piece of code builds in a fresh
-    interpreter, counted from just after `symkernel` is imported."""
+def objects_built(engine_env):
+    """The numbers of Poly and of Fraction objects a piece of code builds in
+    a fresh interpreter, counted from just after `symkernel` is imported."""
     def run(code):
-        result = subprocess.run([sys.executable, "-c", POLYS_BUILT, code], env=engine_env,
+        result = subprocess.run([sys.executable, "-c", BUILT, code], env=engine_env,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
-        return int(result.stdout)
+        polys, fractions = map(int, result.stdout.split())
+        return {"Poly": polys, "Fraction": fractions}
     return run
+
+
+@pytest.fixture
+def polys_counted(monkeypatch):
+    """A list that collects every Poly built in this process from now on,
+    through __init__ or Poly.const, until the test ends."""
+    built = []
+    init, const = Poly.__init__, Poly.const.__func__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting_const(cls, value):
+        poly = const(cls, value)
+        built.append(poly)
+        return poly
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    monkeypatch.setattr(Poly, "const", classmethod(counting_const))
+    return built

@@ -560,13 +560,14 @@ def _counting(monkeypatch, name):
 @pytest.mark.parametrize("make_op, most_built, most_products", [
     (_family_op, 4, 4), (_class_sum, 0, 2), (_class_product, 0, 3),
 ], ids=["warm_directrix_family", "class_sum", "class_product"])
-def test_each_sum_is_taken_once(monkeypatch, make_op, most_built, most_products):
+def test_each_sum_is_taken_once(monkeypatch, polys_counted, make_op, most_built,
+                                most_products):
     op = make_op()
     op()
-    built = _counting(monkeypatch, "__init__")
+    polys_counted.clear()
     products = _counting(monkeypatch, "__mul__")
     op()
-    assert len(built) <= most_built and len(products) <= most_products
+    assert len(polys_counted) <= most_built and len(products) <= most_products
 
 
 # squaring stops at the last bit: g^4 is (g^2)^2, and g^1 is g
@@ -578,6 +579,29 @@ def test_power_squares_no_further_than_its_last_bit(monkeypatch, n, most_product
     assert len(products) <= most_products
 
 
-def test_cold_certificate_builds_few_polys(polys_built):
+def test_an_integral_is_one_sum(polys_counted):
+    # the two top monomials of the G(2,5)-bundle: one product per weighted
+    # coefficient, then one sum.  A partial sum per term, from a zero Poly,
+    # built 5
+    ring = ring_grassmann_bundle_g25()
+    x = ring.cls({(7, 0): Poly.var("x"), (6, 1): Poly.var("y")})
+    polys_counted.clear()
+    total = x.integrate()
+    assert len(polys_counted) <= 3
+    assert total == 14 * Poly.var("c1Fdual") * Poly.var("x") + 5 * Poly.var("y")
+
+
+_COLD_CERTIFICATE = "from hurwitzcalc.yeff import certify\ncertify(5, 16)\n"
+
+
+def test_cold_certificate_builds_few_polys(objects_built):
+    # every Poly, through __init__ or Poly.const: 601 when a difference
+    # built its negated operand and an integral one partial sum per term,
     # 1025 when every class term and every power multiplied by the unit Poly
-    assert polys_built("from hurwitzcalc.yeff import certify\ncertify(5, 16)\n") <= 601
+    assert objects_built(_COLD_CERTIFICATE)["Poly"] <= 485
+
+
+def test_cold_certificate_builds_few_fractions(objects_built):
+    # 1771 when Poly coefficients were all Fractions and propagation added
+    # Fractions
+    assert objects_built(_COLD_CERTIFICATE)["Fraction"] <= 1207

@@ -165,6 +165,16 @@ class TestLabelOracle:
             for gr in (graph_three_vertex_d3(g_l, g_r), graph_four_vertex_d3(g_l, g_r)):
                 assert canonical_label(gr) == oracle_label(gr)
 
+    @settings(max_examples=150)
+    @given(st.sampled_from(partitions(3)), st.integers(0, 12), st.integers(0, 12))
+    def test_degree_three_shapes_and_their_swaps(self, profile, g_l, g_r):
+        # sides that differ decide the label by their prefix alone; equal
+        # sides fall back to both readings
+        for gr in (two_vertex_graph(3, profile, g_l, g_r), graph_three_vertex_d3(g_l, g_r),
+                   graph_four_vertex_d3(g_l, g_r)):
+            for graph in (gr, gr.swap_sides()):
+                assert canonical_label(graph) == oracle_label(graph)
+
     def test_enumeration_matches_the_full_genus_range(self):
         # every split built, each labelled by the oracle, the first of a
         # swap pair kept: the enumeration before it built half the splits

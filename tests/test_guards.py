@@ -146,9 +146,10 @@ def test_package_names_resolve(engine_env):
     assert not missing and not unknown
 
 
-def test_import_builds_no_poly(polys_built):
+def test_import_builds_no_poly(objects_built):
     # kernel work at import time is paid by every cold CLI call
     others = sorted(path.stem for path in PACKAGE.glob("*.py")
                     if path.stem not in ("__init__", "symkernel"))
     assert len(others) == 10
-    assert polys_built("".join(f"import hurwitzcalc.{name}\n" for name in others)) == 0
+    code = "".join(f"import hurwitzcalc.{name}\n" for name in others)
+    assert objects_built(code)["Poly"] == 0

@@ -16,7 +16,8 @@ def p(name):
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
 @st.composite
-def polys(draw, names=("g", "b", "u")):
+def polys(draw, names=("g", "b", "u"),
+          coefficients=st.fractions(min_value=-50, max_value=50, max_denominator=8)):
     n_terms = draw(st.integers(0, 5))
     terms = {}
     for _ in range(n_terms):
@@ -25,7 +26,7 @@ def polys(draw, names=("g", "b", "u")):
             e = draw(st.integers(0, 3))
             if e:
                 mono.append((name, e))
-        coeff = draw(st.fractions(min_value=-50, max_value=50, max_denominator=8))
+        coeff = draw(coefficients)
         terms[tuple(sorted(mono))] = terms.get(tuple(sorted(mono)), 0) + coeff
     return Poly(terms)
 
@@ -42,6 +43,13 @@ def merged_product(a, b):
             mono = tuple(sorted(exps.items()))
             terms[mono] = terms.get(mono, 0) + c1 * c2
     return Poly(terms)
+
+
+def integer_first(poly):
+    """Every coefficient of poly is an int when integral and a Fraction
+    otherwise: never a float, never a Fraction over 1."""
+    return all(type(c) is (int if c.denominator == 1 else Fraction)
+               for c in poly.terms.values())
 
 
 class TestRational:
@@ -137,12 +145,20 @@ class TestPoly:
         expected = merged_product(a, Poly.const(k))
         for product in (a * k, k * a, a * Poly.const(k), Poly.const(k) * a):
             assert product == expected and str(product) == str(expected)
-            assert all(type(c) is Fraction for c in product.terms.values())
+            assert integer_first(product)
         if k == 1:
             # a unit factor shares the other operand, except that a unit on
             # the left of a constant is scaled by that constant
             assert a * k is a and k * a is a and a * Poly.const(k) is a
             assert Poly.const(k) * a is a or a.is_constant()
+
+    def test_a_difference_builds_one_poly(self, polys_counted):
+        a, b = p("g") + 1, p("b") - Fraction(1, 2)
+        for difference in (lambda: a - b, lambda: 3 - a, lambda: a - 3):
+            polys_counted.clear()
+            value = difference()
+            assert len(polys_counted) == 1 and value is polys_counted[0]
+        assert a - b == p("g") - p("b") + Fraction(3, 2) and 3 - a == 2 - p("g")
 
     def test_substitution(self):
         q = (p("v") + 6 * p("gR") + 3).subs({"v": (p("gR") + 3) / 2})
@@ -202,6 +218,66 @@ class TestCompiledEval:
         q = p("g") ** 2 / 6 - Fraction(3, 4) * p("g") + Fraction(1, 10)
         for g in range(-20, 21):
             assert q.eval({"g": g}) == Fraction(g * g, 6) - Fraction(3 * g, 4) + Fraction(1, 10)
+
+
+scalars = st.one_of(st.integers(-20, 20),
+                    st.fractions(min_value=-20, max_value=20, max_denominator=6))
+mixed_polys = polys(coefficients=scalars)
+univariate_polys = polys(names=("g",), coefficients=scalars)
+
+
+class TestExactness:
+    """int and Fraction coefficients mixed: no result holds a float, each
+    coefficient is an int when integral, and equal values hash equal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_polys, mixed_polys, scalars, assignments)
+    def test_arithmetic_stays_exact(self, a, b, k, at):
+        poly_results = [a + b, a - b, a * b, a + k, a - k, k - a, a * k, k * a, -a, a ** 3]
+        quotients = [RationalFunction(a, 2) + k, RationalFunction(a) * b]
+        if k:
+            poly_results.append(a / k)
+            quotients.append(RationalFunction(a) / k)
+        if not b.is_zero():
+            quotients += [RationalFunction(a, b), RationalFunction(a * b, b),
+                          RationalFunction(a) / RationalFunction(b), k - RationalFunction(a, b)]
+        quotients += [q.simplified() for q in quotients]
+        for r in poly_results + [part for q in quotients for part in (q.num, q.den)]:
+            assert integer_first(r)
+        values = [r.eval(at) for r in poly_results]
+        values += [q.eval(at) for q in quotients if q.den.eval(at) != 0]
+        assert all(type(v) is Fraction for v in values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_polys, mixed_polys, scalars)
+    def test_equal_values_hash_equal(self, a, b, k):
+        pairs = [(a + b - b, a), (Poly({m: Fraction(c) for m, c in a.terms.items()}), a),
+                 (a * k, Poly({m: Fraction(c) * k for m, c in a.terms.items()})),
+                 (RationalFunction(a), a), (RationalFunction(a * 3, 3), a)]
+        if not b.is_zero():
+            pairs += [(RationalFunction(a * b, b), a), (RationalFunction(a * b, b * 3), a / 3),
+                      (RationalFunction(a, b) * b, RationalFunction(a * b, b))]
+        for lhs, rhs in pairs:
+            assert lhs == rhs and hash(lhs) == hash(rhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(univariate_polys, univariate_polys)
+    def test_exact_univariate_division(self, a, b):
+        if b.is_zero() or b.is_constant():
+            return
+        quotient = RationalFunction(a * b, b).simplified()
+        assert quotient.is_polynomial() and quotient.num == a and integer_first(quotient.num)
+
+    def test_a_constant_ratio_is_its_fraction(self):
+        g = p("g")
+        third = RationalFunction(g, 3 * g)
+        assert third == Poly.const(Fraction(1, 3)) and hash(third) == hash(Fraction(1, 3))
+        assert hash(third) == hash(Poly.const(Fraction(1, 3)))
+        assert third.simplified().num.terms == {(): Fraction(1, 3)} and str(third) == "1/3"
+        assert RationalFunction(2 * g * g, 3 * g).simplified().num == Fraction(2, 3) * g
+        assert integer_first(Poly.const(Fraction(6, 2))) and Poly.const(Fraction(6, 2)) == 3
+        assert type(Poly.const(3).coefficient(())) is Fraction
+        assert type(Poly.const(3).constant_value()) is Fraction
 
 
 class TestRationalFunction:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -9,8 +10,9 @@ import pytest
 
 from hurwitzcalc import family_calc, yeff
 from hurwitzcalc.bundles import k1_pentagonal, m_r_pentagonal
+from hurwitzcalc.divisor_classes import class_x
 from hurwitzcalc.errors import (DerivationMismatch, EngineError, InvalidProfile,
-                               NotDivisorial, OutOfRange, PropagationFailure)
+                               NotDivisorial, OutOfRange, PropagationFailure, Record)
 from hurwitzcalc.family_calc import (PENCIL_TABLE, hyperelliptic_pencil_delta,
                                      partial_pencil_record,
                                      pentagonal_basechange_profile_record,
@@ -19,7 +21,7 @@ from hurwitzcalc.family_calc import (PENCIL_TABLE, hyperelliptic_pencil_delta,
 from hurwitzcalc.graphs import (MAX_GENUS, canonical_label,
                                 enumerate_two_vertex, graph_four_vertex_d3,
                                 graph_three_vertex_d3, two_vertex_graph)
-from hurwitzcalc.symkernel import Poly
+from hurwitzcalc.symkernel import Poly, RationalFunction
 from hurwitzcalc.yeff import (DISCONNECTED, IRREDUCIBLE_NODE, Certificate,
                               InequalityRule, build_rules, certify,
                               check_closed_form_d4, multivertex_margin,
@@ -504,6 +506,41 @@ def test_certificates_match_pinned_digest():
         digest.update(json.dumps(certify(d, g, scale).to_json()).encode())
     assert len(_PINNED_CERT_POINTS) == 3 * 26
     assert digest.hexdigest() == _PINNED_CERT_DIGEST
+
+
+def _leaves(x):
+    """Every value reachable from x through records, containers, rational
+    functions and Poly coefficients."""
+    if isinstance(x, Record):
+        x = [getattr(x, name) for name in x._fields]
+    elif isinstance(x, RationalFunction):
+        x = [x.num, x.den]
+    elif isinstance(x, Poly):
+        x = list(x.terms.values())
+    elif isinstance(x, Mapping):
+        x = [*x.keys(), *x.values()]
+    if isinstance(x, (list, tuple)):
+        for item in x:
+            yield from _leaves(item)
+    else:
+        yield x
+
+
+def test_no_float_reaches_a_certificate_or_class_x():
+    # propagation adds integers, but what a certificate or a rule holds is
+    # still a Fraction
+    sweep = [(d, g) for d, g, scale in _PINNED_CERT_POINTS if scale == 1]
+    assert len(sweep) == 26
+    for d, g in sweep:
+        cert, rules = certify(d, g), build_rules(d, g)
+        assert type(cert.a) is Fraction and type(cert.b) is Fraction
+        assert all(type(res.lower_bound) is Fraction for res in cert.per_graph.values())
+        for rule in rules.values():
+            assert type(rule.slack) is Fraction
+            assert all(type(coeff) is Fraction for _, coeff in rule.targets)
+        assert not any(type(value) is float for value in _leaves([cert, rules]))
+    for d in (3, 4, 5):
+        assert not any(type(value) is float for value in _leaves(class_x(d)))
 
 
 def test_each_hyperelliptic_vertex_graph_is_labelled_once(monkeypatch):
