@@ -325,17 +325,20 @@ def ring_grassmann_bundle_g25(deg_f_dual: PolyLike | str = "c1Fdual") -> ChowPre
     :func:`grassmann_top_constant_from_twist`.
     """
     dp = Poly.var(deg_f_dual) if isinstance(deg_f_dual, str) else Poly.coerce(deg_f_dual)
-    a, b = grassmann_top_constant_from_twist()
-    return _interned(f"grassmann25:{dp}", lambda: dict(
-        generators=("z", "f"),
-        rewrites={1: (2, {})},
-        top_degree=7,
-        integration={(6, 1): G14_PLUCKER_DEGREE, (7, 0): a * dp + b},
-        # K = -c1(T_rel) - 2f, with the relative tangent bundle Hom(S, Q):
-        # c1(Q) = z and c1(S-dual) = z - c1(F-dual) f, so
-        # c1(T_rel) = 2 c1(S-dual) + 3 c1(Q) = 5z - 2 c1(F-dual) f
-        canonical={(1, 0): -5, (0, 1): 2 * dp - 2},
-    ))
+
+    def presentation() -> dict:
+        a, b = grassmann_top_constant_from_twist()
+        return dict(
+            generators=("z", "f"),
+            rewrites={1: (2, {})},
+            top_degree=7,
+            integration={(6, 1): G14_PLUCKER_DEGREE, (7, 0): a * dp + b},
+            # K = -c1(T_rel) - 2f, with the relative tangent bundle Hom(S, Q):
+            # c1(Q) = z and c1(S-dual) = z - c1(F-dual) f, so
+            # c1(T_rel) = 2 c1(S-dual) + 3 c1(Q) = 5z - 2 c1(F-dual) f
+            canonical={(1, 0): -5, (0, 1): 2 * dp - 2},
+        )
+    return _interned(f"grassmann25:{dp}", presentation)
 
 
 def ring_proj_space(n: int) -> ChowPresentation:

@@ -174,26 +174,20 @@ def boundary_multiplicity(profile: tuple[int, ...], node_degree: int) -> Fractio
 
 def canonical_label(gr: DualGraph) -> str:
     """Deterministic label, identical for a graph and its side-swap: the
-    smaller of the graph's labels read with L first and with R first.  Both
-    readings start with their side strings, in prefixes of one length, so
-    when the sides differ the prefixes alone decide and only the smaller
-    reading's edges are written."""
-    left, right = (",".join(f"{g}g{d}" for g, d in sorted(
-                       (v.genus, v.degree) for v in gr.vertices if v.side == side))
-                   for side in ("L", "R"))
+    smaller of the graph's labels read with L first and with R first."""
+    sides = {side: ",".join(f"{g}g{d}" for g, d in sorted(
+                 (v.genus, v.degree) for v in gr.vertices if v.side == side))
+             for side in ("L", "R")}
     by_id = {v.ident: (v.genus, v.degree) for v in gr.vertices}
     ends = [(by_id[e.left], by_id[e.right], e.local_degree) for e in gr.edges]
-    flipped = [(right_end, left_end, k) for left_end, right_end, k in ends]
 
-    def reading(head: str, pairs) -> str:
+    def oriented(first: str, second: str, pairs) -> str:
         edges = ";".join(f"({gl}g{dl}|{gr_}g{dr}|{k})"
                          for (gl, dl), (gr_, dr), k in sorted(pairs))
-        return f"{head}E[{edges}]"
+        return f"L[{sides[first]}]R[{sides[second]}]E[{edges}]"
 
-    head, swapped_head = f"L[{left}]R[{right}]", f"L[{right}]R[{left}]"
-    if head == swapped_head:
-        return min(reading(head, ends), reading(head, flipped))
-    return reading(head, ends) if head < swapped_head else reading(swapped_head, flipped)
+    return min(oriented("L", "R", ends),
+               oriented("R", "L", [(right, left, k) for left, right, k in ends]))
 
 
 def two_vertex_label(d: int, profile: tuple[int, ...], genus_left: int,

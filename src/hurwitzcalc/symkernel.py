@@ -53,7 +53,7 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _exact(q: Fraction) -> int | Fraction:
+def int_if_integral(q: Fraction) -> int | Fraction:
     """q as an int when it is integral: a coefficient is a Fraction only
     when a division has made it one."""
     return q.numerator if q.denominator == 1 else q
@@ -106,7 +106,7 @@ class Poly:
             # coefficient would dominate the evaluation of a cached form
             c = coeff if type(coeff) is int or type(coeff) is Fraction else Fraction(coeff)
             total[mono] = total[mono] + c if mono in total else c
-        object.__setattr__(self, "terms", {m: c if type(c) is int else _exact(c)
+        object.__setattr__(self, "terms", {m: c if type(c) is int else int_if_integral(c)
                                            for m, c in total.items() if c})
         object.__setattr__(self, "compiled", None)
 
@@ -120,7 +120,7 @@ class Poly:
     def const(cls, value: Scalar) -> "Poly":
         """The constant `value`: one term, so there is nothing to sum."""
         if type(value) is not int:
-            value = _exact(value if type(value) is Fraction else Fraction(value))
+            value = int_if_integral(value if type(value) is Fraction else Fraction(value))
         p = object.__new__(cls)
         object.__setattr__(p, "terms", {(): value} if value else {})
         object.__setattr__(p, "compiled", None)
@@ -128,7 +128,7 @@ class Poly:
 
     @staticmethod
     def coerce(x: PolyLike) -> "Poly":
-        if type(x) is Poly or isinstance(x, Poly):
+        if isinstance(x, Poly):
             return x
         return Poly.const(x)
 
@@ -181,8 +181,6 @@ class Poly:
         return Poly([*_pairs(other), *((m, -c) for m, c in self.terms.items())])
 
     def __mul__(self, other: PolyLike) -> "Poly":
-        if other is _ONE:
-            return self
         if not isinstance(other, Poly):
             return self._scaled(other) if Poly._coercible(other) else NotImplemented
         mine, theirs = self.terms, other.terms

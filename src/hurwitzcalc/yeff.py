@@ -44,7 +44,7 @@ from .family_calc import (PENCIL_TABLE, PencilRow, _basechange_hits, _nonnegativ
 from .graphs import (canonical_label, graph_four_vertex_d3,
                      graph_three_vertex_d3, enumerate_two_vertex,
                      two_vertex_label)
-from .symkernel import Poly, _exact
+from .symkernel import Poly, int_if_integral
 
 # pseudo-targets that ground the induction
 IRREDUCIBLE_NODE = "irreducible-node divisor (coefficient 0)"
@@ -421,17 +421,17 @@ def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
             raise PropagationFailure(label, "no rule reaches this graph")
         in_progress.add(label)
         rule = rules[label]
-        slack = total = _exact(rule.slack)
+        total = int_if_integral(rule.slack)
         steps = []
         for target, coeff in rule.targets:
-            total += bound(target) if coeff == 1 else _exact(coeff) * bound(target)
+            total += bound(target) if coeff == 1 else int_if_integral(coeff) * bound(target)
             steps.extend(chains[target])
         in_progress.discard(label)
-        bounds[label] = total = _exact(total)
+        bounds[label] = total = int_if_integral(total)
         chains[label] = steps + [{
             "rule": rule.provenance,
             "source": label,
-            "slack": str(slack),
+            "slack": str(rule.slack),
             "targets": [[t, str(c), str(bounds[t])] for t, c in rule.targets],
             "reconstructed": rule.reconstructed,
             "equality": rule.equality,

@@ -21,7 +21,9 @@ def engine_env():
 
 # import symkernel, count every Poly built from then on, through __init__
 # or Poly.const, and every Fraction, while the code on the command line
-# runs, and print both counts
+# runs, and print both counts.  A Fraction is counted where it is built:
+# in Fraction.__new__ and, on Python 3.12 and later, where arithmetic builds
+# its result without __new__, in Fraction._from_coprime_ints
 BUILT = (
     "import sys\n"
     "from fractions import Fraction\n"
@@ -39,6 +41,12 @@ BUILT = (
     "    return new(cls, *args, **kwargs)\n"
     "Poly.__init__, Poly.const = counting_init, classmethod(counting_const)\n"
     "Fraction.__new__ = counting_new\n"
+    "if hasattr(Fraction, '_from_coprime_ints'):\n"
+    "    coprime = Fraction._from_coprime_ints.__func__\n"
+    "    def counting_coprime(cls, *args):\n"
+    "        built['Fraction'] += 1\n"
+    "        return coprime(cls, *args)\n"
+    "    Fraction._from_coprime_ints = classmethod(counting_coprime)\n"
     "exec(sys.argv[1])\n"
     "print(built['Poly'], built['Fraction'])\n")
 
@@ -46,7 +54,9 @@ BUILT = (
 @pytest.fixture(scope="session")
 def objects_built(engine_env):
     """The numbers of Poly and of Fraction objects a piece of code builds in
-    a fresh interpreter, counted from just after `symkernel` is imported."""
+    a fresh interpreter, counted from just after `symkernel` is imported.
+    Fractions are counted at Fraction.__new__, and also at
+    Fraction._from_coprime_ints where the Python version has it."""
     def run(code):
         result = subprocess.run([sys.executable, "-c", BUILT, code], env=engine_env,
                                 capture_output=True, text=True, timeout=60)

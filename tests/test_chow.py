@@ -168,6 +168,17 @@ def test_grassmann_top_integral_follows_the_derivation(monkeypatch):
     assert _fresh_grassmann_integrals(w) == (10, 28 * w)
 
 
+def test_a_warm_ring_derives_nothing(monkeypatch):
+    # the spec is looked up before the tables, and the derived constant, are
+    # built
+    ring = ring_grassmann_bundle_g25()
+
+    def derive():
+        raise AssertionError("a warm ring derived its top constant")
+    monkeypatch.setattr(chow, "grassmann_top_constant_from_twist", derive)
+    assert ring_grassmann_bundle_g25() is ring
+
+
 def test_grassmann_canonical_class():
     dual_degree = Poly.var("c1Fdual")
     ring = ring_grassmann_bundle_g25(dual_degree)
@@ -602,6 +613,8 @@ def test_cold_certificate_builds_few_polys(objects_built):
 
 
 def test_cold_certificate_builds_few_fractions(objects_built):
-    # 1771 when Poly coefficients were all Fractions and propagation added
-    # Fractions
+    # Fractions built through Fraction.__new__ and, on Pythons that have it,
+    # Fraction._from_coprime_ints; the pin is measured on CPython 3.11, where
+    # every Fraction passes through __new__.  1771 when Poly coefficients were
+    # all Fractions and propagation added Fractions
     assert objects_built(_COLD_CERTIFICATE)["Fraction"] <= 1207

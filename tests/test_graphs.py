@@ -168,8 +168,8 @@ class TestLabelOracle:
     @settings(max_examples=150)
     @given(st.sampled_from(partitions(3)), st.integers(0, 12), st.integers(0, 12))
     def test_degree_three_shapes_and_their_swaps(self, profile, g_l, g_r):
-        # sides that differ decide the label by their prefix alone; equal
-        # sides fall back to both readings
+        # a graph and its side-swap both get the smaller of the two full
+        # readings
         for gr in (two_vertex_graph(3, profile, g_l, g_r), graph_three_vertex_d3(g_l, g_r),
                    graph_four_vertex_d3(g_l, g_r)):
             for graph in (gr, gr.swap_sides()):
