@@ -120,10 +120,14 @@ def bogomolov(rank: int, c1: PolyLike, c2: PolyLike) -> Poly:
     return c2 - Fraction(rank - 1, 2 * rank) * c1 * c1
 
 
-def bogomolov_from_ch2(rank: int, ch2: PolyLike, c1sq: PolyLike) -> Poly:
+def bogomolov_from_ch2(rank: int, ch2: RationalFunction | PolyLike,
+                       c1sq: RationalFunction | PolyLike) -> Poly | RationalFunction:
     """The Bogomolov expression in (ch2, c1^2) coordinates: substituting
-    c2 = c1^2/2 - ch2 gives c1^2/(2r) - ch2."""
-    return Poly.coerce(c1sq) / (2 * rank) - Poly.coerce(ch2)
+    c2 = c1^2/2 - ch2 gives c1^2/(2r) - ch2.  A RationalFunction operand
+    gives a RationalFunction; otherwise the result is a Poly."""
+    if not isinstance(ch2, RationalFunction) and not isinstance(c1sq, RationalFunction):
+        ch2, c1sq = Poly.coerce(ch2), Poly.coerce(c1sq)
+    return c1sq / (2 * rank) - ch2
 
 
 def chern_from_basis(d: int, lam: RationalFunction, delta: RationalFunction,
@@ -161,7 +165,7 @@ def maroni_class_from_bogomolov(d: int) -> DivisorClass:
     bundle, pushed through the basis inversion.  Agrees with
     :func:`maroni_class` identically."""
     def functional(e2, f2, s):
-        return s / (2 * (d - 1)) - e2     # bogomolov_from_ch2 at rank d-1
+        return bogomolov_from_ch2(d - 1, e2, s)
     return _class_from_chern_functional(d, functional)
 
 
@@ -173,8 +177,7 @@ def ce_class_from_bogomolov(d: int) -> DivisorClass:
         raise NotDivisorial("the bundle of quadrics needs d >= 4")
     rank_f = d * (d - 3) // 2
     def functional(e2, f2, s):
-        c1sq_f = (d - 3) ** 2 * s
-        return c1sq_f / (2 * rank_f) - f2
+        return bogomolov_from_ch2(rank_f, f2, (d - 3) ** 2 * s)
     return _class_from_chern_functional(d, functional)
 
 

@@ -7,14 +7,17 @@ D ((2,2)-pair) are polynomial expressions in the Chern data of the two
 structural bundles.  This module computes them exactly, together with the
 singular-element counts of the explicit pencils the divisor bounds rest on.
 
-Each pencil count is derived once per process, lazily on first use, with
-the genus (or the bundle twists) kept symbolic; the jet-bundle count is
-checked against the Euler-characteristic count at that derivation.  The
-per-genus functions only evaluate the resulting polynomial.
+Each vertex pencil has one symbolic form, `vertex_pencil_form`, derived
+once per process, lazily on first use, directly in the symbols the
+boundary rules evaluate: the vertex genus gR, and the ceilings v and kR
+where they enter.  The jet-bundle count is checked against the
+Euler-characteristic count at that derivation.  The per-genus functions
+only evaluate that form at `pencil_symbols`, the one place that turns a
+genus into its ceilings.
 
 The partial pencils are one table of plain-data rows, `PENCIL_TABLE`.  A
-record evaluates its row with the symbolic form of the row's vertex pencil,
-`vertex_pencil_form`; the boundary-rule slacks of `yeff` read the same rows.
+record evaluates its row with the form of the row's vertex pencil; the
+boundary-rule slacks of `yeff` read the same rows and forms.
 """
 
 from __future__ import annotations
@@ -239,24 +242,6 @@ def surface_tetragonal(u: PolyLike, v: PolyLike) -> Surface:
     return Surface("conic-bundle", ring, k_surface, c2, fundamental)
 
 
-@cache
-def _tetragonal_form() -> Poly:
-    """Singular elements of 2z - uf on the conic-bundle surface with u and
-    v symbolic: 6u + 7v - 12."""
-    u, v = Poly.var("u"), Poly.var("v")
-    surface = surface_tetragonal(u, v)
-    z, f = surface.ring.gen("z"), surface.ring.gen("f")
-    return _checked_pencil_delta(surface, 2 * z - u * f)
-
-
-def tetragonal_pencil_delta(g_r: int) -> Fraction:
-    """Singular elements of the basic degree-four pencil: v + 6g + 6, with
-    v = ceil((g+3)/2) the larger twist of the rank-two bundle F and
-    u = g + 3 - v."""
-    v = v_tetragonal(_nonnegative_genus(g_r))
-    return _tetragonal_form().eval({"u": g_r + 3 - v, "v": v})
-
-
 # ---------------------------------------------------------------------------
 # Degree-five pencils through the Grassmannian bundle
 # ---------------------------------------------------------------------------
@@ -329,22 +314,97 @@ def _substitute_symmetric_tail(p: Poly, names: list[str], total: Poly) -> Poly:
     return p.subs({name: share for name in names})
 
 
+# ---------------------------------------------------------------------------
+# Vertex pencils: one symbolic form each, in the symbols the rules evaluate
+# ---------------------------------------------------------------------------
+
 @cache
-def _pentagonal_form() -> dict[str, Poly]:
-    return pentagonal_pencil_symbolic()
+def vertex_pencil_form(vertex: str) -> dict[str, Poly]:
+    """lambda, delta and X of the plain pencil of one vertex type, derived
+    once per process with the vertex genus symbolic as gR (and v, kR, mR
+    where they enter), the jet count checked against the Euler count there.
+    Only the degree-five pencil meets X in an exact count: (2g - 22)/5
+    times its Maroni count M = kR + mR, from the Maroni rotation; its form
+    also carries the basepoint count B.  The others meet X nonnegatively,
+    encoded as 0.  The rational vertex of degree dv has lambda 0 and
+    delta dv."""
+    g_r, zero = Poly.var("gR"), Poly.const(0)
+    if vertex == "rational":
+        return {"lambda": zero, "delta": Poly.var("dv"), "X": zero}
+    if vertex == "trigonal":
+        # bidegree (3, k) on the quadric with k = gR/2 + 1, and 3 tau + m f
+        # on its blown-up twin F_1 with m = (gR - 1)/2: the counts must agree
+        quadric, blown_up = surface_p1xp1(), surface_hirzebruch(1)
+        rs, rt = quadric.ring.gen("Rs"), quadric.ring.gen("Rt")
+        tau, f = blown_up.ring.gen("tau"), blown_up.ring.gen("f")
+        deltas = []
+        for surface, pencil in ((quadric, (g_r / 2 + 1) * rs + 3 * rt),
+                                (blown_up, 3 * tau + (g_r - 1) / 2 * f)):
+            require(surface.adjunction_genus(pencil) == g_r,
+                    f"trigonal pencil on {surface.name} has genus gR")
+            deltas.append(_checked_pencil_delta(surface, pencil))
+        require(deltas[0] == deltas[1], "the two trigonal surfaces agree")
+        return {"lambda": g_r, "delta": deltas[0], "X": zero}
+    if vertex == "hyperelliptic":
+        # the pencil 2 tau + f on F_gR
+        surface = surface_hirzebruch(g_r)
+        tau, f = surface.ring.gen("tau"), surface.ring.gen("f")
+        return {"lambda": g_r, "delta": _checked_pencil_delta(surface, 2 * tau + f),
+                "X": zero}
+    if vertex == "tetragonal":
+        # 2z - uf on the conic-bundle surface, u = gR + 3 - v
+        v = Poly.var("v")
+        u = g_r + 3 - v
+        surface = surface_tetragonal(u, v)
+        z, f = surface.ring.gen("z"), surface.ring.gen("f")
+        return {"lambda": g_r, "delta": _checked_pencil_delta(surface, 2 * z - u * f),
+                "X": zero}
+    if vertex != "pentagonal":
+        raise UnknownKind(f"unknown vertex pencil {vertex!r}")
+    form, maroni = pentagonal_pencil_symbolic("gR", "kR"), Poly.var("kR") + Poly.var("mR")
+    return {"lambda": form["lambda"], "delta": form["delta"], "B": form["B"],
+            "X": (2 * Poly.var("g") - 22) / 5 * maroni, "M": maroni}
+
+
+def pencil_symbols(g_r: int, g: int | None = None) -> dict[str, int | None]:
+    """Values of the symbols of :func:`vertex_pencil_form` at vertex genus
+    g_r and total genus g, which only X needs."""
+    return {"g": g, "gR": g_r, "v": v_tetragonal(g_r), "kR": k1_pentagonal(g_r),
+            "mR": m_r_pentagonal(g_r)}
+
+
+def _vertex_delta(vertex: str, g_r: int) -> Fraction:
+    return vertex_pencil_form(vertex)["delta"].eval(pencil_symbols(_nonnegative_genus(g_r)))
+
+
+def trigonal_pencil_delta(g_r: int) -> Fraction:
+    """Singular members of the basic trigonal pencil, 7g + 6."""
+    return _vertex_delta("trigonal", g_r)
+
+
+def hyperelliptic_pencil_delta(g_r: int) -> Fraction:
+    """Singular members of the genus-g hyperelliptic pencil on F_g: 8g + 4."""
+    return _vertex_delta("hyperelliptic", g_r)
+
+
+def tetragonal_pencil_delta(g_r: int) -> Fraction:
+    """Singular elements of the basic degree-four pencil: v + 6g + 6, with
+    v = ceil((g+3)/2) the larger twist of the rank-two bundle F and
+    u = g + 3 - v."""
+    return _vertex_delta("tetragonal", g_r)
 
 
 def pentagonal_pencil_numbers(g_r: int) -> dict[str, Fraction]:
     """Exact invariants of a general degree-five pencil of genus g_r >= 2:
     k1, the basepoint count B, and the pencil's lambda and delta, evaluated
-    from :func:`pentagonal_pencil_symbolic`, whose Euler-characteristic
-    pipeline fixes delta."""
-    if g_r < 2:
-        raise OutOfRange("pentagonal pencils need genus >= 2")
-    k1 = k1_pentagonal(g_r)
-    at = {"g": g_r, "k1": k1}
-    form = _pentagonal_form()
-    return {"k1": Fraction(k1),
+    from its form in :func:`vertex_pencil_form`, built by
+    :func:`pentagonal_pencil_symbolic`, whose Euler-characteristic pipeline
+    fixes delta."""
+    min_gr = PENCIL_TABLE["pentagonal_plain"].min_gr
+    if g_r < min_gr:
+        raise OutOfRange(f"pentagonal pencils need genus >= {min_gr}")
+    at, form = pencil_symbols(g_r), vertex_pencil_form("pentagonal")
+    return {"k1": Fraction(at["kR"]),
             **{name: form[name].eval(at) for name in ("B", "lambda", "delta")}}
 
 
@@ -457,79 +517,6 @@ class PencilRecord(Record):
             extras={k: Fraction(v) for k, v in data.get("extras", {}).items()},
             notes=tuple(data.get("notes", ())),
         )
-
-
-@cache
-def _trigonal_form() -> Poly:
-    """7g + 6 with g symbolic, derived on the quadric surface and on its
-    blown-up twin, which must agree."""
-    g = Poly.var("g")
-    quadric = surface_p1xp1()
-    rs, rt = quadric.ring.gen("Rs"), quadric.ring.gen("Rt")
-    blown_up = surface_hirzebruch(1)
-    tau, f = blown_up.ring.gen("tau"), blown_up.ring.gen("f")
-    # bidegree (3, k) with k = g/2 + 1, and 3 tau + m f with m = (g - 1)/2
-    deltas = []
-    for surface, pencil in ((quadric, (g / 2 + 1) * rs + 3 * rt),
-                            (blown_up, 3 * tau + (g - 1) / 2 * f)):
-        require(surface.adjunction_genus(pencil) == g,
-                f"trigonal pencil on {surface.name} has genus g")
-        deltas.append(_checked_pencil_delta(surface, pencil))
-    require(deltas[0] == deltas[1], "the two trigonal surfaces agree")
-    return deltas[0]
-
-
-def trigonal_pencil_delta(g_r: int) -> Fraction:
-    """Singular members of the basic trigonal pencil, 7g + 6.  The count is
-    derived once per process with the genus symbolic, on the quadric
-    surface and on its blown-up twin, and then evaluated at g_r."""
-    return _trigonal_form().eval({"g": _nonnegative_genus(g_r)})
-
-
-@cache
-def _hyperelliptic_form() -> Poly:
-    """8h + 4: the pencil 2 tau + f on F_h with h symbolic."""
-    surface = surface_hirzebruch("h")
-    tau, f = surface.ring.gen("tau"), surface.ring.gen("f")
-    return _checked_pencil_delta(surface, 2 * tau + f)
-
-
-def hyperelliptic_pencil_delta(g_r: int) -> Fraction:
-    """Singular members of the genus-g hyperelliptic pencil on F_g: 8g + 4."""
-    return _hyperelliptic_form().eval({"h": _nonnegative_genus(g_r)})
-
-
-@cache
-def vertex_pencil_form(vertex: str) -> dict[str, Poly]:
-    """lambda, delta and X of the plain pencil of one vertex type, with the
-    vertex genus symbolic as gR (and v, kR, mR where they enter), from the
-    pencil counts above.  Only the degree-five pencil meets X in an exact
-    count: (2g - 22)/5 times its Maroni count M = kR + mR, from the Maroni
-    rotation.  The others meet X nonnegatively, encoded as 0.  The rational
-    vertex of degree dv has lambda 0 and delta dv."""
-    g_r, zero = Poly.var("gR"), Poly.const(0)
-    if vertex == "rational":
-        return {"lambda": zero, "delta": Poly.var("dv"), "X": zero}
-    if vertex == "trigonal":
-        return {"lambda": g_r, "delta": _trigonal_form().subs({"g": g_r}), "X": zero}
-    if vertex == "hyperelliptic":
-        return {"lambda": g_r, "delta": _hyperelliptic_form().subs({"h": g_r}), "X": zero}
-    if vertex == "tetragonal":
-        return {"lambda": g_r, "X": zero,
-                "delta": _tetragonal_form().subs({"u": g_r + 3 - Poly.var("v")})}
-    if vertex != "pentagonal":
-        raise UnknownKind(f"unknown vertex pencil {vertex!r}")
-    form, maroni = _pentagonal_form(), Poly.var("kR") + Poly.var("mR")
-    at = {"g": g_r, "k1": Poly.var("kR")}
-    return {"lambda": form["lambda"].subs(at), "delta": form["delta"].subs(at),
-            "X": (2 * Poly.var("g") - 22) / 5 * maroni, "M": maroni}
-
-
-def pencil_symbols(g_r: int, g: int | None = None) -> dict[str, int | None]:
-    """Values of the symbols of :func:`vertex_pencil_form` at vertex genus
-    g_r and total genus g, which only X needs."""
-    return {"g": g, "gR": g_r, "v": v_tetragonal(g_r), "kR": k1_pentagonal(g_r),
-            "mR": m_r_pentagonal(g_r)}
 
 
 class PencilRow(Record):

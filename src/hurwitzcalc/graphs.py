@@ -56,12 +56,6 @@ class DualGraph(Record):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
 
-    def vertex(self, ident: str) -> Vertex:
-        for v in self.vertices:
-            if v.ident == ident:
-                return v
-        raise InvalidGraph(f"no vertex {ident!r}")
-
     def side(self, side: str) -> list[Vertex]:
         return [v for v in self.vertices if v.side == side]
 

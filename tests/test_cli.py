@@ -274,6 +274,33 @@ class TestCertify:
         assert code == 2 and "is not admissible" in err
 
 
+    @pytest.mark.parametrize("flags", [(), ("-O",)])
+    def test_failed_certification_exits_three(self, engine_env, flags):
+        # a sabotaged slack on the first rule makes its bound negative; the
+        # verdict must name it and exit 3, also when asserts are stripped
+        from hurwitzcalc.yeff import build_rules
+        label = min(build_rules(3, 8))
+        script = (
+            "from fractions import Fraction\n"
+            "from hurwitzcalc import yeff\n"
+            "from hurwitzcalc.cli import main\n"
+            "real = yeff.build_rules\n"
+            "def sabotaged(d, g, scale=Fraction(1)):\n"
+            "    rules = real(d, g, scale)\n"
+            "    label = min(rules)\n"
+            "    rule = rules[label]\n"
+            "    rules[label] = yeff.InequalityRule(label, rule.targets, Fraction(-10**6),\n"
+            "                                       rule.provenance)\n"
+            "    return rules\n"
+            "yeff.build_rules = sabotaged\n"
+            "raise SystemExit(main(['yeff', 'certify', '--d', '3', '--g', '8']))\n")
+        result = subprocess.run([sys.executable, *flags, "-c", script],
+                                env=engine_env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 3, result.stdout + result.stderr
+        assert f"certification FAILED: failed:{label}" in result.stdout.splitlines()
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")

@@ -64,8 +64,35 @@ class TestBogomolov:
             via_c2 = bogomolov(rank, c1, c1 * c1 / 2 - ch2)
             assert via_c2 == bogomolov_from_ch2(rank, ch2, c1 * c1)
 
+    def test_ch2_form_takes_rational_functions(self):
+        g = Poly.var("g")
+        ch2, c1sq = RationalFunction(g, g + 1), RationalFunction(g * g, g - 1)
+        for a, b in ((ch2, c1sq), (ch2, g * g), (g, c1sq), (1, c1sq)):
+            got = bogomolov_from_ch2(3, a, b)
+            assert isinstance(got, RationalFunction)
+            assert got == RationalFunction.coerce(b) / 6 - a
+        for a, b in ((g, g * g), (1, 2), (Fraction(1, 2), g)):
+            assert isinstance(bogomolov_from_ch2(3, a, b), Poly)
+        assert bogomolov_from_ch2(2, Fraction(1, 2), 3) == Poly.const(Fraction(1, 4))
+
 
 class TestBogomolovRoute:
+    def test_cross_check_runs_the_public_expression(self, monkeypatch):
+        # both rederived classes go through bogomolov_from_ch2, at rank d-1
+        # for M and at the rank d(d-3)/2 of the bundle of quadrics for CE
+        ranks = []
+        real = divisor_classes.bogomolov_from_ch2
+
+        def recording(rank, ch2, c1sq):
+            ranks.append(rank)
+            return real(rank, ch2, c1sq)
+        monkeypatch.setattr(divisor_classes, "bogomolov_from_ch2", recording)
+        maroni_class_from_bogomolov(4)
+        assert set(ranks) == {3}
+        ranks.clear()
+        ce_class_from_bogomolov(5)
+        assert set(ranks) == {5}
+
     def test_maroni_class_derives_from_bogomolov(self):
         for d in (3, 4, 5):
             printed, derived = maroni_class(d), maroni_class_from_bogomolov(d)

@@ -10,10 +10,9 @@ from hurwitzcalc.bundles import k1_pentagonal
 from hurwitzcalc.chow import surface_hirzebruch, surface_p1xp1
 from hurwitzcalc.divisor_classes import chern_from_basis
 from hurwitzcalc.errors import InvalidProfile, OutOfRange, RingMismatch, UnknownKind
-from hurwitzcalc.family_calc import (PENCIL_KINDS, ChernData, PencilRecord,
-                                     _checked_pencil_delta, _hyperelliptic_form,
-                                     _pentagonal_form, _tetragonal_form,
-                                     _trigonal_form, basechange_section_bookkeeping,
+from hurwitzcalc.family_calc import (PENCIL_KINDS, PENCIL_TABLE, ChernData,
+                                     PencilRecord, PencilRow,
+                                     _checked_pencil_delta, basechange_section_bookkeeping,
                                      c2_omega_tetragonal_ambient_restricted,
                                      c2_omega_tetragonal_surface,
                                      hyperelliptic_pencil_delta,
@@ -24,7 +23,7 @@ from hurwitzcalc.family_calc import (PENCIL_KINDS, ChernData, PencilRecord,
                                      pentagonal_pencil_numbers,
                                      pentagonal_pencil_symbolic,
                                      surface_tetragonal, tetragonal_pencil_delta,
-                                     trigonal_pencil_delta)
+                                     trigonal_pencil_delta, vertex_pencil_form)
 from hurwitzcalc.symkernel import Poly, RationalFunction
 
 
@@ -95,6 +94,16 @@ class TestFamilyInvariants:
             assert dd_back == dd
 
 
+# the pentagonal counts the one form carries
+_PENTAGONAL_FORM_KEYS = ("lambda", "delta", "B")
+
+
+def _pentagonal_form_at(g_r, k_r):
+    form = vertex_pencil_form("pentagonal")
+    return {name: Poly.const(form[name].eval({"gR": g_r, "kR": k_r}))
+            for name in _PENTAGONAL_FORM_KEYS}
+
+
 class TestPencilDeltas:
     def test_trigonal_even_genus_on_quadric(self):
         surface = surface_p1xp1()
@@ -116,28 +125,30 @@ class TestPencilDeltas:
         assert hyperelliptic_pencil_delta(7) == 60
 
     def test_cached_forms_equal_the_derivation_on_numeric_rings(self):
-        # each form is derived once with symbolic parameters; the same
-        # derivation on rings built with numbers, which carry their canonical
-        # class as data, must give its values
+        # each form is derived once in the rule symbols; the same derivation
+        # on rings built with numbers, which carry their canonical class as
+        # data, must give its values.  The surfaces' own parameters map to
+        # the rule symbols as h -> gR, g -> gR, (u, v) -> (u + v - 3, v) and
+        # (g, k1) -> (gR, kR)
         for h in range(12):
             surface = surface_hirzebruch(h)
             tau, f = surface.ring.gen("tau"), surface.ring.gen("f")
             assert _checked_pencil_delta(surface, 2 * tau + f) == \
-                _hyperelliptic_form().eval({"h": h})
+                vertex_pencil_form("hyperelliptic")["delta"].eval({"gR": h})
         for u, v in ((1, 2), (3, 3), (4, 7), (9, 5)):
             surface = surface_tetragonal(u, v)
             z, f = surface.ring.gen("z"), surface.ring.gen("f")
             assert _checked_pencil_delta(surface, 2 * z - u * f) == \
-                _tetragonal_form().eval({"u": u, "v": v})
+                vertex_pencil_form("tetragonal")["delta"].eval({"gR": u + v - 3, "v": v})
         quadric = surface_p1xp1()
         rs, rt = quadric.ring.gen("Rs"), quadric.ring.gen("Rt")
         for g in range(0, 21, 2):
             assert _checked_pencil_delta(quadric, (g // 2 + 1) * rs + 3 * rt) == \
-                _trigonal_form().eval({"g": g})
+                vertex_pencil_form("trigonal")["delta"].eval({"gR": g})
         for g, k1 in ((2, k1_pentagonal(2)), (16, k1_pentagonal(16)), (7, 3)):
             numeric = pentagonal_pencil_symbolic(g, k1)
-            assert numeric == {name: Poly.const(form.eval({"g": g, "k1": k1}))
-                               for name, form in _pentagonal_form().items()}
+            assert {name: numeric[name] for name in _PENTAGONAL_FORM_KEYS} == \
+                _pentagonal_form_at(g, k1)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 400), st.integers(0, 80), st.integers(0, 80),
@@ -147,19 +158,19 @@ class TestPencilDeltas:
         surface = surface_hirzebruch(h)
         tau, f = surface.ring.gen("tau"), surface.ring.gen("f")
         assert _checked_pencil_delta(surface, 2 * tau + f) == \
-            _hyperelliptic_form().eval({"h": h})
+            vertex_pencil_form("hyperelliptic")["delta"].eval({"gR": h})
         surface = surface_tetragonal(u, v)
         z, f = surface.ring.gen("z"), surface.ring.gen("f")
         assert _checked_pencil_delta(surface, 2 * z - u * f) == \
-            _tetragonal_form().eval({"u": u, "v": v})
+            vertex_pencil_form("tetragonal")["delta"].eval({"gR": u + v - 3, "v": v})
         quadric = surface_p1xp1()
         rs, rt = quadric.ring.gen("Rs"), quadric.ring.gen("Rt")
         assert _checked_pencil_delta(quadric, (half_g + 1) * rs + 3 * rt) == \
-            _trigonal_form().eval({"g": 2 * half_g})
+            vertex_pencil_form("trigonal")["delta"].eval({"gR": 2 * half_g})
         g = 2 * half_g + h % 2
-        assert pentagonal_pencil_symbolic(g, k1) == \
-            {name: Poly.const(form.eval({"g": g, "k1": k1}))
-             for name, form in _pentagonal_form().items()}
+        numeric = pentagonal_pencil_symbolic(g, k1)
+        assert {name: numeric[name] for name in _PENTAGONAL_FORM_KEYS} == \
+            _pentagonal_form_at(g, k1)
 
     def test_euler_route_agrees_on_all_surfaces(self):
         surfaces = [surface_p1xp1(), surface_hirzebruch(Poly.var("h")),
@@ -266,9 +277,16 @@ class TestPentagonalNumbers:
             assert numbers["delta"] == 13 * g + 32 - 7 * k1
             assert numbers["B"] == 5 * k1 - 3 * (g + 4)
 
-    def test_genus_bound(self):
-        with pytest.raises(OutOfRange):
+    def test_genus_bound(self, monkeypatch):
+        with pytest.raises(OutOfRange, match=r"^pentagonal pencils need genus >= 2$"):
             pentagonal_pencil_numbers(1)
+        # the floor is the pentagonal row's, not a second constant
+        row = PENCIL_TABLE["pentagonal_plain"]
+        monkeypatch.setitem(PENCIL_TABLE, "pentagonal_plain",
+                            PencilRow(row.vertex, row.sections, row.hits, row.params,
+                                      min_gr=3))
+        with pytest.raises(OutOfRange, match="genus >= 3"):
+            pentagonal_pencil_numbers(2)
 
 
 class TestPencilRecords:
@@ -318,6 +336,8 @@ class TestPencilRecords:
     def test_unknown_kind(self):
         with pytest.raises(UnknownKind):
             partial_pencil_record("hexagonal_plain", gr=2)
+        with pytest.raises(UnknownKind, match="hexagonal"):
+            vertex_pencil_form("hexagonal")
 
     def test_pentagonal_records_need_total_genus(self):
         for kind in ("pentagonal_unramified_5pts", "pentagonal_basechange"):

@@ -307,6 +307,13 @@ class TestRationalFunction:
         g = p("g")
         assert RationalFunction(7 * g + 6, g).eval({"g": 4}) == Fraction(17, 2)
 
+    def test_as_poly_simplifies_a_polynomial_quotient(self):
+        g = p("g")
+        assert RationalFunction(g * g, g).as_poly() == g
+        assert RationalFunction((g + 1) * (g - 2), g - 2).as_poly() == g + 1
+        with pytest.raises(ValueError, match="not a polynomial"):
+            RationalFunction(g + 1, g).as_poly()
+
     def test_equal_values_hash_equal(self):
         x, y, z = p("x"), p("y"), p("z")
         pairs = [(RationalFunction(x * y, y * z), RationalFunction(x, z)),
