@@ -99,10 +99,6 @@ def _tame_types(rank: int, degree: int, floor: int) -> Iterator[tuple[int, ...]]
 
     if floor < 1 or rank < 1:
         return
-    if rank == 1:
-        if degree == floor:
-            yield (floor,)
-        return
     yield from rec((floor,), degree - floor)
 
 

@@ -584,11 +584,7 @@ class _Parser:
         return value
 
     def expr(self):
-        if self.peek() == "-":
-            self.take()
-            value = -self.term()
-        else:
-            value = self.term()
+        value = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
@@ -597,16 +593,23 @@ class _Parser:
         return value
 
     def term(self):
-        value = self.power()
+        value = self.unary()
         while self.peek() in ("*", "/"):
             op = self.take()
-            rhs = self.power()
+            rhs = self.unary()
             self.charge(_size(value) * _size(rhs))
             if op == "*":
                 value = value * rhs
             else:
                 value = value * _invert_constant(rhs)
         return value
+
+    def unary(self):
+        """unary := '-' unary | power, so -x^2 is -(x^2) and 2*-x is -2*x."""
+        if self.peek() == "-":
+            self.take()
+            return -self.unary()
+        return self.power()
 
     def power(self):
         base = self.factor()
@@ -632,8 +635,6 @@ class _Parser:
             if self.take() != ")":
                 raise ValueError("unbalanced parentheses")
             return value
-        if tok == "-":
-            return -self.factor()
         if tok.isdigit():
             return self.atom(int(tok))
         if not (tok[0].isalpha() or tok[0] == "_"):

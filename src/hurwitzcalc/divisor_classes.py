@@ -131,12 +131,10 @@ def bogomolov_from_ch2(rank: int, ch2: RationalFunction | PolyLike,
 
 
 def chern_from_basis(d: int, lam: RationalFunction, delta: RationalFunction,
-                     d_div: RationalFunction,
-                     g: PolyLike = "g") -> tuple[RationalFunction, ...]:
+                     d_div: RationalFunction) -> tuple[RationalFunction, ...]:
     """Invert the (lambda, delta, D) <- (ch2E, ch2F, c1^2E) change of basis
     at fixed degree d.  Degenerates at b = 10, i.e. g + d = 6."""
-    g = Poly.var(g) if isinstance(g, str) else Poly.coerce(g)
-    b = 2 * g + 2 * d - 2
+    b = _b_poly(d)
     s = (9 * lam + d_div / 4 - delta) * RationalFunction(2 * b, b - 10)
     e2 = lam + s / RationalFunction(b)
     f2 = d_div / 4 + (d - 3) * e2

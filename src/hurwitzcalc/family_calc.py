@@ -165,12 +165,6 @@ def _check_total_genus(g: int, g_r: int) -> None:
 # The degree-four surface: a conic bundle inside P(E) for rank-three E
 # ---------------------------------------------------------------------------
 
-def _rebase_by_adjunction(raw: Poly, coeff: int, u: Poly, v: Poly, g_r: Poly) -> Poly:
-    """Rewrite a (u, v)-expression using the genus relation g = u + v - 3:
-    add coeff * (g_r - (u + v - 3)), which vanishes on the surface."""
-    return raw + coeff * (g_r - (u + v - 3))
-
-
 def _twisted_split_c2(rank: int, c1: Poly, fiber: ChowClass, twist: ChowClass) -> ChowClass:
     """c2 of (split rank-`rank` bundle pulled back from the line) tensor a
     line bundle with class `twist`: since the fiber class squares to zero,
@@ -188,22 +182,24 @@ def c2_omega_tetragonal_surface(u: PolyLike, v: PolyLike, g_r: PolyLike) -> Poly
     cotangent, conormal), landing on 3v + 6u - 4g - 8; the restriction of
     c2 of the ambient cotangent bundle is the intermediate 3v + 6u - 4g.
     """
-    u, v, g_r = Poly.coerce(u), Poly.coerce(v), Poly.coerce(g_r)
-    inter, final = _c2_omega_tetragonal_pipeline(u, v, g_r)
-    return final
+    return _c2_omega_tetragonal_pipeline(u, v, g_r)[1]
 
 
 def c2_omega_tetragonal_ambient_restricted(u: PolyLike, v: PolyLike,
                                            g_r: PolyLike) -> Poly:
     """The intermediate of the pipeline: c2(Omega of P(E)) restricted to the
     surface, equal to 3v + 6u - 4g."""
+    return _c2_omega_tetragonal_pipeline(u, v, g_r)[0]
+
+
+def _c2_omega_tetragonal_pipeline(u: PolyLike, v: PolyLike,
+                                  g_r: PolyLike) -> tuple[Poly, Poly]:
+    """The restricted ambient c2 and the surface's c2, each rewritten by the
+    genus relation g_r = u + v - 3: it gets -4 (g_r - (u + v - 3)) added,
+    which vanishes on the surface."""
     u, v, g_r = Poly.coerce(u), Poly.coerce(v), Poly.coerce(g_r)
-    inter, final = _c2_omega_tetragonal_pipeline(u, v, g_r)
-    return inter
-
-
-def _c2_omega_tetragonal_pipeline(u: Poly, v: Poly, g_r: Poly) -> tuple[Poly, Poly]:
     c1e = u + v
+    rebase = -4 * (g_r - (c1e - 3))
     ring = ring_proj_bundle_over_p1(3, c1e)
     z, f = ring.gen("z"), ring.gen("f")
     surface_class = 2 * z - f * v
@@ -214,16 +210,14 @@ def _c2_omega_tetragonal_pipeline(u: Poly, v: Poly, g_r: Poly) -> tuple[Poly, Po
     # relative cotangent sequence adds the pullback of Omega of the base line
     c2_ambient = c2_rel + c1_rel * (-2 * f)
 
-    intermediate_raw = (c2_ambient * surface_class).integrate()
-    intermediate = _rebase_by_adjunction(intermediate_raw, -4, u, v, g_r)
+    intermediate = (c2_ambient * surface_class).integrate() + rebase
     require(intermediate == 6 * u + 3 * v - 4 * g_r, "restricted ambient c2")
 
     # conormal sequence: c2(Omega_S) = c1(M)^2 - K_ambient.c1(M) + c2(Omega_ambient)|_S
     conormal = -surface_class
     k_ambient = canonical_class(ring)
     correction = conormal * conormal - k_ambient * conormal
-    final_raw = ((correction + c2_ambient) * surface_class).integrate()
-    final = _rebase_by_adjunction(final_raw, -4, u, v, g_r)
+    final = ((correction + c2_ambient) * surface_class).integrate() + rebase
     require(final == 6 * u + 3 * v - 4 * g_r - 8, "conic-bundle surface c2")
     return intermediate, final
 
@@ -484,19 +478,17 @@ class PencilRecord(Record):
                     raise ValueError("sweeping families meet the special loci nonnegatively")
 
     def to_json(self) -> dict:
-        def enc(x):
-            return str(x)
         return {
             "kind": self.kind,
             "params": dict(self.params),
-            "lambda": enc(self.lam),
-            "delta": enc(self.delta),
-            "boundaryHits": {k: enc(v) for k, v in self.boundary_hits.items()},
-            "xHit": enc(self.x_hit),
-            "maroniHit": enc(self.maroni_hit),
-            "ceHit": enc(self.ce_hit),
+            "lambda": str(self.lam),
+            "delta": str(self.delta),
+            "boundaryHits": {k: str(v) for k, v in self.boundary_hits.items()},
+            "xHit": str(self.x_hit),
+            "maroniHit": str(self.maroni_hit),
+            "ceHit": str(self.ce_hit),
             "sweeps": self.sweeps,
-            "extras": {k: enc(v) for k, v in self.extras.items()},
+            "extras": {k: str(v) for k, v in self.extras.items()},
             "notes": list(self.notes),
         }
 

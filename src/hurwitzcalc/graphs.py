@@ -216,38 +216,37 @@ def two_vertex_graph(d: int, profile: tuple[int, ...],
     return DualGraph(vertices, edges)
 
 
+def _rational_right(d: int, genus_left: int, right: tuple[tuple[str, int], ...],
+                    joins: tuple[tuple[str, int], ...]) -> DualGraph:
+    """Left "l" (genus_left, d); right: the rational vertices `right`, each
+    (ident, degree), on the edges `joins` from "l", each (ident, local
+    degree), plus one degree-one satellite "a{i}" per degree still missing."""
+    satellites = [f"a{i}" for i in range(d - sum(k for _, k in right))]
+    vertices = (Vertex("l", "L", genus_left, d),
+                *(Vertex(ident, "R", 0, k) for ident, k in right),
+                *(Vertex(a, "R", 0, 1) for a in satellites))
+    edges = (*(Edge("l", ident, k) for ident, k in joins),
+             *(Edge("l", a, 1) for a in satellites))
+    return DualGraph(vertices, edges)
+
+
 def graph_irreducible_node(d: int, g: int) -> DualGraph:
     """Left (genus g-1, degree d); right: a degree-two rational vertex
     joined twice, plus d-2 satellites."""
-    vertices = [Vertex("l", "L", g - 1, d), Vertex("w", "R", 0, 2)]
-    edges = [Edge("l", "w", 1), Edge("l", "w", 1)]
-    for i in range(d - 2):
-        vertices.append(Vertex(f"a{i}", "R", 0, 1))
-        edges.append(Edge("l", f"a{i}", 1))
-    return DualGraph(tuple(vertices), tuple(edges))
+    return _rational_right(d, g - 1, (("w", 2),), (("w", 1), ("w", 1)))
 
 
 def graph_triple_point(d: int, g: int) -> DualGraph:
     """Left (g, d); right: one vertex on a local-degree-3 edge plus d-3
     satellites (the satellite count follows from the degree-sum rule)."""
-    vertices = [Vertex("l", "L", g, d), Vertex("t", "R", 0, 3)]
-    edges = [Edge("l", "t", 3)]
-    for i in range(d - 3):
-        vertices.append(Vertex(f"a{i}", "R", 0, 1))
-        edges.append(Edge("l", f"a{i}", 1))
-    return DualGraph(tuple(vertices), tuple(edges))
+    return _rational_right(d, g, (("t", 3),), (("t", 3),))
 
 
 def graph_double_pair(d: int, g: int) -> DualGraph:
     """Left (g, d); right: two vertices on local-degree-2 edges plus d-4
     satellites."""
-    vertices = [Vertex("l", "L", g, d), Vertex("t1", "R", 0, 2),
-                Vertex("t2", "R", 0, 2)]
-    edges = [Edge("l", "t1", 2), Edge("l", "t2", 2)]
-    for i in range(d - 4):
-        vertices.append(Vertex(f"a{i}", "R", 0, 1))
-        edges.append(Edge("l", f"a{i}", 1))
-    return DualGraph(tuple(vertices), tuple(edges))
+    pair = (("t1", 2), ("t2", 2))
+    return _rational_right(d, g, pair, pair)
 
 
 def graph_three_vertex_d3(genus_left: int, genus_right: int) -> DualGraph:

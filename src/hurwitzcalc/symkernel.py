@@ -32,16 +32,6 @@ PolyLike = "int | Fraction | Poly"
 Monomial = tuple[tuple[str, int], ...]
 
 
-def rational_from_string(s: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(s)
-
-
-def rational_to_string(q: Scalar) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(q))
-
-
 def ceil_div(a: int, b: int) -> int:
     """Smallest integer >= a/b for b > 0; exact for negative a as well.
 
@@ -106,9 +96,9 @@ class Poly:
             # coefficient would dominate the evaluation of a cached form
             c = coeff if type(coeff) is int or type(coeff) is Fraction else Fraction(coeff)
             total[mono] = total[mono] + c if mono in total else c
-        object.__setattr__(self, "terms", {m: c if type(c) is int else int_if_integral(c)
-                                           for m, c in total.items() if c})
-        object.__setattr__(self, "compiled", None)
+        self.terms = {m: c if type(c) is int else int_if_integral(c)
+                      for m, c in total.items() if c}
+        self.compiled = None
 
     # -- constructors ------------------------------------------------------
 
@@ -122,8 +112,8 @@ class Poly:
         if type(value) is not int:
             value = int_if_integral(value if type(value) is Fraction else Fraction(value))
         p = object.__new__(cls)
-        object.__setattr__(p, "terms", {(): value} if value else {})
-        object.__setattr__(p, "compiled", None)
+        p.terms = {(): value} if value else {}
+        p.compiled = None
         return p
 
     @staticmethod
@@ -243,7 +233,7 @@ class Poly:
             den = lcm(*(c.denominator for c in self.terms.values()))
             compiled = (names, den, tuple((c.numerator * (den // c.denominator), mono)
                                           for mono, c in self.terms.items()))
-            object.__setattr__(self, "compiled", compiled)
+            self.compiled = compiled
         _, den, terms = compiled
         total = 0
         for numerator, mono in terms:
@@ -275,11 +265,11 @@ class Poly:
         parts: list[str] = []
         for mono, coeff in self.sorted_terms():
             if mono == ():
-                body = rational_to_string(abs(coeff))
+                body = str(abs(coeff))
             elif abs(coeff) == 1:
                 body = _monomial_str(mono)
             else:
-                body = f"{rational_to_string(abs(coeff))}*{_monomial_str(mono)}"
+                body = f"{abs(coeff)}*{_monomial_str(mono)}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -290,10 +280,8 @@ class Poly:
         return f"Poly({self})"
 
 
-def _univariate_coeffs(p: Poly, name: str) -> list[Fraction] | None:
-    """Dense coefficient list if p involves no variable other than `name`."""
-    if not p.variables() <= {name}:
-        return None
+def _univariate_coeffs(p: Poly) -> list[Fraction]:
+    """Dense coefficient list of p, a polynomial in at most one variable."""
     coeffs = [Fraction(0)] * (p.total_degree() + 1)
     for mono, c in p.terms.items():
         deg = mono[0][1] if mono else 0
@@ -303,9 +291,9 @@ def _univariate_coeffs(p: Poly, name: str) -> list[Fraction] | None:
 
 def _univariate_exact_div(num: Poly, den: Poly, name: str) -> Poly | None:
     """num / den when both are univariate in `name` and the division is exact."""
-    nc = _univariate_coeffs(num, name)
-    dc = _univariate_coeffs(den, name)
-    if nc is None or dc is None or len(nc) < len(dc):
+    nc = _univariate_coeffs(num)
+    dc = _univariate_coeffs(den)
+    if len(nc) < len(dc):
         return None
     quotient = [Fraction(0)] * (len(nc) - len(dc) + 1)
     rem = list(nc)
@@ -365,8 +353,8 @@ class RationalFunction:
         if den.is_constant():
             num = num / den.constant_value()
             den = _ONE
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num = num
+        self.den = den
 
     @staticmethod
     def coerce(x: RationalFunction | PolyLike) -> "RationalFunction":

@@ -353,10 +353,8 @@ def _composite_rule(g: int, scale: Fraction, label: str,
     composed with the simple-collision relation to eliminate the collision
     divisor.  The family varies the smaller genus g_r when it can."""
     r = sum(m - 1 for m in profile)
-    for fixed, varied in ((g_l, g_r), (g_r, g_l)):
-        if varied - r >= 1:
-            break
-    else:
+    fixed, varied = (g_l, g_r) if g_r > r else (g_r, g_l)
+    if varied <= r:
         raise PropagationFailure(label, "no admissible base-change orientation")
     coeff_unram, form = _composite_form(profile)
     target = two_vertex_label(5, (1,) * 5, fixed, varied - r)

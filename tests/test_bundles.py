@@ -46,6 +46,10 @@ class TestBalancedType:
         assert balanced_type(5, 12).degrees == (2, 2, 2, 3, 3)
         assert balanced_type(1, 7).degrees == (7,)
 
+    def test_rank_must_be_positive(self):
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            balanced_type(0, 7)
+
     @given(st.integers(1, 9), st.integers(-20, 40))
     def test_balanced_and_correct(self, rank, degree):
         t = balanced_type(rank, degree)
@@ -92,6 +96,12 @@ class TestTame:
         for t in _tame_types(4, 17, 2):
             assert is_tame(SplittingType(t)) and t[0] == 2 and sum(t) == 17
 
+    def test_enumerator_edge_cases(self):
+        # rank one: the one twist is the floor and the degree
+        assert list(_tame_types(1, 5, 5)) == [(5,)]
+        assert list(_tame_types(1, 5, 4)) == []
+        assert list(_tame_types(3, 9, 0)) == [] and list(_tame_types(0, 0, 1)) == []
+
 
 class TestMaroniCodimension:
     def test_divisorial_cases(self):
@@ -120,6 +130,11 @@ class TestDivisorialConditions:
             assert (both["maroni"] and both["ce"]) == (g % 6 == 3)
             both = divisorial_conditions(5, g)
             assert (both["maroni"] and both["ce"]) == (g % 20 == 16)
+
+    def test_out_of_range(self):
+        for d, g in ((2, 5), (3, 1)):
+            with pytest.raises(OutOfRange, match="need d >= 3 and g >= 2"):
+                divisorial_conditions(d, g)
 
 
 class TestSyzygyRanks:
@@ -156,6 +171,10 @@ class TestTables:
     def test_degree_three_has_no_quadrics(self):
         tables = rational_and_elliptic_tables(3)
         assert tables["F_rational"] is None and tables["F_elliptic"] is None
+
+    def test_degree_two_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="need d >= 3"):
+            rational_and_elliptic_tables(2)
 
     def test_degree_consistency_with_c1_relation(self):
         for d in range(4, 9):

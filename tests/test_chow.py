@@ -17,7 +17,7 @@ from hurwitzcalc.chow import (ChowClass, canonical_class, expansion_ring,
                               ring_product_with_p1, ring_proj_bundle_over_p1,
                               ring_proj_space, surface_hirzebruch,
                               surface_p1xp1)
-from hurwitzcalc.errors import DegreeMismatch, InvalidRank, RingMismatch
+from hurwitzcalc.errors import DegreeMismatch, InvalidRank, OutOfRange, RingMismatch
 from hurwitzcalc.symkernel import Poly
 
 
@@ -317,6 +317,73 @@ def test_an_operator_is_not_an_operand(text):
         parse_poly(text)
     with pytest.raises(ValueError):
         parse_class(ring_p1xp1(), text)
+
+
+_x, _y, _gr = Poly.var("x"), Poly.var("y"), Poly.var("gR")
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("3+-x^2", 3 - _x ** 2), ("1*-x^2", -_x ** 2), ("2*-x^2", -2 * _x ** 2),
+    ("-x^2", -(_x ** 2)), ("--x", _x), ("x*-y", -_x * _y),
+    ("-3*(gR+4)", -3 * (_gr + 4)), ("x - -y", _x + _y), ("x/-2", -_x / 2)])
+def test_unary_minus_binds_looser_than_power(text, expected):
+    # one rule, after every operator alike: unary := '-' unary | power
+    assert parse_poly(text) == expected
+
+
+def test_a_negated_operand_is_not_charged(monkeypatch):
+    monkeypatch.setattr(chow, "MAX_TERM_WORK", 3)
+    assert parse_poly("-x*-y*---x") == -_x * _x * _y
+    with pytest.raises(OutOfRange, match="MAX_TERM_WORK = 3"):
+        parse_poly("(x+y)*(x+y)")
+
+
+def test_double_star_is_a_power():
+    assert parse_poly("x**2 + 2**3") == _x ** 2 + 8
+
+
+def test_division_by_a_constant():
+    assert parse_poly("g/2") == Poly.var("g") / 2
+    with pytest.raises(ValueError, match="not a constant polynomial"):
+        parse_poly("x/y")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x$", "unexpected character '\\$'"), ("x+", "unexpected end of expression"),
+    ("x)", "trailing token '\\)'"), ("x^y", "exponent must be a nonnegative integer"),
+    ("x^-2", "exponent must be a nonnegative integer"), ("(x y)", "unbalanced parentheses")])
+def test_malformed_expression(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_poly(text)
+
+
+def test_integration_errors():
+    with pytest.raises(DegreeMismatch, match="has no integration map"):
+        expansion_ring(["e"], ["a"]).gen("a").integrate()
+    ring = chow.ChowPresentation("partial", ("a", "b"), {}, 2, {(1, 1): 1})
+    assert (ring.gen("a") * ring.gen("b")).integrate() == 1
+    with pytest.raises(DegreeMismatch, match="no integration entry for a\\^2"):
+        (ring.gen("a") ** 2).integrate()
+
+
+def test_surface_pairing_needs_its_own_ring():
+    tau = ring_hirzebruch(1).gen("tau")
+    with pytest.raises(RingMismatch, match="classes must live on p1xp1"):
+        surface_p1xp1().dot(tau, tau)
+
+
+def test_class_equality_and_hash():
+    ring = ring_p1xp1()
+    rs, rt = ring.gen("Rs"), ring.gen("Rt")
+    assert rs != 1 and rs != "Rs"
+    assert parse_class(ring, "Rs + Rt") == rt + rs
+    assert hash(parse_class(ring, "Rs + Rt")) == hash(rt + rs)
+
+
+def test_reprs_name_the_ring():
+    ring = ring_p1xp1()
+    assert repr(ring) == "ChowPresentation(p1xp1)"
+    assert repr(ring.gen("Rs")) == "ChowClass[p1xp1]((1)*Rs)"
 
 
 def test_class_json_round_trip():

@@ -200,6 +200,12 @@ class TestChowEval:
         code, out, _ = run_cli(capsys, "chow", "eval", "p1xp1", "Rs*Rt/2", "--json")
         assert code == 0 and json.loads(out)["integral"] == "1/2"
 
+    @pytest.mark.parametrize("argv", [("1*-(Rs+Rt)^2",), ("--", "-(Rs+Rt)^2")])
+    def test_unary_minus_after_an_operator(self, capsys, argv):
+        # an expression that starts with '-' follows '--', or argparse reads an option
+        code, out, _ = run_cli(capsys, "chow", "eval", "--json", "p1xp1", *argv)
+        assert code == 0 and json.loads(out)["integral"] == "-2"
+
     def test_deep_nesting_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "chow", "eval", "p1xp1",
                                  "(" * 1000 + "Rs" + ")" * 1000)

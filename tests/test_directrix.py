@@ -141,6 +141,10 @@ class TestPerfectlyBalanced:
                 for l in range(-4, 5):
                     assert perfectly_balanced_jump_count(n, a, l) == a + l + 1
 
+    def test_needs_three_quotients(self):
+        with pytest.raises(InvalidFamily, match="need N >= 3"):
+            perfectly_balanced_jump_count(2, 0, 0)
+
 
 def test_pairing_against_general_linear_subspace():
     # the rotation degree is read off by pairing with H^2 inside the

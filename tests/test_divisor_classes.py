@@ -43,6 +43,10 @@ class TestMaroniClass:
         with pytest.raises(NotDivisorial):
             ce_class(3)
 
+    def test_maroni_requires_degree_three(self):
+        with pytest.raises(NotDivisorial, match="need d >= 3"):
+            maroni_class(2)
+
 
 class TestBogomolov:
     def test_rank_two_centered(self):
@@ -99,6 +103,12 @@ class TestBogomolovRoute:
             assert printed.lambda_coef == derived.lambda_coef
             assert printed.delta_coef == derived.delta_coef
             assert printed.d_coef == derived.d_coef
+
+    def test_domain_errors(self):
+        with pytest.raises(NotDivisorial, match="rank must be positive"):
+            bogomolov(0, 1, 1)
+        with pytest.raises(NotDivisorial, match="the bundle of quadrics needs d >= 4"):
+            ce_class_from_bogomolov(3)
 
     def test_ce_class_derives_from_bogomolov(self):
         for d in (4, 5):

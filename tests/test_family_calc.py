@@ -190,6 +190,9 @@ class TestPencilDeltas:
         foreign = surface_hirzebruch(1).ring.gen("tau")
         with pytest.raises(RingMismatch):
             pencil_delta_on_surface(surface_p1xp1(), foreign)
+        point = surface_p1xp1().ring.gen("Rs") * surface_p1xp1().ring.gen("Rt")
+        with pytest.raises(RingMismatch, match="pencil class must be a divisor class"):
+            pencil_delta_on_surface(surface_p1xp1(), point)
 
     def test_negative_genus_rejected(self):
         for evaluator in (trigonal_pencil_delta, hyperelliptic_pencil_delta,
@@ -421,6 +424,14 @@ class TestBasechangeBookkeeping:
             basechange_section_bookkeeping(5, 10, (3, 3))
         with pytest.raises(InvalidProfile):
             basechange_section_bookkeeping(5, 10, ())
+        with pytest.raises(InvalidProfile, match="need degree >= 2"):
+            basechange_section_bookkeeping(1, 0, (1,))
+
+    def test_profile_record_domain(self):
+        with pytest.raises(InvalidProfile, match="the profile must carry ramification"):
+            pentagonal_basechange_profile_record(36, 16, (1, 1, 1, 1, 1))
+        with pytest.raises(OutOfRange, match="base-change families need genus >= 1"):
+            pentagonal_basechange_profile_record(36, 0, (2, 1, 1, 1))
 
     def test_profile_record_generalization(self):
         # the profile-independent parts: self-intersection -9 * 5!, delta

@@ -30,6 +30,29 @@ class TestValidation:
         gr = graph_double_pair(5, 7)
         assert validate(gr, 5, 7)
 
+    def test_standard_shapes_keep_their_vertices_and_edges(self):
+        # `graphs enum --json` prints the idents
+        def shape(gr):
+            return ([(v.ident, v.side, v.genus, v.degree) for v in gr.vertices],
+                    [(e.left, e.right, e.local_degree) for e in gr.edges])
+        sats = [("a0", "R", 0, 1), ("a1", "R", 0, 1)]
+        sat_edges = [("l", "a0", 1), ("l", "a1", 1)]
+        assert shape(graph_irreducible_node(4, 9)) == (
+            [("l", "L", 8, 4), ("w", "R", 0, 2), *sats],
+            [("l", "w", 1), ("l", "w", 1), *sat_edges])
+        assert shape(graph_triple_point(5, 7)) == (
+            [("l", "L", 7, 5), ("t", "R", 0, 3), *sats], [("l", "t", 3), *sat_edges])
+        assert shape(graph_double_pair(4, 7)) == (
+            [("l", "L", 7, 4), ("t1", "R", 0, 2), ("t2", "R", 0, 2)],
+            [("l", "t1", 2), ("l", "t2", 2)])
+
+    def test_unknown_side_and_nonpositive_local_degree(self):
+        gr = DualGraph((Vertex("a", "L", 0, 1), Vertex("b", "M", 0, 1)),
+                       (Edge("a", "b", 0),))
+        problems = violations(gr, 1, 0)
+        assert "vertex b on unknown side 'M'" in problems
+        assert "edge a-b has nonpositive local degree" in problems
+
     def test_same_side_edge_is_invalid(self):
         gr = DualGraph((Vertex("a", "L", 0, 1), Vertex("b", "L", 0, 1)),
                        (Edge("a", "b", 1),))
@@ -242,6 +265,26 @@ class TestEnumeration:
     def test_rejects_unsupported_degree(self):
         with pytest.raises(OutOfRange):
             enumerate_two_vertex(6, 10)
+
+    def test_partitions_of_zero(self):
+        assert partitions(0) == [()]
+
+    def test_profile_must_partition_the_degree(self):
+        with pytest.raises(InvalidGraph, match="is not a partition of 3"):
+            two_vertex_graph(3, (2, 2), 1, 1)
+        with pytest.raises(InvalidGraph, match="is not a partition of 3"):
+            two_vertex_graph(3, (4, -1), 1, 1)
+
+    def test_an_invalid_enumerated_graph_is_an_engine_bug(self, monkeypatch):
+        def one_edge_short(d, profile, genus_left, genus_right):
+            return two_vertex_graph(d - 1, profile[1:], genus_left, genus_right)
+        monkeypatch.setattr(graphs, "two_vertex_graph", one_edge_short)
+        graphs._two_vertex.cache_clear()
+        try:
+            with pytest.raises(InvalidGraph, match="enumeration produced an invalid graph"):
+                graphs.two_vertex_label(3, (1, 1, 1), 1, 2)
+        finally:
+            graphs._two_vertex.cache_clear()
 
 
     def test_validates_and_labels_each_graph_once(self, monkeypatch):

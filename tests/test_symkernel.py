@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc.errors import MissingVariable
-from hurwitzcalc.symkernel import (Poly, RationalFunction, ceil_div,
-                                   rational_from_string, rational_to_string)
+from hurwitzcalc.symkernel import Poly, RationalFunction, ceil_div
 
 
 def p(name):
@@ -52,16 +51,6 @@ def integer_first(poly):
                for c in poly.terms.values())
 
 
-class TestRational:
-    @given(rationals)
-    def test_string_roundtrip(self, q):
-        assert rational_from_string(rational_to_string(q)) == q
-
-    def test_integer_form_has_no_slash(self):
-        assert rational_to_string(Fraction(6, 2)) == "3"
-        assert rational_to_string(Fraction(-7, 2)) == "-7/2"
-
-
 class TestCeilDiv:
     def test_k1_instance(self):
         assert ceil_div(100, 6) == 17
@@ -104,6 +93,18 @@ class TestPoly:
         assert str(7 * p("g") + 6) == "7*g + 6"
         assert str(3 * p("g") - 6 * p("gR")) in ("3*g - 6*gR", "-6*gR + 3*g")
         assert str(p("g") ** 2 / 2 - 1) == "1/2*g^2 - 1"
+
+    def test_domain_errors_and_foreign_operands(self):
+        g = p("g")
+        with pytest.raises(ValueError, match="not a constant polynomial: g"):
+            g.constant_value()
+        with pytest.raises(ValueError, match="negative polynomial power"):
+            g ** -1
+        with pytest.raises(TypeError):
+            g + "1"
+        with pytest.raises(TypeError):
+            "1" - g
+        assert repr(g + 1) == "Poly(g + 1)"
 
     def test_no_floats_in_coefficients(self):
         q = (p("g") + 1) ** 3 / 2
@@ -302,6 +303,15 @@ class TestRationalFunction:
         g = p("g")
         ratio = RationalFunction((2 * g - 6) * (7 * g + 6), 2 * g - 6)
         assert str(ratio) == "7*g + 6"
+        # a numerator of lower degree does not divide
+        assert str(RationalFunction(3, g * g)) == "(3)/(g^2)"
+
+    def test_domain_errors_and_foreign_operands(self):
+        g = p("g")
+        with pytest.raises(ZeroDivisionError, match="division by the zero rational function"):
+            RationalFunction(1, g) / RationalFunction(g - g)
+        assert RationalFunction(g) != "g"
+        assert repr(RationalFunction(g, g + 1)) == "RationalFunction((g)/(g + 1))"
 
     def test_eval(self):
         g = p("g")

@@ -607,6 +607,15 @@ class TestCertifierSaysNo:
         assert cert.status == "failed:closed-form"
         assert "closed-form nonnegativity of the summed step: False" in cert.notes
 
+    def test_composite_rule_needs_a_genus_above_the_ramification(self):
+        # (3, 2) has ramification index 3: a family varying either genus-3
+        # vertex would base-change to genus 0
+        with pytest.raises(PropagationFailure, match="no admissible base-change") as caught:
+            yeff._composite_rule(16, Fraction(1), "X", (3, 2), 3, 3)
+        assert caught.value.label == "X"
+        rule = yeff._composite_rule(16, Fraction(1), "X", (3, 2), 3, 4)
+        assert rule.targets == yeff._composite_rule(16, Fraction(1), "X", (3, 2), 4, 3).targets
+
 class TestOneDerivationPerShape:
     @pytest.mark.parametrize("d,genera", [(3, (4, 6, 10, 24)), (4, (3, 9, 15, 33)),
                                           (5, (16, 36, 56))])

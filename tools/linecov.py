@@ -19,6 +19,11 @@ under a `sys.settrace` collector and writes the executable lines of
 - An executable line is one that some code object of the module maps an
   instruction to; a function's `def` line counts as run when the function
   is called.
+- A line reached only through a `RecursionError` reads as missed: the
+  error is raised inside the trace function, which makes Python unset it
+  until the next test phase arms it again.  The expression parser's
+  guard (`raise OutOfRange("expression nested too deeply")` in
+  `chow._Parser.parse`) is such a line, although a test runs it.
 """
 
 from __future__ import annotations
