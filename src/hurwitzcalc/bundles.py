@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import comb
 
-from .errors import IndexOutOfRange, NoTameType, OutOfRange, Record, require
+from .errors import IndexOutOfRange, InvalidRank, NoTameType, OutOfRange, Record, require
 from .symkernel import Poly, PolyLike, ceil_div
 
 
@@ -23,7 +23,7 @@ class SplittingType(Record):
 
     def __post_init__(self):
         if not self.degrees:
-            raise ValueError("a splitting type needs rank >= 1")
+            raise InvalidRank("a splitting type needs rank >= 1")
         object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
 
     @property
@@ -68,7 +68,7 @@ def balanced_type(rank: int, degree: int) -> SplittingType:
     """The unique splitting type of the given rank and degree with all
     twists within one of each other."""
     if rank < 1:
-        raise ValueError("rank must be at least 1")
+        raise InvalidRank("rank must be at least 1")
     q, r = divmod(degree, rank)
     return SplittingType((q,) * (rank - r) + (q + 1,) * r)
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
-from .errors import DegreeMismatch, InvalidRank, OutOfRange, RingMismatch
+from .errors import (DegreeMismatch, InvalidRank, OutOfRange, ParseError, RingMismatch,
+                     ZeroDenominator)
 from .symkernel import _ONE, Poly, PolyLike
 
 # Exponent vector over the presentation's generator list.
@@ -179,7 +180,7 @@ class ChowClass:
 
     def __pow__(self, n: int) -> "ChowClass":
         if n < 0:
-            raise ValueError("negative class power")
+            raise OutOfRange("negative class power")
         result = None
         base = self
         while n:
@@ -382,7 +383,10 @@ def expansion_ring(square_zero: Iterable[str], free: Iterable[str]) -> ChowPrese
 def _spec_rank(text: str) -> int:
     """The bundle rank or space dimension a ring spec names, checked
     against MAX_RANK before any presentation is built."""
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise ParseError(f"ring rank {text!r} is not an integer") from None
     if not 0 <= n <= MAX_RANK:
         raise OutOfRange(f"ring rank {n} outside 0..MAX_RANK = {MAX_RANK}")
     return n
@@ -404,7 +408,7 @@ def ring_from_spec(spec: str) -> ChowPresentation:
         return ring_proj_space(_spec_rank(rest))
     if head == "projspace_x_p1":
         return ring_product_with_p1(ring_proj_space(_spec_rank(rest)))
-    raise ValueError(f"unknown ring spec: {spec}")
+    raise ParseError(f"unknown ring spec: {spec}")
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +527,7 @@ def _tokenize(s: str) -> list[str]:
             tokens.append(c)
             i += 1
         else:
-            raise ValueError(f"unexpected character {c!r} in expression")
+            raise ParseError(f"unexpected character {c!r} in expression")
     return tokens
 
 
@@ -570,7 +574,7 @@ class _Parser:
     def take(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise ValueError("unexpected end of expression")
+            raise ParseError("unexpected end of expression")
         self.pos += 1
         return tok
 
@@ -580,7 +584,7 @@ class _Parser:
         except RecursionError:
             raise OutOfRange("expression nested too deeply") from None
         if self.peek() is not None:
-            raise ValueError(f"trailing token {self.peek()!r}")
+            raise ParseError(f"trailing token {self.peek()!r}")
         return value
 
     def expr(self):
@@ -617,7 +621,7 @@ class _Parser:
             self.take()
             exp_tok = self.take()
             if not exp_tok.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
+                raise ParseError("exponent must be a nonnegative integer")
             digits = exp_tok.lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise OutOfRange(f"exponent above MAX_EXPONENT = {MAX_EXPONENT}")
@@ -633,23 +637,25 @@ class _Parser:
         if tok == "(":
             value = self.expr()
             if self.take() != ")":
-                raise ValueError("unbalanced parentheses")
+                raise ParseError("unbalanced parentheses")
             return value
         if tok.isdigit():
             return self.atom(int(tok))
         if not (tok[0].isalpha() or tok[0] == "_"):
-            raise ValueError(f"expected an operand, got {tok!r}")
+            raise ParseError(f"expected an operand, got {tok!r}")
         return self.atom(tok)
 
 
 def _invert_constant(x):
-    if isinstance(x, Poly):
-        return Poly.const(1 / x.constant_value())
     if isinstance(x, ChowClass):
         unit = (0,) * len(x.ring.generators)
         if set(x.terms) <= {unit}:
-            return ChowClass._coerce(x.ring, 1 / x.coefficient(unit).constant_value())
-    raise ValueError("division is only supported by constants")
+            return ChowClass._coerce(x.ring, _invert_constant(x.coefficient(unit)))
+    elif x.is_constant():
+        if x.is_zero():
+            raise ZeroDenominator("division by zero")
+        return Poly.const(1 / x.constant_value())
+    raise ParseError("division is only supported by constants")
 
 
 def parse_poly(s: str) -> Poly:

@@ -34,6 +34,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _rational(text: str) -> Fraction:
+    """An exact rational option value such as "3", "-1/2" or "0.25"."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _table(rows: list[tuple[str, str]]) -> str:
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
@@ -78,8 +86,7 @@ def _cmd_class(args) -> int:
 
 def _cmd_invariants(args) -> int:
     from .family_calc import ChernData, invariants_from_chern
-    chern = ChernData(args.d, args.g, Fraction(args.ch2e), Fraction(args.ch2f),
-                      Fraction(args.c1sq))
+    chern = ChernData(args.d, args.g, args.ch2e, args.ch2f, args.c1sq)
     inv = invariants_from_chern(chern)
     rows = [(name, str(value.eval({}))) for name, value in inv.as_dict().items()]
     if args.json:
@@ -162,8 +169,12 @@ def _cmd_certify(args) -> int:
     from .yeff import certify
     cert = certify(args.d, args.g)
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            json.dump(cert.to_json(), handle, indent=2, sort_keys=True)
+        try:
+            with open(args.emit, "w", encoding="utf-8") as handle:
+                json.dump(cert.to_json(), handle, indent=2, sort_keys=True)
+        except OSError as exc:
+            print(f"error: cannot write {args.emit}: {exc.strerror}", file=sys.stderr)
+            return 1
     if args.json:
         print(json.dumps(cert.to_json()))
     else:
@@ -208,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="family invariants from Chern data")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--ch2e", required=True)
-    p.add_argument("--ch2f", required=True)
-    p.add_argument("--c1sq", required=True)
+    p.add_argument("--ch2e", type=_rational, required=True)
+    p.add_argument("--ch2f", type=_rational, required=True)
+    p.add_argument("--c1sq", type=_rational, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_invariants)
 
@@ -261,9 +272,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except EngineError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
 

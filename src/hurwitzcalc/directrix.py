@@ -35,21 +35,16 @@ from .symkernel import Poly
 class DirectrixFamily(Record):
     """Parameters of the family: ambient rank N, number r of minimal
     summands of the balanced quotient, twist a of the varying sub-line
-    bundle, and lower balanced degree l.  Built once per family, so it
-    spells out its __init__ (see Record)."""
+    bundle, and lower balanced degree l."""
 
     n: int
     r: int
     a: int
     l: int
 
-    def __init__(self, n: int, r: int, a: int, l: int):
-        if n < 3 or not 1 <= r <= n - 2:
-            raise InvalidFamily(f"need N >= 3 and 1 <= r <= N-2, got N={n}, r={r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "l", l)
+    def __post_init__(self):
+        if self.n < 3 or not 1 <= self.r <= self.n - 2:
+            raise InvalidFamily(f"need N >= 3 and 1 <= r <= N-2, got N={self.n}, r={self.r}")
 
 
 @cache

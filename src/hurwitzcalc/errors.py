@@ -1,7 +1,9 @@
 """Exception hierarchy for the engine, and the base of its value records.
 
 Every domain failure raises a subclass of :class:`EngineError`, so callers
-(including the CLI) can distinguish bad input from genuine bugs.
+(including the CLI) can distinguish bad input from genuine bugs.  A failure
+that Python would report as a `ValueError` or `ZeroDivisionError` derives
+from that type too.
 """
 
 from operator import attrgetter
@@ -23,8 +25,8 @@ class DegreeMismatch(EngineError):
     """Integration was attempted on a class that is not of top degree."""
 
 
-class InvalidRank(EngineError):
-    """Projective-bundle presentation requested with rank < 2."""
+class InvalidRank(EngineError, ValueError):
+    """A splitting type of rank < 1, or a projective bundle of rank < 2."""
 
 
 class InvalidGraph(EngineError):
@@ -43,8 +45,21 @@ class NoTameType(EngineError):
     """No tame splitting type exists with the requested floor."""
 
 
-class OutOfRange(EngineError):
+class OutOfRange(EngineError, ValueError):
     """Argument outside the documented validity range."""
+
+
+class ParseError(EngineError, ValueError):
+    """A malformed expression or ring spec."""
+
+
+class NotPolynomial(EngineError, ValueError):
+    """A constant was needed and a polynomial given, or a polynomial and a
+    quotient given."""
+
+
+class ZeroDenominator(EngineError, ZeroDivisionError):
+    """Division by zero, or a quotient whose denominator vanishes."""
 
 
 class IndexOutOfRange(EngineError):
@@ -90,41 +105,31 @@ class PropagationFailure(EngineError):
 class Record:
     """Base of the engine's value classes.  The fields are the keys of the
     class's own annotations, in order, and a class attribute is a field's
-    default.  `__init__` (positional or keyword, then `__post_init__`),
-    equality, hashing (not of a record holding a list or dict), `repr` and
-    the refusal to assign are set up at class creation, without generating
-    code as `dataclasses` does.
-
-    The generic `__init__` pairs fields and values in a dict, which costs
-    about twice what a generated one does: a record built per graph or
-    per rule spells out its `__init__` instead, with one
-    `object.__setattr__` per field, and keeps the rest of the base."""
+    default.  Equality, hashing (not of a record holding a list or dict),
+    `repr` and the refusal to assign are shared; each class gets its own
+    `__init__`, compiled when the class is created, as
+    `collections.namedtuple` compiles `__new__`.  It takes the fields
+    positionally or by keyword, so Python binds the arguments and names a
+    wrong one, sets each with `object.__setattr__`, and then calls
+    `__post_init__` if the class defines one to check or normalise them."""
 
     def __init_subclass__(cls):
         names = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._fields = dict.fromkeys(names)
+        cls._fields = names
         cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
         cls._key = attrgetter(*names)
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        values = dict(zip(fields, args))
-        if kwargs or len(args) != len(fields):
-            values.update(kwargs)
-            # too many, repeated or unknown fields; then missing ones
-            misuse = len(values) != len(args) + len(kwargs) or not kwargs.keys() <= fields.keys()
-            if len(values) != len(fields):
-                values = self._defaults | values
-            if misuse or len(values) != len(fields):
-                raise TypeError(f"{type(self).__name__} takes the fields "
-                                f"{', '.join(fields)}, each once")
-        # a fresh dict: filling vars(self) in place would make attribute
-        # reads on the record about 3x slower
-        object.__setattr__(self, "__dict__", values)
-        self.__post_init__()
-
-    def __post_init__(self):
-        """Check or normalise the fields; a record without a check inherits this."""
+        params = [f"{name}=_defaults[{name!r}]" if name in cls._defaults else name
+                  for name in names]
+        body = [f"object.__setattr__(self, {name!r}, {name})" for name in names]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"_defaults": cls._defaults}
+        exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body),
+             namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -475,7 +475,7 @@ class PencilRecord(Record):
         if self.sweeps:
             for tag in (self.maroni_hit, self.ce_hit):
                 if not isinstance(tag, str) and tag < 0:
-                    raise ValueError("sweeping families meet the special loci nonnegatively")
+                    raise OutOfRange("sweeping families meet the special loci nonnegatively")
 
     def to_json(self) -> dict:
         return {

@@ -21,20 +21,11 @@ from math import lcm
 from .errors import InvalidGraph, OutOfRange, Record
 
 
-# A certificate builds thousands of vertices, edges and graphs, so these
-# three spell out their __init__ (see Record).
-
 class Vertex(Record):
     ident: str
     side: str           # "L" or "R"
     genus: int
     degree: int
-
-    def __init__(self, ident: str, side: str, genus: int, degree: int):
-        object.__setattr__(self, "ident", ident)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "degree", degree)
 
 
 class Edge(Record):
@@ -42,19 +33,10 @@ class Edge(Record):
     right: str
     local_degree: int
 
-    def __init__(self, left: str, right: str, local_degree: int):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "local_degree", local_degree)
-
 
 class DualGraph(Record):
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
-
-    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
 
     def side(self, side: str) -> list[Vertex]:
         return [v for v in self.vertices if v.side == side]

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
 
-from .errors import MissingVariable
+from .errors import MissingVariable, NotPolynomial, OutOfRange, ZeroDenominator
 
 Rational = Fraction
 
@@ -39,7 +39,7 @@ def ceil_div(a: int, b: int) -> int:
     (17, -15, 0)
     """
     if b <= 0:
-        raise ValueError("ceil_div requires a positive divisor")
+        raise OutOfRange("ceil_div requires a positive divisor")
     return -((-a) // b)
 
 
@@ -136,7 +136,7 @@ class Poly:
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
+            raise NotPolynomial(f"not a constant polynomial: {self}")
         return self.coefficient(())
 
     def variables(self) -> set[str]:
@@ -194,7 +194,7 @@ class Poly:
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
-            raise ValueError("negative polynomial power")
+            raise OutOfRange("negative polynomial power")
         result = _ONE
         base = self
         while n:
@@ -348,7 +348,7 @@ class RationalFunction:
         num = Poly.coerce(num)
         den = Poly.coerce(den)
         if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
+            raise ZeroDenominator("rational function with zero denominator")
         # fold constant denominators into the numerator
         if den.is_constant():
             num = num / den.constant_value()
@@ -372,7 +372,7 @@ class RationalFunction:
         if not self.is_polynomial():
             simplified = self.simplified()
             if not simplified.is_polynomial():
-                raise ValueError(f"not a polynomial: {self}")
+                raise NotPolynomial(f"not a polynomial: {self}")
             return simplified.num
         return self.num
 
@@ -401,7 +401,7 @@ class RationalFunction:
     def __truediv__(self, other) -> "RationalFunction":
         other = RationalFunction.coerce(other)
         if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
+            raise ZeroDenominator("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
@@ -420,7 +420,7 @@ class RationalFunction:
     def eval(self, assignment: Mapping[str, Scalar]) -> Fraction:
         d = self.den.eval(assignment)
         if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the assignment")
+            raise ZeroDenominator("denominator vanishes at the assignment")
         return self.num.eval(assignment) / d
 
     def simplified(self) -> "RationalFunction":

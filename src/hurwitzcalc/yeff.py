@@ -52,26 +52,14 @@ DISCONNECTED = "disconnected residual (multi-vertex, covered by margin)"
 
 
 class InequalityRule(Record):
-    """One propagation step: c(source) >= sum of coeff * c(target) + slack.
-    Built once per boundary graph, so it spells out its __init__ (see
-    Record), as does GraphResult."""
+    """One propagation step: c(source) >= sum of coeff * c(target) + slack."""
 
     source: str
     targets: tuple[tuple[str, Fraction], ...]
     slack: Fraction
     provenance: str
-    reconstructed: bool
-    equality: bool
-
-    def __init__(self, source: str, targets: tuple[tuple[str, Fraction], ...],
-                 slack: Fraction, provenance: str, reconstructed: bool = False,
-                 equality: bool = False):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "slack", slack)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "reconstructed", reconstructed)
-        object.__setattr__(self, "equality", equality)
+    reconstructed: bool = False
+    equality: bool = False
 
     def to_json(self) -> dict:
         return {"source": self.source,
@@ -86,11 +74,6 @@ class GraphResult(Record):
     label: str
     lower_bound: Fraction
     chain: list[dict]
-
-    def __init__(self, label: str, lower_bound: Fraction, chain: list[dict]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "lower_bound", lower_bound)
-        object.__setattr__(self, "chain", chain)
 
 
 class Certificate(Record):

@@ -17,7 +17,8 @@ from hurwitzcalc.chow import (ChowClass, canonical_class, expansion_ring,
                               ring_product_with_p1, ring_proj_bundle_over_p1,
                               ring_proj_space, surface_hirzebruch,
                               surface_p1xp1)
-from hurwitzcalc.errors import DegreeMismatch, InvalidRank, OutOfRange, RingMismatch
+from hurwitzcalc.errors import (DegreeMismatch, InvalidRank, OutOfRange, ParseError, RingMismatch,
+                               ZeroDenominator)
 from hurwitzcalc.symkernel import Poly
 
 
@@ -344,8 +345,13 @@ def test_double_star_is_a_power():
 
 def test_division_by_a_constant():
     assert parse_poly("g/2") == Poly.var("g") / 2
-    with pytest.raises(ValueError, match="not a constant polynomial"):
-        parse_poly("x/y")
+    # one message for one error, in either parser
+    for parse in (parse_poly, lambda text: parse_class(ring_p1xp1(), text)):
+        with pytest.raises(ParseError, match="^division is only supported by constants$"):
+            parse("x/y")
+        for text in ("x/0", "x/(y-y)"):
+            with pytest.raises(ZeroDenominator, match="^division by zero$"):
+                parse(text)
 
 
 @pytest.mark.parametrize("text,message", [

@@ -151,6 +151,19 @@ class TestInvariants:
                                  "--ch2e", "1", "--ch2f", "0", "--c1sq", "3")
         assert code == 2 and reason in err and not out
 
+    @pytest.mark.parametrize("value", ["abc", "1/0"])
+    def test_malformed_rational_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "invariants", "--d", "4", "--g", "5",
+                    "--ch2e", value, "--ch2f", "0", "--c1sq", "3")
+        err = capsys.readouterr().err
+        assert exc.value.code == 1 and f"not a rational number: '{value}'" in err
+
+    def test_rational_flags_take_fractions_and_decimals(self, capsys):
+        code, out, _ = run_cli(capsys, "invariants", "--d", "4", "--g", "5", "--ch2e", "1/2",
+                               "--ch2f", "0.25", "--c1sq", "-3", "--json")
+        assert code == 0 and json.loads(out)["lambda"] == "11/16"
+
 
 class TestChowEval:
     def test_tetragonal_product(self, capsys):
@@ -195,6 +208,16 @@ class TestChowEval:
     def test_malformed_operand_is_domain_error(self, capsys, expr):
         code, out, err = run_cli(capsys, "chow", "eval", "p1xp1", expr)
         assert code == 2 and "domain error" in err and not out
+
+    @pytest.mark.parametrize("expr", ["Rs/0", "Rs/(Rs-Rs)"])
+    def test_division_by_zero_is_domain_error(self, capsys, expr):
+        code, out, err = run_cli(capsys, "chow", "eval", "p1xp1", expr)
+        assert code == 2 and err == "domain error: division by zero\n" and not out
+
+    def test_malformed_rank_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "chow", "eval", "projbundle:x:u", "z")
+        assert code == 2 and err == "domain error: ring rank 'x' is not an integer\n"
+        assert not out
 
     def test_division_by_a_constant_class(self, capsys):
         code, out, _ = run_cli(capsys, "chow", "eval", "p1xp1", "Rs*Rt/2", "--json")
@@ -259,6 +282,13 @@ class TestCertify:
         data = json.loads(emitted.read_text())
         assert data["status"] == "certified"
         assert data["graphs"]
+
+    def test_unwritable_emit_path_is_an_error(self, capsys, tmp_path):
+        emitted = tmp_path / "missing" / "c.json"
+        code, out, err = run_cli(capsys, "yeff", "certify", "--d", "3", "--g", "4",
+                                 "--emit", str(emitted))
+        assert code == 1 and not out and not emitted.exists()
+        assert err.startswith(f"error: cannot write {emitted}: ")
 
     def test_certificate_round_trips_through_deserializer(self, capsys, tmp_path):
         from hurwitzcalc.yeff import Certificate, certify

@@ -1,6 +1,7 @@
-"""Repository guards: the demos run, the engine holds no `assert` and
-imports neither `dataclasses` nor `typing`, a cold start imports only
-what its subcommand uses, and importing the engine builds no `Poly`."""
+"""Repository guards: the demos run, the engine holds no `assert`, raises
+only its own errors and imports neither `dataclasses` nor `typing`, a cold
+start imports only what its subcommand uses, and importing the engine
+builds no `Poly`."""
 
 import ast
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hurwitzcalc
+from hurwitzcalc import errors
 
 PACKAGE = Path(hurwitzcalc.__file__).resolve().parent
 DEMOS = sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
@@ -35,6 +37,20 @@ def test_no_assert_in_the_engine(module):
     tree = ast.parse(module.read_text(), filename=str(module))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"assert at {module.name} lines {lines}"
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_raise_in_the_engine_is_an_engine_error(module):
+    # so the CLI's one `except EngineError` reports every domain failure;
+    # AttributeError is the attribute protocol, which records and the
+    # package's lazy names follow
+    tree = ast.parse(module.read_text(), filename=str(module))
+    raised = {node.lineno: node.exc.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and isinstance(node.exc.func, ast.Name)}
+    foreign = {line: name for line, name in raised.items() if name != "AttributeError"
+               and not issubclass(getattr(errors, name, type), errors.EngineError)}
+    assert not foreign, f"{module.name} raises {foreign}"
 
 
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)

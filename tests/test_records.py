@@ -115,17 +115,34 @@ def test_construction_by_position_keyword_and_default():
         InequalityRule("s", (), 1, "p", False, False)
 
 
-@pytest.mark.parametrize("args,kwargs", [
-    ((3,), {}),                         # missing
-    ((3, 4, 5), {}),                    # one too many
-    ((3, 4), {"m": 0}),                 # unknown
-    ((3,), {"m": 4}),                   # unknown in place of a missing one
-    ((3, 4), {"d": 3}),                 # given twice
-    ((), {}),
-], ids=["missing", "too-many", "unknown", "unknown-for-missing", "twice", "none"])
-def test_wrong_fields_are_a_type_error(args, kwargs):
-    with pytest.raises(TypeError, match="CoverInvariants takes the fields d, g, each once"):
-        CoverInvariants(*args, **kwargs)
+# every field of each record, defaults included
+_VALUES = {CoverInvariants: (3, 4), DirectrixFamily: (6, 3, 1, 2), Vertex: ("a", "L", 1, 3),
+           InequalityRule: ("s", (), Fraction(1), "p", False, False)}
+_MISUSES = ("missing", "too-many", "unknown", "unknown-for-missing", "twice", "none")
+
+
+def _misuse(cls, case):
+    """The arguments of one misuse of `cls`, and the field its error names."""
+    values = _VALUES[cls]
+    required = values[:len(values) - len(cls._defaults)]
+    first, last = cls._fields[0], cls._fields[len(required) - 1]
+    return {"missing": (required[:-1], {}, last),
+            "too-many": (values + (5,), {}, None),
+            "unknown": (values, {"m": 0}, "m"),
+            "unknown-for-missing": (required[:-1], {"m": 4}, "m"),
+            "twice": (values, {first: values[0]}, first),
+            "none": ((), {}, None)}[case]
+
+
+@pytest.mark.parametrize("cls,case", [
+    pytest.param(cls, case, id=case if cls is CoverInvariants else f"{cls.__name__}-{case}")
+    for cls in _VALUES for case in _MISUSES])
+def test_wrong_fields_are_a_type_error(cls, case):
+    args, kwargs, field = _misuse(cls, case)
+    assert cls(*_VALUES[cls])
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\)") as error:
+        cls(*args, **kwargs)
+    assert field is None or f"'{field}'" in str(error.value)
 
 
 @pytest.mark.parametrize("call", [
@@ -141,12 +158,16 @@ def test_spelled_out_inits_refuse_wrong_fields(call):
         call()
 
 
-def test_spelled_out_inits_take_the_fields_in_order():
-    spelled_out = [cls for module, names in RECORDS.items() for cls in
-                   (getattr(module, name) for name in names) if "__init__" in vars(cls)]
-    assert len(spelled_out) == 6
-    for cls in spelled_out:
-        assert list(inspect.signature(cls).parameters) == list(cls._fields), cls
+def test_every_record_init_is_generated_from_its_fields():
+    for cls in (getattr(module, name) for module, names in RECORDS.items() for name in names):
+        init = vars(cls)["__init__"]
+        assert init.__code__.co_filename == "<string>", cls
+        assert init.__qualname__ == f"{cls.__name__}.__init__"
+        params = list(inspect.signature(init).parameters.values())[1:]
+        assert [param.name for param in params] == list(cls._fields), cls
+        assert all(param.kind is param.POSITIONAL_OR_KEYWORD for param in params)
+        assert {param.name: param.default for param in params
+                if param.default is not param.empty} == cls._defaults, cls
 
 
 def test_records_share_no_mutable_default():
