@@ -19,6 +19,7 @@ exact and symbolic.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
@@ -514,9 +515,10 @@ def _tokenize(s: str) -> list[str]:
                 j += 1
             tokens.append(s[i:j])
             i = j
-        elif c.isdigit():
+        elif c.isdecimal():
+            # isdecimal, not isdigit: exactly the characters int() reads
             j = i
-            while j < len(s) and s[j].isdigit():
+            while j < len(s) and s[j].isdecimal():
                 j += 1
             tokens.append(s[i:j])
             i = j
@@ -620,7 +622,7 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             exp_tok = self.take()
-            if not exp_tok.isdigit():
+            if not exp_tok.isdecimal():
                 raise ParseError("exponent must be a nonnegative integer")
             digits = exp_tok.lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
@@ -639,7 +641,12 @@ class _Parser:
             if self.take() != ")":
                 raise ParseError("unbalanced parentheses")
             return value
-        if tok.isdigit():
+        if tok.isdecimal():
+            # CPython's int/str limit: 0 when off, and absent before 3.10.7
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if 0 < limit < len(tok):
+                raise OutOfRange(f"integer literal longer than the interpreter's "
+                                 f"int/str limit of {limit} digits")
             return self.atom(int(tok))
         if not (tok[0].isalpha() or tok[0] == "_"):
             raise ParseError(f"expected an operand, got {tok!r}")

@@ -16,7 +16,7 @@ a single family only evaluates that class at its (a, l).
 
 The degree-five application: the Maroni intersection number of a pentagonal
 partial pencil is the rotation degree at a = k_R, l + 1 = m_R, i.e.
-k_R + m_R.
+k_R + m_R: one form in kR and mR, derived once and evaluated per genus.
 """
 
 from __future__ import annotations
@@ -136,9 +136,9 @@ def rotating_directrix_closed_form(fam: DirectrixFamily) -> ChowClass:
     return product.cls({(top, 0): 1, (top - 1, 1): fam.a + fam.l + 1})
 
 
-def perfectly_balanced_jump_count(n: int, a: int, l: int) -> Fraction:
+def perfectly_balanced_jump_count(n: int, a: int | Poly, l: int | Poly) -> Poly:
     """Rotation count when the quotients are perfectly balanced of twist
-    l+1 (formally r = N-1).
+    l+1 (formally r = N-1); a and l may be integers or forms.
 
     The splitting type jumps at finitely many t; after twisting down by
     l+2 the quotient O(-1)^(N-1) has no sections on any fiber, so the
@@ -151,33 +151,32 @@ def perfectly_balanced_jump_count(n: int, a: int, l: int) -> Fraction:
     twisted = SplittingType((-1,) * (n - 1))
     require(twisted.h0() == 0 and twisted.h1() == 0,
             "the perfectly balanced quotient twisted by -(l+2) has no cohomology")
-    return -_degree_form(n).eval({"a": a, "l": l + 1})
+    return -_degree_form(n).subs({"a": a, "l": l + 1})
+
+
+@cache
+def maroni_form() -> Poly:
+    """k_R + m_R in the rule symbols kR and mR, derived once: the rotation
+    coefficient of the swept class at a = kR, l = mR - 1 for each count
+    r = 1, 2, 3 of minimal summands, and the jump count of the perfectly
+    balanced quotients (r = 4), all four required to equal kR + mR."""
+    k_r, m_r = Poly.var("kR"), Poly.var("mR")
+    at = {"a": k_r, "l": m_r - 1}
+    counts = [_class_form(5, r).coefficient((4 - r, 1)).subs(at) for r in (1, 2, 3)]
+    counts.append(perfectly_balanced_jump_count(5, **at))
+    require(all(count == k_r + m_r for count in counts),
+            f"Maroni rotation counts {', '.join(map(str, counts))} for r = 1..4 = kR + mR")
+    return counts[0]
 
 
 def maroni_intersection_pentagonal(g_r: int) -> Fraction:
     """Maroni intersection number of the degree-five partial pencil of
-    genus g_r: k_R + m_R with k_R = ceil(5(g+4)/6), m_R = ceil(-3(g+4)/4).
-
-    Computed through the rotating-directrix pipeline applied to the twisted
-    bundles E tensor (det E)^(-1) of rank four and degree -3(g+4): the
-    substitutions are a = k_R and l + 1 = m_R.  When 4 divides 3(g+4) the
-    quotients are perfectly balanced and the jump-count route applies.
-    """
+    genus g_r: k_R + m_R with k_R = ceil(5(g+4)/6), m_R = ceil(-3(g+4)/4),
+    the upper twist of the balanced type of E tensor (det E)^(-1) (rank
+    four, degree -3(g+4)).  Evaluates :func:`maroni_form` at this genus."""
     if g_r < 0:
         raise OutOfRange(f"pencil genus must be >= 0, got {g_r}")
-    k_r = k1_pentagonal(g_r)
     m_r = m_r_pentagonal(g_r)
-    quotient_type = balanced_type(4, -3 * (g_r + 4))
-    low = quotient_type.degrees[0]
-    minimal_count = sum(1 for d in quotient_type.degrees if d == low)
-    if minimal_count == 4:
-        require(m_r == low, f"m_R is the balanced twist at g_r = {g_r}")
-        count = perfectly_balanced_jump_count(5, k_r, m_r - 1)
-    else:
-        require(m_r == low + 1, f"m_R is one above the minimal twist at g_r = {g_r}")
-        fam = DirectrixFamily(5, minimal_count, k_r, low)
-        swept = rotating_directrix_class(fam)
-        rotation_mono = (5 - fam.r - 1, 1)     # H^(N-r-1) F
-        count = swept.coefficient(rotation_mono).constant_value()
-    require(count == k_r + m_r, f"Maroni rotation count = k_R + m_R at g_r = {g_r}")
-    return Fraction(count)
+    require(m_r == balanced_type(4, -3 * (g_r + 4)).degrees[-1],
+            f"m_R is the balanced upper twist at g_r = {g_r}")
+    return maroni_form().eval({"kR": k1_pentagonal(g_r), "mR": m_r})

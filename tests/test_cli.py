@@ -188,6 +188,12 @@ class TestChowEval:
         assert result.returncode == 2 and "MAX_EXPONENT" in result.stderr
         assert not result.stdout
 
+    def test_long_integer_literal_is_domain_error(self, capsys):
+        # checked before int(), which raises ValueError past the limit
+        code, out, err = run_cli(capsys, "chow", "eval", "p1xp1", "1" * 5000 + "*Rs*Rt")
+        assert code == 2 and f"limit of {sys.get_int_max_str_digits()} digits" in err
+        assert not out
+
     @pytest.mark.parametrize("ring,expr,limit", [
         ("projbundle:10000:u", "f", "MAX_RANK"), ("projspace_x_p1:10000", "f", "MAX_RANK"),
         ("projspace:100000000", "H", "MAX_RANK"), ("projbundle:1000:u", "f", "MAX_RANK"),
@@ -208,6 +214,18 @@ class TestChowEval:
     def test_malformed_operand_is_domain_error(self, capsys, expr):
         code, out, err = run_cli(capsys, "chow", "eval", "p1xp1", expr)
         assert code == 2 and "domain error" in err and not out
+
+    @pytest.mark.parametrize("ring,expr", [("p1xp1", "Rs^²"), ("p1xp1", "²"),
+                                           ("p1xp1", "Rs/²"), ("hirzebruch:²", "tau")])
+    def test_non_decimal_digit_is_domain_error(self, capsys, ring, expr):
+        # '²'.isdigit() holds, but int('²') raises
+        code, out, err = run_cli(capsys, "chow", "eval", ring, expr)
+        assert code == 2 and not out
+        assert err == "domain error: unexpected character '²' in expression\n"
+
+    def test_decimal_digits_of_any_script(self, capsys):
+        code, out, _ = run_cli(capsys, "chow", "eval", "p1xp1", "Rs*Rt*٣", "--json")
+        assert code == 0 and json.loads(out)["integral"] == "3"
 
     @pytest.mark.parametrize("expr", ["Rs/0", "Rs/(Rs-Rs)"])
     def test_division_by_zero_is_domain_error(self, capsys, expr):
@@ -420,22 +438,38 @@ _ARGV = st.one_of(
 _CALL_BOUND_S = 10
 
 
+def _assert_documented_exit(argv: list[str]) -> None:
+    """One in-process call ends, within the bound, with a documented exit
+    code and no traceback; an exception that escapes `main` fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # usage errors
+            code = exc.code
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    assert elapsed < _CALL_BOUND_S, (argv, elapsed)
+
+
+# inputs that once escaped `main` as a ValueError, and their neighbours
+_HOSTILE = [("p1xp1", "Rs^²"), ("p1xp1", "²"), ("p1xp1", "Rs/²"), ("hirzebruch:²", "tau"),
+            ("p1xp1", "1" * 5000 + "*Rs*Rt"), ("projspace:²", "H"),
+            ("projspace:" + "9" * 5000, "H"), ("p1xp1", "Rs*٣"), ("p1xp1", "x/(2-2)"),
+            ("p1xp1", "(Rs")]
+
+
 class TestFuzz:
     @settings(max_examples=40, deadline=None)
     @given(_ARGV, st.booleans())
     def test_every_call_ends_with_a_documented_exit_code(self, argv, as_json):
-        argv = list(argv) + ["--json"] * as_json
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:       # usage errors
-                code = exc.code
-        elapsed = time.perf_counter() - start
-        assert code in (0, 1, 2, 3), (argv, code)
-        assert "Traceback" not in err.getvalue(), argv
-        assert elapsed < _CALL_BOUND_S, (argv, elapsed)
+        _assert_documented_exit(list(argv) + ["--json"] * as_json)
+
+    @pytest.mark.parametrize("ring,expr", _HOSTILE, ids=lambda x: x[:12])
+    def test_hostile_input_ends_with_a_documented_exit_code(self, ring, expr):
+        _assert_documented_exit(["chow", "eval", ring, expr])
 
 
 def _load_workloads():

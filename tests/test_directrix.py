@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc import directrix
 from hurwitzcalc.bundles import SplittingType, k1_pentagonal, m_r_pentagonal
-from hurwitzcalc.chow import (expansion_ring, grr_degree_on_p1xp1, ring_p1xp1,
+from hurwitzcalc.chow import (ChowClass, expansion_ring, grr_degree_on_p1xp1, ring_p1xp1,
                               ring_product_with_p1, ring_proj_space)
 from hurwitzcalc.directrix import (DirectrixFamily, directrix_pushforward_degree,
                                    maroni_intersection_pentagonal,
@@ -140,6 +140,8 @@ class TestPerfectlyBalanced:
             for a in range(-4, 5):
                 for l in range(-4, 5):
                     assert perfectly_balanced_jump_count(n, a, l) == a + l + 1
+        a, l = Poly.var("a"), Poly.var("l")
+        assert perfectly_balanced_jump_count(5, a, l) == a + l + 1
 
     def test_needs_three_quotients(self):
         with pytest.raises(InvalidFamily, match="need N >= 3"):
@@ -174,3 +176,50 @@ class TestMaroniIntersection:
     def test_nonnegative_on_admissible_range(self):
         for g_r in range(2, 80):
             assert maroni_intersection_pentagonal(g_r) >= 0
+
+    def test_second_genus_only_evaluates_the_form(self, monkeypatch):
+        # g_r = 16 has perfectly balanced quotients; g_r = 17 has three
+        # minimal summands, which once built a family and its class per call
+        assert maroni_intersection_pentagonal(16) == 2
+        built, checked = [], []
+        for cls in (ChowClass, DirectrixFamily):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        def recording_require(cond, what, _require=directrix.require):
+            checked.append(what)
+            _require(cond, what)
+
+        monkeypatch.setattr(directrix, "require", recording_require)
+        assert maroni_intersection_pentagonal(17) == 3       # 18 - 15
+        assert built == []
+        assert checked == ["m_R is the balanced upper twist at g_r = 17"]
+
+    @pytest.mark.parametrize("route", ["class", "jump"])
+    def test_route_off_by_one_fails_under_optimize(self, route, engine_env):
+        # the routes are compared once per process, so the check must not
+        # be an assert that `python -O` strips
+        sabotage = {
+            "class": "real = dx._class_form\n"
+                     "dx._class_form = lambda n, r: real(n, r) + (r == 2) * "
+                     "real(n, r).ring.gen('H') ** 2 * real(n, r).ring.gen('F')\n",
+            "jump": "real = dx.perfectly_balanced_jump_count\n"
+                    "dx.perfectly_balanced_jump_count = lambda n, a, l: real(n, a, l) + 1\n"}
+        script = (
+            "import hurwitzcalc.directrix as dx\n"
+            "from hurwitzcalc.errors import DerivationMismatch\n"
+            + sabotage[route] +
+            "try:\n"
+            "    dx.maroni_intersection_pentagonal(16)\n"
+            "except DerivationMismatch as exc:\n"
+            "    print(exc)\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+        result = subprocess.run([sys.executable, "-O", "-c", script],
+                                env=engine_env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert "Maroni rotation counts" in result.stdout
+        assert "kR + mR + 1" in result.stdout
