@@ -228,6 +228,16 @@ class ChowClass:
     def coefficient(self, mono: Mono) -> Poly:
         return self.terms.get(mono, Poly.const(0))
 
+    def evaluated(self, point: Mapping[str, int | Fraction]) -> "ChowClass":
+        """The class with each coefficient evaluated at the point.  Each
+        monomial is already in normal form and stays so, so nothing is
+        summed or re-normalized: only a coefficient that vanishes drops."""
+        result = object.__new__(ChowClass)
+        result.ring = self.ring
+        result.terms = {mono: Poly.const(value) for mono, coeff in self.terms.items()
+                        if (value := coeff._value(point))}
+        return result
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"

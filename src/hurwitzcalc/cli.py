@@ -34,8 +34,27 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+# CPython's default int/str limit: the digit bound where the interpreter's
+# limit is off (0) or absent (before 3.10.7)
+_DEFAULT_MAX_DIGITS = 4300
+
+
 def _rational(text: str) -> Fraction:
-    """An exact rational option value such as "3", "-1/2" or "0.25"."""
+    """An exact rational option value such as "3", "-1/2", "0.25" or "3e2".
+    The text's length plus its decimal exponent bounds the digits of the
+    numerator and of the denominator, so a value that would pass the
+    interpreter's int/str limit is refused before any of it is built."""
+    bound = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_MAX_DIGITS
+    size = len(text)
+    if size <= bound:
+        _, _, exponent = text.lower().partition("e")
+        try:
+            size += abs(int(exponent or 0))
+        except ValueError:
+            pass                        # malformed: Fraction refuses it below
+    if size > bound:
+        raise argparse.ArgumentTypeError(
+            f"rational number past the int/str limit of {bound} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

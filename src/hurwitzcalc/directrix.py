@@ -105,7 +105,7 @@ def directrix_pushforward_degree(fam: DirectrixFamily) -> Poly:
     """Degree of the pushforward of W(-(l+1) Rs) to the pencil line, by the
     Riemann-Roch count on the product surface.  Always equals -a - l,
     independently of the (symbolic) degree of V."""
-    return Poly.const(_degree_form(fam.n).eval({"a": fam.a, "l": fam.l}))
+    return Poly.const(_degree_form(fam.n)._value({"a": fam.a, "l": fam.l}))
 
 
 def rotating_directrix_class(fam: DirectrixFamily) -> ChowClass:
@@ -121,11 +121,9 @@ def rotating_directrix_class(fam: DirectrixFamily) -> ChowClass:
        fixed fiber multiplies by Rs.
 
     The pipeline runs once per (N, r) with a and l symbolic; a family only
-    evaluates that class.
+    evaluates that class, in integers and with no re-normalization.
     """
-    form = _class_form(fam.n, fam.r)
-    at = {"a": fam.a, "l": fam.l}
-    return form.ring.cls({m: c.eval(at) for m, c in form.terms.items()})
+    return _class_form(fam.n, fam.r).evaluated({"a": fam.a, "l": fam.l})
 
 
 def rotating_directrix_closed_form(fam: DirectrixFamily) -> ChowClass:

@@ -11,7 +11,10 @@ are immutable after construction and safe to share between threads.
 A polynomial is evaluated the way FLINT's ``fmpq_poly`` stores one: its
 coefficients are put once over one common denominator, the numerators are
 summed against the monomials in plain integers, and a single Fraction is
-built at the end.  Every value is still exact.
+built at the end.  The engine's own integer read of that sum builds no
+Fraction at all when the denominator divides it, so a cached form
+evaluated at an integer point, such as a family's swept class, stays in
+integers throughout.  Every value is still exact.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ class Poly:
     (terms sorted by total degree, then by variables), e.g. ``7*g + 6``.
     """
 
-    # `compiled` is filled by the first `eval`: the variable names, the
+    # `compiled` is filled by the first evaluation: the variable names, the
     # common denominator of the coefficients, and each monomial with its
     # integer numerator over that denominator
     __slots__ = ("terms", "compiled")
@@ -224,6 +227,20 @@ class Poly:
     def eval(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Exact value at the assignment; raises MissingVariable if a
         variable of the polynomial is unassigned."""
+        return Fraction(*self._summed(assignment))
+
+    def _value(self, assignment: Mapping[str, Scalar]) -> int | Fraction:
+        """``int_if_integral(self.eval(assignment))``, with no Fraction built
+        when the sum over the common denominator divides exactly."""
+        total, den = self._summed(assignment)
+        if type(total) is int and total % den == 0:
+            return total // den
+        return int_if_integral(Fraction(total, den))
+
+    def _summed(self, assignment: Mapping[str, Scalar]) -> tuple[int | Fraction, int]:
+        """The value at the assignment as (total, den): the integer
+        numerators summed against the monomials, over the common
+        denominator den.  The form is compiled on the first call."""
         compiled = self.compiled
         names = sorted(self.variables()) if compiled is None else compiled[0]
         missing = [name for name in names if name not in assignment]
@@ -241,7 +258,7 @@ class Poly:
                 x = assignment[name]
                 numerator *= (x if type(x) is int else Fraction(x)) ** e
             total += numerator
-        return Fraction(total, den)
+        return total, den
 
     def subs(self, mapping: Mapping[str, PolyLike]) -> "Poly":
         """Substitute polynomials (or constants) for variables."""

@@ -19,11 +19,12 @@ def engine_env():
     return {**os.environ, "PYTHONPATH": SRC}
 
 
-# import symkernel, count every Poly built from then on, through __init__
-# or Poly.const, and every Fraction, while the code on the command line
-# runs, and print both counts.  A Fraction is counted where it is built:
-# in Fraction.__new__ and, on Python 3.12 and later, where arithmetic builds
-# its result without __new__, in Fraction._from_coprime_ints
+# import symkernel, run the warm-up code on the command line, then count
+# every Poly built, through __init__ or Poly.const, and every Fraction,
+# while the measured code runs, and print both counts.  A Fraction is
+# counted where it is built: in Fraction.__new__ and, on Python 3.12 and
+# later, where arithmetic builds its result without __new__, in
+# Fraction._from_coprime_ints
 BUILT = (
     "import sys\n"
     "from fractions import Fraction\n"
@@ -47,6 +48,8 @@ BUILT = (
     "        built['Fraction'] += 1\n"
     "        return coprime(cls, *args)\n"
     "    Fraction._from_coprime_ints = classmethod(counting_coprime)\n"
+    "exec(sys.argv[2])\n"
+    "built.update(Poly=0, Fraction=0)\n"
     "exec(sys.argv[1])\n"
     "print(built['Poly'], built['Fraction'])\n")
 
@@ -54,11 +57,12 @@ BUILT = (
 @pytest.fixture(scope="session")
 def objects_built(engine_env):
     """The numbers of Poly and of Fraction objects a piece of code builds in
-    a fresh interpreter, counted from just after `symkernel` is imported.
-    Fractions are counted at Fraction.__new__, and also at
-    Fraction._from_coprime_ints where the Python version has it."""
-    def run(code):
-        result = subprocess.run([sys.executable, "-c", BUILT, code], env=engine_env,
+    a fresh interpreter, counted from just after `symkernel` is imported, or
+    from the end of the warm-up code when one is given.  Fractions are
+    counted at Fraction.__new__, and also at Fraction._from_coprime_ints
+    where the Python version has it."""
+    def run(code, warm_up=""):
+        result = subprocess.run([sys.executable, "-c", BUILT, code, warm_up], env=engine_env,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         polys, fractions = map(int, result.stdout.split())

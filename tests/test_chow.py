@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hurwitzcalc import chow
 from hurwitzcalc.chow import (ChowClass, canonical_class, expansion_ring,
@@ -530,6 +530,37 @@ class TestRingLaws:
         ring = ring_product_with_p1(ring_proj_space(n))
         top = ring.cls([((n + 1 - b, b), c) for b, c in enumerate(top_coeffs)])
         assert top.integrate() == top_coeffs[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(ring_classes(1), st.data())
+    def test_evaluated_is_the_class_of_the_values(self, drawn, data):
+        ring, (x,) = drawn
+        names = sorted({name for c in x.terms.values() for name in c.variables()})
+        values = st.one_of(st.integers(-5, 5),
+                           st.fractions(min_value=-5, max_value=5, max_denominator=6))
+        at = {name: data.draw(values, label=name) for name in names}
+        assert x.evaluated(at) == ring.cls({m: c.eval(at) for m, c in x.terms.items()})
+
+
+_DIRECTRIX_SHAPE = st.integers(3, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n - 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DIRECTRIX_SHAPE, st.integers(-8, 8), st.integers(-8, 8))
+@example((5, 2), 3, -4)
+@example((3, 1), -8, 7)
+def test_evaluated_swept_class_needs_no_sum(shape, a, l):
+    # the swept class form is in normal form: evaluated, it keeps each
+    # monomial with an integer coefficient, and the F term drops where
+    # a + l + 1 = 0
+    from hurwitzcalc.directrix import _class_form
+    form = _class_form(*shape)
+    at = {"a": a, "l": l}
+    evaluated = form.evaluated(at)
+    assert evaluated == form.ring.cls({m: c.eval(at) for m, c in form.terms.items()})
+    assert len(evaluated.terms) == (1 if a + l + 1 == 0 else 2)
+    assert all(type(c.terms[()]) is int for c in evaluated.terms.values())
 
 
 # ---------------------------------------------------------------------------

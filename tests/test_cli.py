@@ -1,17 +1,20 @@
+import argparse
 import hashlib
 import importlib.util
 import io
 import json
+import resource
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitzcalc.cli import main
+from hurwitzcalc.cli import _rational, main
 from hurwitzcalc.family_calc import PENCIL_KINDS, PENCIL_TABLE, partial_pencil_record
 
 
@@ -19,6 +22,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _bounded_memory():
+    """Cap a child's address space at 2 GB, so a runaway number fails there."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 class TestSlope:
@@ -151,7 +159,7 @@ class TestInvariants:
                                  "--ch2e", "1", "--ch2f", "0", "--c1sq", "3")
         assert code == 2 and reason in err and not out
 
-    @pytest.mark.parametrize("value", ["abc", "1/0"])
+    @pytest.mark.parametrize("value", ["abc", "1/0", "1e5/3"])
     def test_malformed_rational_is_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "invariants", "--d", "4", "--g", "5",
@@ -163,6 +171,36 @@ class TestInvariants:
         code, out, _ = run_cli(capsys, "invariants", "--d", "4", "--g", "5", "--ch2e", "1/2",
                                "--ch2f", "0.25", "--c1sq", "-3", "--json")
         assert code == 0 and json.loads(out)["lambda"] == "11/16"
+
+    @pytest.mark.parametrize("text, value", [("3", 3), ("-1/2", Fraction(-1, 2)),
+                                             ("0.25", Fraction(1, 4)), ("3e2", 300)])
+    def test_rational_values(self, text, value):
+        assert _rational(text) == value
+
+    def test_rational_bound_counts_length_and_exponent(self):
+        bound = sys.get_int_max_str_digits()
+        n = next(n for n in range(bound, 0, -1) if len(f"1e{n}") + n == bound)
+        assert _rational(f"1e{n}") == 10 ** n
+        with pytest.raises(argparse.ArgumentTypeError, match=f"limit of {bound} digits"):
+            _rational(f"1e{n + 1}")
+        with pytest.raises(argparse.ArgumentTypeError, match=f"limit of {bound} digits"):
+            _rational("1" * (bound + 1))
+
+    @pytest.mark.parametrize("value", ["1e4400", "1e-4400", "1e10000000", "1e1000000000"])
+    def test_oversized_rational_is_usage_error(self, value, engine_env):
+        # refused before Fraction builds it: unchecked, 1e10000000 took 6 s
+        # and 1e1000000000 ran on; a subprocess with bounded memory, so a
+        # hang is a timeout
+        start = time.perf_counter()
+        result = subprocess.run([sys.executable, "-m", "hurwitzcalc.cli", "invariants",
+                                 "--d", "4", "--g", "9", "--ch2e", value, "--ch2f", "1",
+                                 "--c1sq", "1"],
+                                env=engine_env, capture_output=True, text=True, timeout=10,
+                                preexec_fn=_bounded_memory)
+        assert time.perf_counter() - start < 2
+        assert result.returncode == 1 and not result.stdout
+        assert f"int/str limit of {sys.get_int_max_str_digits()} digits" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestChowEval:

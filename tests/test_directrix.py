@@ -115,6 +115,24 @@ class TestOneDerivationPerShape:
         assert perfectly_balanced_jump_count(6, -4, 5) == 2
         assert len(calls) == 1
 
+    def test_family_class_builds_one_poly_per_term(self, polys_counted):
+        fam = DirectrixFamily(5, 2, 2, 1)
+        rotating_directrix_class(fam)
+        polys_counted.clear()
+        rotating_directrix_class(fam)
+        assert len(polys_counted) <= 2
+
+    def test_warm_family_builds_no_fraction(self, objects_built):
+        # the op of the benchmark's directrix grid; 3 when the degree and
+        # each class coefficient were read through Poly.eval
+        op = ("directrix_pushforward_degree(fam)\n"
+              "assert rotating_directrix_class(fam) == rotating_directrix_closed_form(fam)\n")
+        warm_up = ("from hurwitzcalc.directrix import (DirectrixFamily,\n"
+                   "    directrix_pushforward_degree, rotating_directrix_class,\n"
+                   "    rotating_directrix_closed_form)\n"
+                   "fam = DirectrixFamily(5, 2, 2, 1)\n" + op)
+        assert objects_built(op, warm_up)["Fraction"] == 0
+
     def test_derivation_check_survives_optimize(self, engine_env):
         # the pipeline is checked once per shape, so the check must not be
         # an assert that `python -O` strips

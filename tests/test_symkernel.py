@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc.errors import MissingVariable
-from hurwitzcalc.symkernel import Poly, RationalFunction, ceil_div
+from hurwitzcalc.symkernel import Poly, RationalFunction, ceil_div, int_if_integral
 
 
 def p(name):
@@ -209,16 +209,34 @@ class TestCompiledEval:
         if not names:
             return
         partial = {k: v for k, v in at.items() if k != names[0]}
-        with pytest.raises(MissingVariable):
-            q.eval(partial)
-        q.eval(at)
-        with pytest.raises(MissingVariable):
-            q.eval(partial)
+        for read in (Poly.eval, Poly._value):
+            fresh = Poly(dict(q.terms))
+            with pytest.raises(MissingVariable):
+                read(fresh, partial)
+            read(fresh, at)
+            with pytest.raises(MissingVariable):
+                read(fresh, partial)
 
     def test_integer_assignment_on_fraction_coefficients(self):
         q = p("g") ** 2 / 6 - Fraction(3, 4) * p("g") + Fraction(1, 10)
         for g in range(-20, 21):
             assert q.eval({"g": g}) == Fraction(g * g, 6) - Fraction(3 * g, 4) + Fraction(1, 10)
+
+    @given(polys(), assignments)
+    def test_integer_read_is_the_integral_value(self, q, at):
+        first = q._value(at)                # compiles the form
+        expected = int_if_integral(q.eval(at))
+        for value in (first, q._value(at)):
+            assert value == expected and type(value) is type(expected)
+
+    def test_integer_read_divides_over_the_common_denominator(self):
+        # g(g+1)/2 - g/3 is over 6: an int wherever 6 divides the sum
+        q = (p("g") ** 2 + p("g")) / 2 - p("g") / 3
+        for g in range(-12, 13):
+            value = q._value({"g": g})
+            assert value == Fraction(g * (g + 1), 2) - Fraction(g, 3)
+            assert type(value) is (int if g % 3 == 0 else Fraction)
+        assert q._value({"g": Fraction(1, 2)}) == Fraction(5, 24)
 
 
 scalars = st.one_of(st.integers(-20, 20),
