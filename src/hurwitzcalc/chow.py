@@ -19,13 +19,12 @@ exact and symbolic.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 
 from .errors import (DegreeMismatch, InvalidRank, OutOfRange, ParseError, RingMismatch,
                      ZeroDenominator)
-from .symkernel import _ONE, Poly, PolyLike
+from .symkernel import _ONE, Poly, PolyLike, max_digits
 
 # Exponent vector over the presentation's generator list.
 Mono = tuple[int, ...]
@@ -560,12 +559,24 @@ MAX_TERM_WORK = 20_000
 # domain error before any presentation is built
 MAX_RANK = 100
 
+# log2(10), rounded down: a number of at most digits * _BITS_PER_DIGIT bits
+# has at most `digits` decimal digits
+_BITS_PER_DIGIT = 3.3219
+
 
 def _size(x) -> int:
     """Number of coefficient terms of a parsed Poly or ChowClass."""
     if isinstance(x, ChowClass):
         return sum(len(c.terms) for c in x.terms.values())
     return len(x.terms)
+
+
+def _bits(x) -> int:
+    """Largest bit length of a numerator or denominator among the
+    coefficients of a parsed Poly or ChowClass."""
+    polys = x.terms.values() if isinstance(x, ChowClass) else (x,)
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for p in polys for c in p.terms.values()), default=0)
 
 
 class _Parser:
@@ -579,6 +590,18 @@ class _Parser:
         self.work += cost
         if self.work > MAX_TERM_WORK:
             raise OutOfRange(f"expression costs more than MAX_TERM_WORK = {MAX_TERM_WORK}")
+
+    def product(self, value, rhs):
+        """value * rhs, charged by its term work.  It is refused before it
+        is built when its operands' largest numerator or denominator bit
+        lengths sum past the int/str limit's digits: the product of two such
+        coefficients could not be printed."""
+        self.charge(_size(value) * _size(rhs))
+        digits = max_digits()
+        if _bits(value) + _bits(rhs) > digits * _BITS_PER_DIGIT:
+            raise OutOfRange(f"expression coefficients past the int/str limit of "
+                             f"{digits} digits")
+        return value * rhs
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -613,11 +636,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.unary()
-            self.charge(_size(value) * _size(rhs))
-            if op == "*":
-                value = value * rhs
-            else:
-                value = value * _invert_constant(rhs)
+            value = self.product(value, rhs if op == "*" else _invert_constant(rhs))
         return value
 
     def unary(self):
@@ -639,8 +658,7 @@ class _Parser:
                 raise OutOfRange(f"exponent above MAX_EXPONENT = {MAX_EXPONENT}")
             value = self.atom(1)
             for _ in range(int(digits)):
-                self.charge(_size(value) * _size(base))
-                value = value * base
+                value = self.product(value, base)
             return value
         return base
 
@@ -652,9 +670,8 @@ class _Parser:
                 raise ParseError("unbalanced parentheses")
             return value
         if tok.isdecimal():
-            # CPython's int/str limit: 0 when off, and absent before 3.10.7
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if 0 < limit < len(tok):
+            limit = max_digits()
+            if len(tok) > limit:
                 raise OutOfRange(f"integer literal longer than the interpreter's "
                                  f"int/str limit of {limit} digits")
             return self.atom(int(tok))

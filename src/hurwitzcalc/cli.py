@@ -34,17 +34,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-# CPython's default int/str limit: the digit bound where the interpreter's
-# limit is off (0) or absent (before 3.10.7)
-_DEFAULT_MAX_DIGITS = 4300
-
-
 def _rational(text: str) -> Fraction:
     """An exact rational option value such as "3", "-1/2", "0.25" or "3e2".
     The text's length plus its decimal exponent bounds the digits of the
     numerator and of the denominator, so a value that would pass the
     interpreter's int/str limit is refused before any of it is built."""
-    bound = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_MAX_DIGITS
+    from .symkernel import max_digits
+    bound = max_digits()
     size = len(text)
     if size <= bound:
         _, _, exponent = text.lower().partition("e")
@@ -172,14 +168,14 @@ def _cmd_chow(args) -> int:
 
 
 def _cmd_graphs(args) -> int:
-    from .graphs import canonical_label, enumerate_two_vertex
-    graphs = enumerate_two_vertex(args.d, args.g)
+    from .graphs import labelled_two_vertex
+    graphs = labelled_two_vertex(args.d, args.g)
     if args.json:
-        print(json.dumps([{"label": canonical_label(gr), **gr.to_json()}
-                          for gr in graphs]))
+        print(json.dumps([{"label": label, **gr.to_json()}
+                          for label, gr in graphs.items()]))
     else:
-        for gr in graphs:
-            print(canonical_label(gr))
+        for label in graphs:
+            print(label)
         print(f"total: {len(graphs)} graphs")
     return 0
 

@@ -22,9 +22,11 @@ boundary-rule slacks of `yeff` read the same rows and forms.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
+from types import MappingProxyType
 
 from .bundles import k1_pentagonal, m_r_pentagonal, v_tetragonal
 from .chow import (ChowClass, Surface, canonical_class,
@@ -611,11 +613,10 @@ def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
         return _evaluate_row(kind, row, at, row.hits)
     # the quoted base change: the blown-down section self-intersection, and
     # every collision, over the profile point or not, on one divisor
-    books = basechange_section_bookkeeping(5, 10, row.shape)
-    collisions = sum(v for role, v in _basechange_hits(row.shape).items()
-                     if role != "delta_self")
+    books, hits = map(dict, _basechange(row.shape))
+    collisions = sum(v for role, v in hits.items() if role != "delta_self")
     return _evaluate_row(kind, row, at,
-                         {"delta_self": books["blownSelfInt"], "delta_collision": collisions},
+                         {"delta_self": hits["delta_self"], "delta_collision": collisions},
                          extras={"sectionSelfInt": books["selfInt"],
                                  "sectionPairInt": books["pairInt"]})
 
@@ -661,8 +662,16 @@ def _basechange_hits(profile: tuple[int, ...]) -> dict[str, Fraction]:
     """Boundary hits of the base-changed degree-five family whose marked
     fiber has the given ramification profile (see
     :func:`pentagonal_basechange_profile_record`); they depend on the
-    profile alone, not on the genera.  The self hit is the blown-up section
-    self-intersection of :func:`basechange_section_bookkeeping`."""
+    profile alone, not on the genera.  A fresh dict on each call."""
+    return dict(_basechange(profile)[1])
+
+
+@cache
+def _basechange(profile: tuple[int, ...]) -> tuple[Mapping[str, Fraction], Mapping[str, Fraction]]:
+    """(section bookkeeping, boundary hits) of the base-changed degree-five
+    family with the given profile, once per profile and read-only.  The
+    self hit is the blown-up section self-intersection of
+    :func:`basechange_section_bookkeeping`."""
     books = basechange_section_bookkeeping(5, 10, profile)
     r = sum(m - 1 for m in profile)
     if r < 1:
@@ -673,4 +682,4 @@ def _basechange_hits(profile: tuple[int, ...]) -> dict[str, Fraction]:
     simple = Fraction((10 - r) * n, 2)
     if simple:
         hits["delta_collision"] = simple
-    return hits
+    return MappingProxyType(books), MappingProxyType(hits)

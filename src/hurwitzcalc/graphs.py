@@ -10,6 +10,12 @@ sum to its degree, and the total arithmetic genus is
 
 Vertex counts of satellite (genus-zero, degree-one) vertices are always
 derived from the degree-sum rule, never taken on faith.
+
+Every boundary graph that the engine names, the two-vertex graphs and the
+degree-three three- and four-vertex graphs, is built, validated and
+labelled once per process, per shape and genus pair, in one cache here.
+The enumeration, the certifier and the CLI read labels from it and build
+or label no graph themselves.
 """
 
 from __future__ import annotations
@@ -170,18 +176,35 @@ def two_vertex_label(d: int, profile: tuple[int, ...], genus_left: int,
                      genus_right: int) -> str:
     """`canonical_label(two_vertex_graph(...))`.  The label does not
     depend on which genus is on the left, so it is kept once per profile
-    and unordered genus pair: the enumeration builds, validates and labels
-    each graph once, and the certifier then finds every rule target labelled."""
-    return _two_vertex(d, profile, *sorted((genus_left, genus_right)))[1]
+    and unordered genus pair."""
+    return _labelled(d, profile, *sorted((genus_left, genus_right)))[1]
+
+
+def hyperelliptic_vertex_label(shape: str, genus_left: int, genus_right: int) -> str:
+    """`canonical_label` of the degree-three "threevertex" or "fourvertex"
+    graph (`graph_three_vertex_d3`, `graph_four_vertex_d3`) with the given
+    genera, kept once per shape and genus pair."""
+    return _labelled(3, shape, genus_left, genus_right)[1]
 
 
 @cache
-def _two_vertex(d: int, profile: tuple[int, ...], genus_small: int,
-                genus_big: int) -> tuple[DualGraph, str]:
-    graph = two_vertex_graph(d, profile, genus_small, genus_big)
-    if not validate(graph, d, genus_small + genus_big + len(profile) - 1):
+def _labelled(d: int, shape: tuple[int, ...] | str, genus_a: int,
+              genus_b: int) -> tuple[DualGraph | None, str]:
+    """The one place a boundary graph is built, validated and labelled,
+    once per process for each shape and genus pair.  A shape is a node
+    profile of a two-vertex graph (genera in increasing order) or a key of
+    `_HYPERELLIPTIC_VERTEX`.  Only the two-vertex graphs, which the
+    enumeration returns, are kept; of the others no caller reads more than
+    the label."""
+    if isinstance(shape, str):
+        build, edges_less_vertices = _HYPERELLIPTIC_VERTEX[shape]
+        graph, kept = build(genus_a, genus_b), None
+    else:
+        graph = kept = two_vertex_graph(d, shape, genus_a, genus_b)
+        edges_less_vertices = len(shape) - 2
+    if not validate(graph, d, genus_a + genus_b + edges_less_vertices + 1):
         raise InvalidGraph("enumeration produced an invalid graph")
-    return graph, canonical_label(graph)
+    return kept, canonical_label(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +273,12 @@ def graph_four_vertex_d3(genus_left: int, genus_right: int) -> DualGraph:
     return DualGraph(vertices, edges)
 
 
+# the degree-three hyperelliptic-vertex shapes: constructor, and the
+# graph's edge count less its vertex count (the genus formula's term)
+_HYPERELLIPTIC_VERTEX = {"threevertex": (graph_three_vertex_d3, 0),
+                         "fourvertex": (graph_four_vertex_d3, -1)}
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
@@ -278,25 +307,26 @@ def partitions(n: int) -> list[tuple[int, ...]]:
 MAX_GENUS = 200
 
 
-def enumerate_two_vertex(d: int, g: int) -> list[DualGraph]:
-    """All two-vertex boundary graphs for degree d and total genus g: every
-    partition of d as the edge profile and every genus split compatible
-    with the genus formula, up to the side swap.  Both vertices have degree
-    d, so the swap maps a split onto its mirror and only the splits with
-    the smaller genus on the left are built.  The genus must lie in
-    0..MAX_GENUS."""
+def labelled_two_vertex(d: int, g: int) -> dict[str, DualGraph]:
+    """All two-vertex boundary graphs for degree d and total genus g, by
+    canonical label in label order: every partition of d as the edge
+    profile and every genus split compatible with the genus formula, up to
+    the side swap.  Both vertices have degree d, so the swap maps a split
+    onto its mirror and only the splits with the smaller genus on the left
+    are built.  The genus must lie in 0..MAX_GENUS."""
     if d not in (3, 4, 5):
         raise OutOfRange("two-vertex enumeration is wired for d in {3, 4, 5}")
     if not 0 <= g <= MAX_GENUS:
         raise OutOfRange(f"two-vertex enumeration needs 0 <= g <= {MAX_GENUS}, got {g}")
     seen: dict[str, DualGraph] = {}
     for profile in partitions(d):
-        edge_count = len(profile)
-        genus_total = g - edge_count + 1
-        if genus_total < 0:
-            continue
+        genus_total = g - len(profile) + 1
         for genus_left in range(genus_total // 2 + 1):
-            graph, label = _two_vertex(d, profile, genus_left,
-                                       genus_total - genus_left)
+            graph, label = _labelled(d, profile, genus_left, genus_total - genus_left)
             seen.setdefault(label, graph)
-    return [seen[label] for label in sorted(seen)]
+    return {label: seen[label] for label in sorted(seen)}
+
+
+def enumerate_two_vertex(d: int, g: int) -> list[DualGraph]:
+    """The graphs of `labelled_two_vertex`, in label order."""
+    return list(labelled_two_vertex(d, g).values())

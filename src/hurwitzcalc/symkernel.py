@@ -19,6 +19,7 @@ integers throughout.  Every value is still exact.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
@@ -44,6 +45,17 @@ def ceil_div(a: int, b: int) -> int:
     if b <= 0:
         raise OutOfRange("ceil_div requires a positive divisor")
     return -((-a) // b)
+
+
+# CPython's default int/str limit (CVE-2020-10735): the digit bound where
+# the interpreter's limit is off (0) or absent (before 3.10.7)
+_DEFAULT_MAX_DIGITS = 4300
+
+
+def max_digits() -> int:
+    """The most decimal digits an integer read or printed by the engine may
+    have: the interpreter's int/str limit, or 4300 where it is off."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_MAX_DIGITS
 
 
 def int_if_integral(q: Fraction) -> int | Fraction:
@@ -210,6 +222,8 @@ class Poly:
 
     def __truediv__(self, other: Scalar) -> "Poly":
         c = Fraction(other)
+        if not c:
+            raise ZeroDenominator("division of a polynomial by zero")
         return Poly({m: coeff / c for m, coeff in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:

@@ -29,6 +29,9 @@ shape's form at the graph's genera and multiplies by the scale of X.
 A rule's flags come from its shape's row too: it is reconstructed when no
 row carries the shape or its family's genus is below the row's `min_gr`,
 and it is an equality when the row's family does not sweep its divisor.
+Every rule's source and target labels are read from `graphs`, which builds
+and labels each boundary graph once per process, so a warm `certify`
+builds and labels no graph.
 """
 
 from __future__ import annotations
@@ -41,9 +44,7 @@ from .divisor_classes import admissible_genus, class_x
 from .errors import NotDivisorial, PropagationFailure, Record, UnknownKind, require
 from .family_calc import (PENCIL_TABLE, PencilRow, _basechange_hits, _nonnegative_genus,
                           check_profile, pencil_symbols, vertex_pencil_form)
-from .graphs import (canonical_label, graph_four_vertex_d3,
-                     graph_three_vertex_d3, enumerate_two_vertex,
-                     two_vertex_label)
+from .graphs import hyperelliptic_vertex_label, labelled_two_vertex, two_vertex_label
 from .symkernel import Poly, int_if_integral
 
 # pseudo-targets that ground the induction
@@ -264,10 +265,9 @@ def build_rules(d: int, g: int,
     _slope_pair(d, g, scale)             # admissible (d, g) only
     rules: dict[str, InequalityRule] = {}
 
-    for graph in enumerate_two_vertex(d, g):
+    for label, graph in labelled_two_vertex(d, g).items():
         profile = tuple(e.local_degree for e in graph.edges)
         g_small, g_big = sorted(v.genus for v in graph.vertices)
-        label = two_vertex_label(d, profile, g_small, g_big)
         rules[label] = _two_vertex_rule(d, g, scale, label, profile, g_big, g_small)
 
     if d == 3:
@@ -275,9 +275,9 @@ def build_rules(d: int, g: int,
         # shape rests on it at gR - 1, on the irreducible node at gR = 1, and
         # on nothing at gR = 0, where the four-vertex form is the rational
         # vertex pencil's 3b
-        three_label = {g_r: canonical_label(graph_three_vertex_d3(g - 1 - g_r, g_r))
+        three_label = {g_r: hyperelliptic_vertex_label("threevertex", g - 1 - g_r, g_r)
                        for g_r in range(1, g)}
-        four_label = {g_r: canonical_label(graph_four_vertex_d3(g - g_r, g_r))
+        four_label = {g_r: hyperelliptic_vertex_label("fourvertex", g - g_r, g_r)
                       for g_r in range(g // 2 + 1)}
         rests = {0: (), 1: ((IRREDUCIBLE_NODE, _UNIT),)}
         rests.update((g_r + 1, ((label, _UNIT),)) for g_r, label in three_label.items())

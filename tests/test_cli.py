@@ -226,6 +226,22 @@ class TestChowEval:
         assert result.returncode == 2 and "MAX_EXPONENT" in result.stderr
         assert not result.stdout
 
+    @pytest.mark.parametrize("expr", ["(10^100)^50*Rs*Rt", "((10^100)^100)^100*Rs*Rt",
+                                      "(((10^100)^100)^100)^100*Rs*Rt"])
+    def test_huge_coefficient_fails_fast(self, expr, engine_env):
+        # checked before each product; unchecked, the first two escaped at
+        # print as a ValueError traceback and the last ran past 30 s.  A
+        # subprocess with bounded memory, so a hang is a timeout
+        start = time.perf_counter()
+        result = subprocess.run([sys.executable, "-m", "hurwitzcalc.cli", "chow", "eval",
+                                 "p1xp1", expr],
+                                env=engine_env, capture_output=True, text=True, timeout=10,
+                                preexec_fn=_bounded_memory)
+        assert time.perf_counter() - start < 2
+        assert result.returncode == 2 and not result.stdout
+        assert f"int/str limit of {sys.get_int_max_str_digits()} digits" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_long_integer_literal_is_domain_error(self, capsys):
         # checked before int(), which raises ValueError past the limit
         code, out, err = run_cli(capsys, "chow", "eval", "p1xp1", "1" * 5000 + "*Rs*Rt")
@@ -318,6 +334,20 @@ class TestGraphs:
     def test_genus_out_of_range_is_domain_error(self, capsys, g):
         code, out, err = run_cli(capsys, "graphs", "enum", "--d", "3", "--g", g)
         assert code == 2 and "0 <= g <= 200" in err and not out
+
+    def test_each_graph_is_labelled_once(self, capsys, monkeypatch):
+        # the enumeration labels each graph; the command prints those labels
+        from hurwitzcalc import graphs
+        calls = []
+        real = graphs.canonical_label
+
+        def counting(gr):
+            calls.append(gr)
+            return real(gr)
+        monkeypatch.setattr(graphs, "canonical_label", counting)
+        graphs._labelled.cache_clear()
+        code, out, _ = run_cli(capsys, "graphs", "enum", "--d", "3", "--g", "40", "--json")
+        assert code == 0 and len(json.loads(out)) == len(calls) == 61
 
     def test_json_validates(self, capsys):
         from hurwitzcalc.graphs import DualGraph, validate

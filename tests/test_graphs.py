@@ -279,12 +279,12 @@ class TestEnumeration:
         def one_edge_short(d, profile, genus_left, genus_right):
             return two_vertex_graph(d - 1, profile[1:], genus_left, genus_right)
         monkeypatch.setattr(graphs, "two_vertex_graph", one_edge_short)
-        graphs._two_vertex.cache_clear()
+        graphs._labelled.cache_clear()
         try:
             with pytest.raises(InvalidGraph, match="enumeration produced an invalid graph"):
                 graphs.two_vertex_label(3, (1, 1, 1), 1, 2)
         finally:
-            graphs._two_vertex.cache_clear()
+            graphs._labelled.cache_clear()
 
 
     def test_validates_and_labels_each_graph_once(self, monkeypatch):
@@ -302,7 +302,7 @@ class TestEnumeration:
 
         for name in counts:
             monkeypatch.setattr(graphs, name, counting(name))
-        graphs._two_vertex.cache_clear()
+        graphs._labelled.cache_clear()
         returned = sum(len(enumerate_two_vertex(d, g))
                        for d in (3, 4, 5) for g in range(0, 61))
         assert returned == 13714

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitzcalc.errors import MissingVariable
+from hurwitzcalc.errors import MissingVariable, ZeroDenominator
 from hurwitzcalc.symkernel import Poly, RationalFunction, ceil_div, int_if_integral
 
 
@@ -105,6 +105,11 @@ class TestPoly:
         with pytest.raises(TypeError):
             "1" - g
         assert repr(g + 1) == "Poly(g + 1)"
+
+    def test_division_by_zero_is_a_domain_error(self):
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDenominator, match="division of a polynomial by zero"):
+                p("g") / zero
 
     def test_no_floats_in_coefficients(self):
         q = (p("g") + 1) ** 3 / 2

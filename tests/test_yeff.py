@@ -8,7 +8,7 @@ from math import comb, factorial, lcm
 
 import pytest
 
-from hurwitzcalc import family_calc, yeff
+from hurwitzcalc import family_calc, graphs, yeff
 from hurwitzcalc.bundles import k1_pentagonal, m_r_pentagonal
 from hurwitzcalc.divisor_classes import class_x
 from hurwitzcalc.errors import (DerivationMismatch, EngineError, InvalidProfile,
@@ -544,19 +544,44 @@ def test_no_float_reaches_a_certificate_or_class_x():
 
 
 def test_each_hyperelliptic_vertex_graph_is_labelled_once(monkeypatch):
-    # 39 three-vertex and 21 four-vertex graphs at (3, 40); labelling each
-    # rule's target again took 117 calls
+    # 39 three-vertex and 21 four-vertex graphs at (3, 40), labelled in
+    # `graphs` once per process; labelling each rule's target again took
+    # 117 calls, and building the rules anew labelled all 60 on every call
     calls = []
 
     def counting(gr):
         calls.append(gr)
         return canonical_label(gr)
 
-    monkeypatch.setattr(yeff, "canonical_label", counting)
+    monkeypatch.setattr(graphs, "canonical_label", counting)
+    graphs._labelled.cache_clear()
+    graphs.labelled_two_vertex(3, 40)       # the 61 two-vertex graphs
+    calls.clear()
     rules = build_rules(3, 40)
     assert len(calls) == 39 + 21
     assert len({canonical_label(gr) for gr in calls}) == 60
     assert sum(rule.provenance.startswith("hyperelliptic") for rule in rules.values()) == 60
+    calls.clear()
+    assert build_rules(3, 40) == rules and not calls
+
+
+def test_warm_certify_builds_and_labels_no_graph(monkeypatch):
+    certify(3, 40)
+    built, labelled = [], []
+    real_init = graphs.DualGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_label(gr):
+        labelled.append(gr)
+        return canonical_label(gr)
+
+    monkeypatch.setattr(graphs.DualGraph, "__init__", counting_init)
+    monkeypatch.setattr(graphs, "canonical_label", counting_label)
+    assert certify(3, 40).certified
+    assert built == [] and labelled == []
 
 
 _FORM_CACHES = ("_vertex_slack", "_composite_form", "_margin_forms", "_ram_reduction")
@@ -656,7 +681,9 @@ class TestOneDerivationPerShape:
 
     def test_self_hit_comes_from_the_section_bookkeeping(self, monkeypatch):
         # the composite's self-intersection check compares the section
-        # bookkeeping with 9 * 5!, so a wrong bookkeeping makes it fire
+        # bookkeeping with 9 * 5!, so a wrong bookkeeping makes it fire.
+        # The bookkeeping is cached per profile: the sabotaged values must
+        # not outlive the test
         real = family_calc.basechange_section_bookkeeping
 
         def sabotaged(d, branch_points, profile):
@@ -664,8 +691,34 @@ class TestOneDerivationPerShape:
             return {**books, "blownSelfInt": books["blownSelfInt"] - 1}
         monkeypatch.setattr(family_calc, "basechange_section_bookkeeping", sabotaged)
         yeff._composite_form.cache_clear()
-        with pytest.raises(DerivationMismatch, match="self-intersection"):
-            symbolic_slack(5, (2, 1, 1, 1))
+        family_calc._basechange.cache_clear()
+        try:
+            with pytest.raises(DerivationMismatch, match="self-intersection"):
+                symbolic_slack(5, (2, 1, 1, 1))
+        finally:
+            family_calc._basechange.cache_clear()
+
+    def test_bookkeeping_runs_once_per_profile(self, monkeypatch):
+        calls = []
+        real = family_calc.basechange_section_bookkeeping
+
+        def counting(d, branch_points, profile):
+            calls.append(profile)
+            return real(d, branch_points, profile)
+        monkeypatch.setattr(family_calc, "basechange_section_bookkeeping", counting)
+        yeff._composite_form.cache_clear()
+        family_calc._basechange.cache_clear()
+        certify(5, 16)
+        # the six ramified profiles of degree five
+        assert len(calls) == len(set(calls)) == 6
+        certify(5, 36)
+        assert len(calls) == 6
+
+    def test_returned_hits_are_not_the_cached_ones(self):
+        first = family_calc._basechange_hits((2, 1, 1, 1))
+        kept = dict(first)
+        first["delta_profile"] *= 2
+        assert family_calc._basechange_hits((2, 1, 1, 1)) == kept
 
     def test_composite_check_survives_optimize(self, engine_env):
         script = (
