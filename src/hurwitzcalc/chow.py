@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
+from functools import cache
 
 from .errors import (DegreeMismatch, InvalidRank, OutOfRange, ParseError, RingMismatch,
                      ZeroDenominator)
@@ -352,6 +353,10 @@ def ring_grassmann_bundle_g25(deg_f_dual: PolyLike | str = "c1Fdual") -> ChowPre
     return _interned(f"grassmann25:{dp}", presentation)
 
 
+# Memoized: a directrix family reads these two rings on every call.  The
+# other constructors look their spec up in _RINGS each time, so that a ring
+# dropped from it is built again.
+@cache
 def ring_proj_space(n: int) -> ChowPresentation:
     """P^n with hyperplane class H."""
     return _interned(f"projspace:{n}", lambda: dict(
@@ -362,6 +367,7 @@ def ring_proj_space(n: int) -> ChowPresentation:
     ))
 
 
+@cache
 def ring_product_with_p1(base: ChowPresentation) -> ChowPresentation:
     """base x P1 for a projective-space base: adds a square-zero class F and
     extends integration by integral(H^n * F) = 1."""

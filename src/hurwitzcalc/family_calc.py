@@ -615,9 +615,10 @@ def partial_pencil_record(kind: str, **params: int) -> PencilRecord:
     unused = [name for name in params if name not in row.inputs]
     if unused:
         raise OutOfRange(f"{kind} records take no {', '.join(unused)}")
-    # each record value is at most quadratic in the parameters, and its
-    # coefficients (the base change's 5! copies included) add under 8 bits
-    check_printable(sum(abs(value).bit_length() for value in params.values()) + 8,
+    # a parameter past the limit is refused before anything is evaluated;
+    # the values, at most quadratic in the parameters and so cheap to
+    # evaluate, are checked by their own sizes in `_evaluate_row`
+    check_printable(max((value.bit_length() for value in params.values()), default=0),
                     "pencil parameters")
     if row.copies == 1:
         return _evaluate_row(kind, row, at, row.hits)
@@ -656,16 +657,22 @@ def pentagonal_basechange_profile_record(g: int, g_r: int,
 def _evaluate_row(kind: str, row: PencilRow, at: dict[str, int],
                   hits: dict[str, Fraction | int], extras: dict[str, Fraction] | None = None,
                   extra_notes: tuple[str, ...] = ()) -> PencilRecord:
-    """The record of `row` at the symbol values `at`, with the given hits."""
+    """The record of `row` at the symbol values `at`, with the given hits;
+    refused when a value could not be printed."""
     form, n = vertex_pencil_form(row.vertex), row.copies
     exact = {} if row.sweeps else {"x_hit": n * form["X"].eval(at),
                                    "maroni_hit": n * form["M"].eval(at),
                                    "ce_hit": Fraction(0)}
-    return PencilRecord(
+    record = PencilRecord(
         kind, {name: at[_PARAM_SYMBOL.get(name, name)] for name in row.params},
         n * form["lambda"].eval(at), n * (form["delta"].eval(at) - row.sections),
         {role: Fraction(v) for role, v in hits.items()}, sweeps=row.sweeps,
         extras=extras or {}, notes=row.notes + extra_notes, **exact)
+    values = (record.lam, record.delta, *record.params.values(), *exact.values(),
+              *record.boundary_hits.values(), *record.extras.values())
+    check_printable(max(max(q.numerator.bit_length(), q.denominator.bit_length())
+                        for q in values), "pencil record values")
+    return record
 
 
 def _basechange_hits(profile: tuple[int, ...]) -> dict[str, Fraction]:

@@ -75,18 +75,23 @@ def _incidence_problems(gr: DualGraph) -> list[str]:
     vertices whose incident local degrees do not sum to their degree."""
     problems: list[str] = []
     by_id = {v.ident: v for v in gr.vertices}
+    # the local degrees at each vertex, summed in the one pass over the
+    # edges; an edge from a vertex to itself counts once
+    incident = dict.fromkeys(by_id, 0)
     for e in gr.edges:
         lv, rv = by_id.get(e.left), by_id.get(e.right)
         if lv is None or rv is None:
             problems.append(f"edge {e.left}-{e.right} references a missing vertex")
         elif not (lv.side == "L" and rv.side == "R"):
             problems.append(f"edge {e.left}-{e.right} does not join L to R")
+        if lv is not None:
+            incident[e.left] += e.local_degree
+        if rv is not None and e.right != e.left:
+            incident[e.right] += e.local_degree
     for v in gr.vertices:
-        incident = sum(e.local_degree for e in gr.edges
-                       if v.ident in (e.left, e.right))
-        if incident != v.degree:
+        if incident[v.ident] != v.degree:
             problems.append(
-                f"vertex {v.ident}: local degrees sum to {incident}, not {v.degree}")
+                f"vertex {v.ident}: local degrees sum to {incident[v.ident]}, not {v.degree}")
     return problems
 
 
@@ -96,8 +101,11 @@ def violations(gr: DualGraph, d: int, g: int) -> list[str]:
     problems: list[str] = []
     if len({v.ident for v in gr.vertices}) != len(gr.vertices):
         problems.append("duplicate vertex identifiers")
+    side_degree = {"L": 0, "R": 0}
     for v in gr.vertices:
-        if v.side not in ("L", "R"):
+        if v.side in side_degree:
+            side_degree[v.side] += v.degree
+        else:
             problems.append(f"vertex {v.ident} on unknown side {v.side!r}")
         if v.degree < 1 or v.genus < 0:
             problems.append(f"vertex {v.ident} has invalid decorations")
@@ -105,8 +113,7 @@ def violations(gr: DualGraph, d: int, g: int) -> list[str]:
         if e.local_degree < 1:
             problems.append(f"edge {e.left}-{e.right} has nonpositive local degree")
     problems += _incidence_problems(gr)
-    for side in ("L", "R"):
-        total = sum(v.degree for v in gr.side(side))
+    for side, total in side_degree.items():
         if total != d:
             problems.append(f"side {side} has total degree {total}, not {d}")
     total_genus = (sum(v.genus for v in gr.vertices)
@@ -157,19 +164,21 @@ def boundary_multiplicity(profile: tuple[int, ...], node_degree: int) -> Fractio
 def canonical_label(gr: DualGraph) -> str:
     """Deterministic label, identical for a graph and its side-swap: the
     smaller of the graph's labels read with L first and with R first."""
-    sides = {side: ",".join(f"{g}g{d}" for g, d in sorted(
-                 (v.genus, v.degree) for v in gr.vertices if v.side == side))
-             for side in ("L", "R")}
-    by_id = {v.ident: (v.genus, v.degree) for v in gr.vertices}
+    # each vertex is formatted once, as (genus, degree, text): the numbers
+    # order the sides and the edges, the text is what the label prints
+    by_id = {}
+    sides = {"L": [], "R": []}
+    for v in gr.vertices:
+        decoration = by_id[v.ident] = (v.genus, v.degree, f"{v.genus}g{v.degree}")
+        if v.side in sides:
+            sides[v.side].append(decoration)
+    left, right = (",".join(text for _, _, text in sorted(sides[side]))
+                   for side in ("L", "R"))
     ends = [(by_id[e.left], by_id[e.right], e.local_degree) for e in gr.edges]
-
-    def oriented(first: str, second: str, pairs) -> str:
-        edges = ";".join(f"({gl}g{dl}|{gr_}g{dr}|{k})"
-                         for (gl, dl), (gr_, dr), k in sorted(pairs))
-        return f"L[{sides[first]}]R[{sides[second]}]E[{edges}]"
-
-    return min(oriented("L", "R", ends),
-               oriented("R", "L", [(right, left, k) for left, right, k in ends]))
+    forward = ";".join(f"({a[2]}|{b[2]}|{k})" for a, b, k in sorted(ends))
+    backward = ";".join(f"({b[2]}|{a[2]}|{k})"
+                        for b, a, k in sorted((b, a, k) for a, b, k in ends))
+    return min(f"L[{left}]R[{right}]E[{forward}]", f"L[{right}]R[{left}]E[{backward}]")
 
 
 def two_vertex_label(d: int, profile: tuple[int, ...], genus_left: int,

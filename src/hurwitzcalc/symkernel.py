@@ -248,11 +248,11 @@ class Poly:
         return Poly({m: coeff / c for m, coeff in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, Poly):
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
+            return self.terms == Poly.const(other).terms
+        return NotImplemented
 
     def __hash__(self) -> int:
         return _leading_ratio_hash(self, _ONE)
@@ -275,24 +275,26 @@ class Poly:
     def _summed(self, assignment: Mapping[str, Scalar]) -> tuple[int | Fraction, int]:
         """The value at the assignment as (total, den): the integer
         numerators summed against the monomials, over the common
-        denominator den.  The form is compiled on the first call."""
+        denominator den.  The form is compiled on the first call; the
+        unassigned variables are looked for only when a lookup fails."""
         compiled = self.compiled
-        names = sorted(self.variables()) if compiled is None else compiled[0]
-        missing = [name for name in names if name not in assignment]
-        if missing:
-            raise MissingVariable(f"unassigned variables: {missing}")
         if compiled is None:
             den = lcm(*(c.denominator for c in self.terms.values()))
-            compiled = (names, den, tuple((c.numerator * (den // c.denominator), mono)
-                                          for mono, c in self.terms.items()))
+            compiled = (sorted(self.variables()), den,
+                        tuple((c.numerator * (den // c.denominator), mono)
+                              for mono, c in self.terms.items()))
             self.compiled = compiled
-        _, den, terms = compiled
+        names, den, terms = compiled
         total = 0
-        for numerator, mono in terms:
-            for name, e in mono:
-                x = assignment[name]
-                numerator *= (x if type(x) is int else Fraction(x)) ** e
-            total += numerator
+        try:
+            for numerator, mono in terms:
+                for name, e in mono:
+                    x = assignment[name]
+                    numerator *= (x if type(x) is int else Fraction(x)) ** e
+                total += numerator
+        except KeyError:
+            missing = [name for name in names if name not in assignment]
+            raise MissingVariable(f"unassigned variables: {missing}") from None
         return total, den
 
     def subs(self, mapping: Mapping[str, PolyLike]) -> "Poly":

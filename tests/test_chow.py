@@ -188,6 +188,27 @@ def test_grassmann_canonical_class():
     assert k == -5 * z + (2 * dual_degree - 2) * f
 
 
+def test_projective_space_rings_are_memoized():
+    # a repeat call returns the interned ring: the memo and _RINGS agree
+    for n in range(2, 7):
+        base = ring_proj_space(n)
+        assert base is chow._RINGS[f"projspace:{n}"] and ring_proj_space(n) is base
+        product = ring_product_with_p1(base)
+        assert product is chow._RINGS[f"projspace_x_p1:{n}"]
+        assert ring_product_with_p1(base) is product
+
+
+def test_product_of_a_foreign_base_is_refused_on_every_call():
+    # an exception is not memoized: a base that is not the interned
+    # projective space, even one under its spec, is refused again
+    twin = chow.ChowPresentation("projspace:3", generators=("H",), rewrites={0: (4, {})},
+                                 top_degree=3, integration={(3,): 1})
+    for base in (ring_p1xp1(), twin):
+        for _ in range(2):
+            with pytest.raises(RingMismatch, match="expects a projective-space base"):
+                ring_product_with_p1(base)
+
+
 def test_product_with_p1():
     ring = ring_product_with_p1(ring_proj_space(4))
     h, f = ring.gen("H"), ring.gen("F")

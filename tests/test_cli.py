@@ -338,13 +338,14 @@ def _primes_below(n):
     ("invariants", "--d", "4", "--g", "9", "--ch2e", "1e4000", "--ch2f", "1",
      "--c1sq", "1e-4000"),
     ("pencil", "pentagonal_unramified_5pts", "--gr", "9" * 3000, "--g", "9" * 3000),
-], ids=["chow_sum", "chern_data", "pencil_parameters"])
+    ("pencil", "trigonal_plain", "--gr", "2" + "0" * (sys.get_int_max_str_digits() - 1)),
+], ids=["chow_sum", "chern_data", "pencil_parameters", "pencil_value"])
 def test_unprintable_result_fails_fast(argv, engine_env):
     # every input is in range, but the result is not: the denominators of
-    # the sum multiply, 1e4000 meets 1e-4000 in each invariant, and the
-    # X hit is quadratic in the pencil parameters.  Unchecked, each escaped
-    # at print as a ValueError traceback.  A subprocess with bounded memory,
-    # so a hang is a timeout
+    # the sum multiply, 1e4000 meets 1e-4000 in each invariant, the X hit
+    # is quadratic in the pencil parameters, and delta = 7gr + 6 has one
+    # digit more than gr.  Unchecked, each escaped at print as a ValueError
+    # traceback.  A subprocess with bounded memory, so a hang is a timeout
     start = time.perf_counter()
     result = subprocess.run([sys.executable, "-m", "hurwitzcalc.cli", *argv],
                             env=engine_env, capture_output=True, text=True, timeout=10,
@@ -353,6 +354,19 @@ def test_unprintable_result_fails_fast(argv, engine_env):
     assert result.returncode == 2 and not result.stdout
     assert f"int/str limit of {sys.get_int_max_str_digits()} digits" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_pencil_value_just_under_the_limit_prints(engine_env):
+    # delta = 7gr + 6 has one digit fewer than the limit; the summed bit
+    # lengths of the parameters once refused it.  A subprocess with bounded
+    # memory, so a hang is a timeout
+    gr = int("9" * (sys.get_int_max_str_digits() - 2))
+    result = subprocess.run([sys.executable, "-m", "hurwitzcalc.cli", "pencil",
+                             "trigonal_plain", "--gr", str(gr), "--json"],
+                            env=engine_env, capture_output=True, text=True, timeout=10,
+                            preexec_fn=_bounded_memory)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["delta"] == str(7 * gr + 6)
 
 
 def test_in_range_sum_near_the_limit_prints(capsys):

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitzcalc import directrix
+from hurwitzcalc import chow, directrix
 from hurwitzcalc.bundles import SplittingType, k1_pentagonal, m_r_pentagonal
 from hurwitzcalc.chow import (ChowClass, expansion_ring, grr_degree_on_p1xp1, ring_p1xp1,
                               ring_product_with_p1, ring_proj_space)
@@ -132,6 +132,17 @@ class TestOneDerivationPerShape:
                    "    rotating_directrix_closed_form)\n"
                    "fam = DirectrixFamily(5, 2, 2, 1)\n" + op)
         assert objects_built(op, warm_up)["Fraction"] == 0
+
+    def test_warm_family_builds_no_ring(self):
+        # the op of the benchmark's directrix grid, at a new point of a
+        # warm shape: every ring it reads is already interned
+        def op(fam):
+            directrix_pushforward_degree(fam)
+            assert rotating_directrix_class(fam) == rotating_directrix_closed_form(fam)
+        op(DirectrixFamily(5, 2, 2, 1))
+        built = len(chow._RINGS)
+        op(DirectrixFamily(5, 2, 7, -3))
+        assert len(chow._RINGS) == built
 
     def test_derivation_check_survives_optimize(self, engine_env):
         # the pipeline is checked once per shape, so the check must not be

@@ -171,6 +171,96 @@ def dual_graphs(draw):
     return DualGraph(tuple(draw(st.permutations(vertices))), tuple(edges))
 
 
+@st.composite
+def flawed_dual_graphs(draw):
+    """Graphs of `dual_graphs` with some of the flaws `violations` reports:
+    a repeated identifier, an unknown side, bad decorations, a zero local
+    degree, a dangling edge and an edge from a vertex to itself."""
+    gr = draw(dual_graphs())
+    vertices, edges = list(gr.vertices), list(gr.edges)
+    idents = [v.ident for v in vertices]
+    if draw(st.booleans()):
+        vertices.append(Vertex(draw(st.sampled_from(idents)), draw(st.sampled_from("LR")),
+                               draw(st.integers(-1, 4)), draw(st.integers(0, 4))))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(vertices) - 1))
+        vertices[i] = Vertex(vertices[i].ident, "M", vertices[i].genus, vertices[i].degree)
+    ends = st.sampled_from(idents)
+    if draw(st.booleans()):
+        edges.append(Edge(draw(ends), draw(ends), 0))
+    if draw(st.booleans()):
+        end, dangling = draw(ends), draw(st.sampled_from(["x", "y"]))
+        edges.append(draw(st.sampled_from([Edge(end, dangling, 1), Edge(dangling, end, 2)])))
+    if draw(st.booleans()):
+        end = draw(ends)
+        edges.append(Edge(end, end, draw(st.integers(1, 3))))
+    return DualGraph(tuple(draw(st.permutations(vertices))),
+                     tuple(draw(st.permutations(edges))))
+
+
+def scanned_incidence_problems(gr):
+    """`graphs._incidence_problems` as first written: one scan of the edges
+    per vertex."""
+    problems = []
+    by_id = {v.ident: v for v in gr.vertices}
+    for e in gr.edges:
+        lv, rv = by_id.get(e.left), by_id.get(e.right)
+        if lv is None or rv is None:
+            problems.append(f"edge {e.left}-{e.right} references a missing vertex")
+        elif not (lv.side == "L" and rv.side == "R"):
+            problems.append(f"edge {e.left}-{e.right} does not join L to R")
+    for v in gr.vertices:
+        incident = sum(e.local_degree for e in gr.edges
+                       if v.ident in (e.left, e.right))
+        if incident != v.degree:
+            problems.append(
+                f"vertex {v.ident}: local degrees sum to {incident}, not {v.degree}")
+    return problems
+
+
+def scanned_violations(gr, d, g):
+    """`graphs.violations` as first written, over the scanning incidence
+    check."""
+    problems = []
+    if len({v.ident for v in gr.vertices}) != len(gr.vertices):
+        problems.append("duplicate vertex identifiers")
+    for v in gr.vertices:
+        if v.side not in ("L", "R"):
+            problems.append(f"vertex {v.ident} on unknown side {v.side!r}")
+        if v.degree < 1 or v.genus < 0:
+            problems.append(f"vertex {v.ident} has invalid decorations")
+    for e in gr.edges:
+        if e.local_degree < 1:
+            problems.append(f"edge {e.left}-{e.right} has nonpositive local degree")
+    problems += scanned_incidence_problems(gr)
+    for side in ("L", "R"):
+        total = sum(v.degree for v in gr.side(side))
+        if total != d:
+            problems.append(f"side {side} has total degree {total}, not {d}")
+    total_genus = (sum(v.genus for v in gr.vertices)
+                   + len(gr.edges) - len(gr.vertices) + 1)
+    if total_genus != g:
+        problems.append(f"arithmetic genus {total_genus}, expected {g}")
+    return problems
+
+
+class TestViolationsOracle:
+    @settings(max_examples=300)
+    @given(st.one_of(dual_graphs(), flawed_dual_graphs()), st.integers(1, 8),
+           st.integers(-1, 12))
+    def test_random_graphs(self, gr, d, g):
+        # the same messages in the same order
+        assert graphs._incidence_problems(gr) == scanned_incidence_problems(gr)
+        assert violations(gr, d, g) == scanned_violations(gr, d, g)
+
+    def test_standard_shapes(self):
+        for d in (3, 4, 5):
+            for g in range(1, 12):
+                for gr in (graph_irreducible_node(d, g), graph_triple_point(d, g),
+                           graph_double_pair(d, g), *enumerate_two_vertex(d, g)):
+                    assert violations(gr, d, g) == scanned_violations(gr, d, g)
+
+
 class TestLabelOracle:
     @settings(max_examples=300)
     @given(dual_graphs())

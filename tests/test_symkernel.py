@@ -1,8 +1,9 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hurwitzcalc.errors import MissingVariable, ZeroDenominator
 from hurwitzcalc.symkernel import Poly, RationalFunction, ceil_div, int_if_integral
@@ -209,18 +210,21 @@ class TestCompiledEval:
         assert len({q, twin}) == 1
 
     @given(polys(), assignments)
+    @example(p("u") * p("g") + p("b"), {"g": 1, "b": 2, "u": 3})
     def test_missing_variable_before_and_after_compiling(self, q, at):
+        # the first name unassigned, then the last two: the message lists
+        # every unassigned name, sorted, whichever lookup fails first
         names = sorted(q.variables())
-        if not names:
-            return
-        partial = {k: v for k, v in at.items() if k != names[0]}
-        for read in (Poly.eval, Poly._value):
-            fresh = Poly(dict(q.terms))
-            with pytest.raises(MissingVariable):
-                read(fresh, partial)
-            read(fresh, at)
-            with pytest.raises(MissingVariable):
-                read(fresh, partial)
+        for unassigned in ([names[0]], names[-2:]) if names else ():
+            partial = {k: v for k, v in at.items() if k not in unassigned}
+            message = re.escape(f"unassigned variables: {unassigned}")
+            for read in (Poly.eval, Poly._value):
+                fresh = Poly(dict(q.terms))
+                with pytest.raises(MissingVariable, match=f"^{message}$"):
+                    read(fresh, partial)
+                read(fresh, at)
+                with pytest.raises(MissingVariable, match=f"^{message}$"):
+                    read(fresh, partial)
 
     def test_integer_assignment_on_fraction_coefficients(self):
         q = p("g") ** 2 / 6 - Fraction(3, 4) * p("g") + Fraction(1, 10)
