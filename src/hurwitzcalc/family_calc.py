@@ -65,12 +65,6 @@ class ChernData(Record):
             raise OutOfRange(f"need a genus g >= 0, got g = {self.g}")
         if self.d == Poly.const(3) and not self.ch2f.is_zero():
             raise OutOfRange("degree-three covers have no bundle of quadrics")
-        # each invariant sums at most four of ch2E, ch2F and c1^2(E), each
-        # times d or 1/b and a constant below 16; a sum cross-multiplies, so
-        # the bit lengths add, and 8 bits cover the constants and carries
-        check_printable(sum(max(coefficient_bits(p)) for p in (self.d, self.ch2e, self.ch2f,
-                                                                self.c1sq, self.b)) + 8,
-                        "Chern data")
 
     @property
     def b(self) -> Poly:
@@ -106,7 +100,7 @@ def invariants_from_chern(c: ChernData) -> FamilyInvariants:
 
     delta is pinned against lambda and kappa by 12 lambda = kappa + delta,
     and all five satisfy 24(b-1) lambda - 3(b-2) delta + 6D - (b-10) T = 0
-    identically.
+    identically.  Refused when a coefficient could not be printed.
     """
     d, g = c.d, c.g
     e2 = RationalFunction(c.ch2e)
@@ -120,7 +114,10 @@ def invariants_from_chern(c: ChernData) -> FamilyInvariants:
     t_div = (3 * d - 12) * e2 - 3 * f2 + Fraction(3, 2) * s
     d_div = 4 * f2 - (4 * d - 12) * e2
     r_squared = d * e2 - f2 + s / 2
-    return FamilyInvariants(lam, kappa, delta, t_div, d_div, r_squared)
+    invariants = FamilyInvariants(lam, kappa, delta, t_div, d_div, r_squared)
+    check_printable(max(max(coefficient_bits(p)) for value in invariants.as_dict().values()
+                        for p in (value.num, value.den)), "family invariants")
+    return invariants
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,8 @@ _BITS_PER_DIGIT = 3.3219
 def check_printable(bits: int, what: str) -> None:
     """Refuse, with an OutOfRange naming the limit, a value whose numerators
     and denominators may reach `bits` bits: past :func:`max_digits` decimal
-    digits it could not be printed.  Called before the value is built."""
+    digits it could not be printed.  Called before the value is built, or
+    on the built values where their size is not bounded in advance."""
     digits = max_digits()
     if bits > digits * _BITS_PER_DIGIT:
         raise OutOfRange(f"{what} past the int/str limit of {digits} digits")

@@ -14,7 +14,9 @@ such inequalities ground out at rational-vertex pencils, at the
 irreducible-node divisor (whose Y-coefficient is zero), or at disconnected
 configurations covered by the hyperelliptic-pencil margin, and propagate
 lower bounds upward.  The certificate records every chain so it can be
-replayed.
+replayed.  Its status names the first negative entry of one ordered list
+of exact values (every graph's bound by label, the multi-vertex margin,
+then at d = 4 the closed form), or is "certified".
 
 Each rule shape (a degree and node profile, the degree-five rational
 vertex, or a degree-three hyperelliptic-vertex shape) has one entry,
@@ -39,7 +41,7 @@ from functools import cache
 from math import lcm
 
 from .divisor_classes import admissible_genus, class_x
-from .errors import NotDivisorial, PropagationFailure, Record, UnknownKind, require
+from .errors import NotDivisorial, OutOfRange, PropagationFailure, Record, UnknownKind, require
 from .family_calc import (PENCIL_TABLE, _basechange_hits, _nonnegative_genus, check_profile,
                           pencil_symbols, vertex_pencil_form)
 from .graphs import hyperelliptic_vertex_label, labelled_two_vertex, two_vertex_label
@@ -128,8 +130,15 @@ def _admissible(d: int, g: int) -> None:
 def _slope_pair(d: int, g: int, scale: Fraction) -> tuple[Fraction, Fraction]:
     """(a, b) of the class X at an admissible (d, g), times `scale`."""
     _admissible(d, g)
+    _positive(scale)
     a_poly, b_poly = slope_normalization(d)
     return _scaled(a_poly.eval({"g": g}), scale), _scaled(b_poly.eval({"g": g}), scale)
+
+
+def _positive(scale: Fraction) -> None:
+    """Refuse a scale of X that is not a positive int or Fraction."""
+    if not isinstance(scale, (int, Fraction)) or scale <= 0:
+        raise OutOfRange(f"the scale of X must be a positive rational, got {scale!r}")
 
 
 def _scaled(value: Fraction, scale: Fraction) -> Fraction:
@@ -254,18 +263,21 @@ def check_closed_form_d4(g: int) -> bool:
         3(13b/2 - a) C(i+1, 2) + ((13k/2 + 7/2) b - k a) i >= 0
 
     for all i >= 0 with 3i + k <= (g-3)/2 and k in {0, 1, 2}, at the
-    degree-four (a, b) of X.  Each term is i * L_k(i) with L_k linear in i,
-    so it is read off L_k at i = 1 and at the last i, exactly; a k whose
-    range has no i >= 1 holds only the zero term."""
+    degree-four (a, b) of X: whether :func:`_closed_form_d4` is >= 0."""
     a_poly, b_poly = slope_normalization(4)
-    a, b = a_poly.eval({"g": g}), b_poly.eval({"g": g})
+    return _closed_form_d4(g, a_poly.eval({"g": g}), b_poly.eval({"g": g})) >= 0
 
+
+def _closed_form_d4(g: int, a: Fraction, b: Fraction) -> Fraction:
+    """The exact value of the degree-four closed form at (a, b): each term
+    is i * L_k(i) with L_k linear in i, so the least L_k at i = 1 and at the
+    last i, or 0 when no k has an i >= 1 (only zero terms)."""
     def line(k: int, i: int) -> Fraction:
         return (3 * (Fraction(13, 2) * b - a) * (i + 1) / 2
                 + (Fraction(13, 2) * k + Fraction(7, 2)) * b - k * a)
     lasts = {k: ((g - 3) // 2 - k) // 3 for k in (0, 1, 2)}
-    return all(line(k, i) >= 0 for k, last in lasts.items() if last >= 1
-               for i in (1, last))
+    return min((line(k, i) for k, last in lasts.items() if last >= 1 for i in (1, last)),
+               default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +291,7 @@ def build_rules(d: int, g: int,
     labels (every slack is linear in (a, b, X)).  Certified/failed status is
     invariant under positive rescaling."""
     _admissible(d, g)
+    _positive(scale)
     rules: dict[str, InequalityRule] = {}
 
     for label, graph in labelled_two_vertex(d, g).items():
@@ -370,11 +383,12 @@ def multivertex_margin(d: int, g: int, scale: Fraction = Fraction(1)) -> Fractio
     """Smallest slack of the hyperelliptic-vertex (and, when a degree-three
     vertex fits beside another one, trigonal-vertex) pencils over all vertex
     genera up to g.  These families reduce any boundary divisor with three
-    or more vertices, and their slacks stay nonnegative because the
-    pencils' slopes exceed a/b.
+    or more vertices.  The margin is not always nonnegative: at d = 4 the
+    trigonal slack g*gR + 6g - 15gR is g(g - 9) at gR = g, so (4, 3) fails.
 
     Each slack is linear in the vertex genus, so its minimum over 1..g sits
     at g_r = 1 or g_r = g."""
+    _positive(scale)
     endpoints = (1, _nonnegative_genus(g))
     return min(_scaled(form.eval({"g": g, "gR": g_r}), scale)
                for form in _margin_forms(d) for g_r in endpoints)
@@ -418,23 +432,17 @@ def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
         }]
         return total
 
-    per_graph: dict[str, GraphResult] = {}
-    status = "certified"
-    for label in sorted(rules):
-        value = bound(label)
-        per_graph[label] = GraphResult(label, Fraction(value), chains[label])
-        if value < 0 and status == "certified":
-            status = f"failed:{label}"
-
-    margin = multivertex_margin(d, g, scale)
+    # the verdict constraints, in the order the status reads them
+    constraints = [(label, bound(label)) for label in sorted(rules)]
+    per_graph = {label: GraphResult(label, Fraction(value), chains[label])
+                 for label, value in constraints}
+    constraints.append(("multivertex-margin", margin := multivertex_margin(d, g, scale)))
     notes = [f"multi-vertex margin: {margin}"]
-    if margin < 0 and status == "certified":
-        status = "failed:multivertex-margin"
     if d == 4:
-        ok = check_closed_form_d4(g)
-        notes.append(f"closed-form nonnegativity of the summed step: {ok}")
-        if not ok and status == "certified":
-            status = "failed:closed-form"
+        constraints.append(("closed-form", closed := _closed_form_d4(g, a, b)))
+        notes.append(f"closed-form nonnegativity of the summed step: {closed >= 0}")
+    status = next((f"failed:{label}" for label, value in constraints if value < 0),
+                  "certified")
     return Certificate(d, g, a, b, per_graph, status, notes)
 
 

@@ -369,6 +369,21 @@ def test_pencil_value_just_under_the_limit_prints(engine_env):
     assert json.loads(result.stdout)["delta"] == str(7 * gr + 6)
 
 
+def test_chern_data_just_under_the_limit_prints(engine_env):
+    # the numerator of lambda = ch2E - c1^2/24 has two digits more than ch2E
+    # and two fewer than the limit; the summed bit lengths of the Chern data
+    # once refused it.  A subprocess with bounded memory, so a hang is a
+    # timeout
+    ch2e = int("9" * (sys.get_int_max_str_digits() - 4))
+    result = subprocess.run([sys.executable, "-m", "hurwitzcalc.cli", "invariants",
+                             "--d", "4", "--g", "9", "--ch2e", str(ch2e), "--ch2f", "1",
+                             "--c1sq", "1", "--json"],
+                            env=engine_env, capture_output=True, text=True, timeout=10,
+                            preexec_fn=_bounded_memory)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["lambda"] == str(ch2e - Fraction(1, 24))
+
+
 def test_in_range_sum_near_the_limit_prints(capsys):
     # 2 * 10^2200 has 2201 digits: the sum bound adds a numerator's bits to
     # the other operand's denominator bits, not to its numerator bits

@@ -95,12 +95,13 @@ class TestFamilyInvariants:
 
     def test_chern_data_that_could_not_be_printed_is_refused(self):
         # each invariant cross-multiplies the values: 1e2000 against 1e-2000
-        # prints in about 4000 digits, 1e2200 against 1e-2200 would not
+        # prints in about 4000 digits, 1e2200 against 1e-2200 would not; the
+        # built invariants are checked, so the data itself is accepted
         chern = ChernData(4, 9, 10**2000, 1, Fraction(1, 10**2000))
         values = invariants_from_chern(chern).as_dict().values()
         assert all(str(value.eval({})) for value in values)
         with pytest.raises(OutOfRange, match="int/str limit"):
-            ChernData(4, 9, 10**2200, 1, Fraction(1, 10**2200))
+            invariants_from_chern(ChernData(4, 9, 10**2200, 1, Fraction(1, 10**2200)))
 
 
 # the pentagonal counts the one form carries

@@ -10,7 +10,7 @@ import pytest
 
 from hurwitzcalc import family_calc, graphs, yeff
 from hurwitzcalc.bundles import k1_pentagonal, m_r_pentagonal
-from hurwitzcalc.divisor_classes import class_x
+from hurwitzcalc.divisor_classes import admissible_genus, class_x
 from hurwitzcalc.errors import (DerivationMismatch, EngineError, InvalidProfile,
                                NotDivisorial, OutOfRange, PropagationFailure, Record)
 from hurwitzcalc.family_calc import (PENCIL_TABLE, hyperelliptic_pencil_delta,
@@ -176,6 +176,27 @@ class TestSummedInequality:
                 verdicts.add(expected)
             assert verdicts == {True, False}
 
+    def test_closed_form_value_has_the_sign_of_the_check(self):
+        # every admissible degree-four genus up to 200 passes at today's
+        # (a, b); with a raised, the value turns negative exactly where the
+        # term-by-term loop first fails
+        genera = [g for g in range(201) if admissible_genus(4, g)]
+        assert len(genera) == 33
+        for g in genera:
+            a, b = yeff._slope_pair(4, g, Fraction(1))
+            assert check_closed_form_d4(g)
+            assert yeff._closed_form_d4(g, a, b) >= 0
+            for t in range(0, 40, 3):
+                expected = _closed_form_d4_by_terms(g, a + t, b)
+                assert (yeff._closed_form_d4(g, a + t, b) >= 0) == expected, (g, t)
+
+    def test_closed_form_value_scales_with_x(self):
+        for g in (3, 9, 15, 57, 195):
+            value = yeff._closed_form_d4(g, *yeff._slope_pair(4, g, Fraction(1)))
+            for scale in (Fraction(2), Fraction(1, 3)):
+                scaled = yeff._closed_form_d4(g, *yeff._slope_pair(4, g, scale))
+                assert scaled == scale * value, (g, scale)
+
     def test_zero_at_i_zero(self):
         # the i = 0 instance of the closed form is identically zero
         a = Fraction(13 * 9 + 15)
@@ -332,6 +353,17 @@ class TestCertification:
         for d, g, scale in _PINNED_CERT_POINTS:
             cert = certify(d, g, scale)
             assert Certificate.from_json(cert.to_json()) == cert, (d, g, scale)
+
+    def test_only_degree_four_genus_three_fails(self):
+        # at (4, 3) the trigonal-vertex slack g*gR + 6g - 15gR is g(g - 9) at
+        # gR = g, which is negative below g = 9
+        cert = certify(4, 3)
+        assert cert.status == "failed:multivertex-margin"
+        assert multivertex_margin(4, 3) == -18 and "multi-vertex margin: -18" in cert.notes
+        points = [(d, g) for d, lowest in ((3, 0), (4, 0), (5, 16))
+                  for g in range(lowest, 101) if admissible_genus(d, g)]
+        assert len(points) == 71
+        assert [point for point in points if not certify(*point).certified] == [(4, 3)]
 
     def test_chains_ground_in_base_cases(self):
         cert = certify(3, 6)
@@ -627,10 +659,27 @@ class TestCertifierSaysNo:
         assert "multi-vertex margin: -1" in cert.notes
 
     def test_failing_closed_form_fails(self, monkeypatch):
-        monkeypatch.setattr(yeff, "check_closed_form_d4", lambda g: False)
+        monkeypatch.setattr(yeff, "_closed_form_d4", lambda g, a, b: Fraction(-1))
         cert = certify(4, 15)
         assert cert.status == "failed:closed-form"
         assert "closed-form nonnegativity of the summed step: False" in cert.notes
+
+    def test_first_negative_constraint_names_the_status(self, monkeypatch):
+        # graphs by label, then the margin, then the closed form
+        rules = build_rules(4, 15)
+        label = max(rules)
+        rule = rules[label]
+        rules[label] = InequalityRule(label, rule.targets, Fraction(-10**6), rule.provenance)
+        self._rules(monkeypatch, rules)
+        monkeypatch.setattr(yeff, "multivertex_margin",
+                            lambda d, g, scale=Fraction(1): Fraction(-1))
+        assert certify(4, 15).status == f"failed:{label}"
+        monkeypatch.setattr(yeff, "build_rules", build_rules)
+        monkeypatch.setattr(yeff, "_closed_form_d4", lambda g, a, b: Fraction(-1))
+        cert = certify(4, 15)
+        assert cert.status == "failed:multivertex-margin"
+        assert cert.notes == ["multi-vertex margin: -1",
+                              "closed-form nonnegativity of the summed step: False"]
 
     def test_composite_rule_needs_a_genus_above_the_ramification(self):
         # (3, 2) has ramification index 3: a family varying either genus-3
@@ -811,6 +860,19 @@ class TestDomain:
             certify(d, g)
         with pytest.raises(OutOfRange):
             multivertex_margin(d, g)
+
+    @pytest.mark.parametrize("scale", [0, -1, 0.5])
+    @pytest.mark.parametrize("entry", [certify, build_rules, multivertex_margin],
+                             ids=["certify", "build_rules", "multivertex_margin"])
+    def test_scale_must_be_a_positive_rational(self, entry, scale):
+        with pytest.raises(OutOfRange, match=f"scale of X .* got {scale}"):
+            entry(3, 8, scale)
+
+    def test_replay_of_a_zero_scale_is_refused(self):
+        data = certify(3, 8).to_json()
+        data["a"] = "0"
+        with pytest.raises(OutOfRange, match="scale"):
+            replay(Certificate.from_json(data))
 
     def test_genus_above_the_enumeration_limit(self):
         g = MAX_GENUS + 2       # admissible for d = 3
