@@ -12,10 +12,14 @@ Vertex counts of satellite (genus-zero, degree-one) vertices are always
 derived from the degree-sum rule, never taken on faith.
 
 Every boundary graph that the engine names, the two-vertex graphs and the
-degree-three three- and four-vertex graphs, is built, validated and
-labelled once per process, per shape and genus pair, in one cache here.
-The enumeration, the certifier and the CLI read labels from it and build
-or label no graph themselves.
+degree-three three- and four-vertex graphs, is labelled here.  Each shape
+(a node profile, or a three- or four-vertex shape) is built by its
+constructor, validated and labelled once per process; its two side
+readings become format templates with the two genera as fields.  A genus
+pair is then only checked for a negative genus and formatted into the
+templates, once per process, in one cache.  The enumeration, the
+certifier and the CLI read labels from it and build or label no graph
+themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .errors import InvalidGraph, OutOfRange, Record
+from .errors import InvalidGraph, OutOfRange, Record, require
 
 
 class Vertex(Record):
@@ -163,7 +167,12 @@ def boundary_multiplicity(profile: tuple[int, ...], node_degree: int) -> Fractio
 
 def canonical_label(gr: DualGraph) -> str:
     """Deterministic label, identical for a graph and its side-swap: the
-    smaller of the graph's labels read with L first and with R first."""
+    smaller of the graph's two side readings."""
+    return min(_side_readings(gr))
+
+
+def _side_readings(gr: DualGraph) -> tuple[str, str]:
+    """The graph's labels read with L first and with R first."""
     # each vertex is formatted once, as (genus, degree, text): the numbers
     # order the sides and the edges, the text is what the label prints
     by_id = {}
@@ -178,7 +187,7 @@ def canonical_label(gr: DualGraph) -> str:
     forward = ";".join(f"({a[2]}|{b[2]}|{k})" for a, b, k in sorted(ends))
     backward = ";".join(f"({b[2]}|{a[2]}|{k})"
                         for b, a, k in sorted((b, a, k) for a, b, k in ends))
-    return min(f"L[{left}]R[{right}]E[{forward}]", f"L[{right}]R[{left}]E[{backward}]")
+    return f"L[{left}]R[{right}]E[{forward}]", f"L[{right}]R[{left}]E[{backward}]"
 
 
 def two_vertex_label(d: int, profile: tuple[int, ...], genus_left: int,
@@ -199,21 +208,70 @@ def hyperelliptic_vertex_label(shape: str, genus_left: int, genus_right: int) ->
 @cache
 def _labelled(d: int, shape: tuple[int, ...] | str, genus_a: int,
               genus_b: int) -> tuple[DualGraph | None, str]:
-    """The one place a boundary graph is built, validated and labelled,
-    once per process for each shape and genus pair.  A shape is a node
-    profile of a two-vertex graph (genera in increasing order) or a key of
-    `_HYPERELLIPTIC_VERTEX`.  Only the two-vertex graphs, which the
-    enumeration returns, are kept; of the others no caller reads more than
-    the label."""
-    if isinstance(shape, str):
-        build, edges_less_vertices = _HYPERELLIPTIC_VERTEX[shape]
-        graph, kept = build(genus_a, genus_b), None
+    """The label of a boundary graph, and for a two-vertex shape the graph,
+    kept once per process for each shape and genus pair.  A shape is a
+    node profile of a two-vertex graph (genera in increasing order),
+    "threevertex" or "fourvertex".  The shape's entry was validated and
+    labelled once; a graph of the shape differs from the validated one
+    only in its two genera, and the one condition of `violations` that
+    depends on them, genus >= 0, is checked here.  The label is the
+    smaller of the two side readings with the genera formatted in.  Only
+    the two-vertex graphs, which the enumeration returns, are built; of
+    the others no caller reads more than the label."""
+    if genus_a < 0 or genus_b < 0:
+        raise InvalidGraph("enumeration produced an invalid graph")
+    (forward, backward), probe = _shape_entry(d, shape)
+    label = min(forward.format(genus_a, genus_b), backward.format(genus_a, genus_b))
+    if probe is None:
+        return None, label
+    left, right = probe.vertices
+    return DualGraph((Vertex(left.ident, left.side, genus_a, left.degree),
+                      Vertex(right.ident, right.side, genus_b, right.degree)),
+                     probe.edges), label
+
+
+# the genera a shape's label templates are read at: numbers that print
+# nowhere else in a label
+_PROBE = (1000001, 1000002)
+# the genus pairs where the templates must give the canonical label: equal
+# genera, and a one- and a two-digit genus in either text order
+_CHECKED = ((0, 0), (1, 10), (10, 1))
+
+
+@cache
+def _shape_entry(d: int, shape: tuple[int, ...] | str
+                 ) -> tuple[tuple[str, str], DualGraph | None]:
+    """What every graph of a shape shares, derived once per process: the
+    two side readings of `canonical_label` as format templates with the
+    genera as fields {0} and {1}, read off the constructor's graph at the
+    probe genera, and for a two-vertex shape that graph.  The constructor's
+    graph is validated at the probe and at every checked pair, where the
+    templates must reproduce its canonical label."""
+    probe = _validated(d, shape, *_PROBE)
+    templates = tuple(reading.replace(f"{_PROBE[0]}g", "{0}g").replace(f"{_PROBE[1]}g", "{1}g")
+                      for reading in _side_readings(probe))
+    for pair in _CHECKED:
+        require(min(template.format(*pair) for template in templates)
+                == canonical_label(_validated(d, shape, *pair)),
+                f"label template of {shape} at genera {pair}")
+    return templates, None if isinstance(shape, str) else probe
+
+
+def _validated(d: int, shape: tuple[int, ...] | str, genus_a: int,
+               genus_b: int) -> DualGraph:
+    """The public constructor's graph of a shape with the given genera,
+    validated against the genus formula: the genera plus the shape's edge
+    count less its vertex count, plus one."""
+    if shape == "threevertex":
+        graph, edges_less_vertices = graph_three_vertex_d3(genus_a, genus_b), 0
+    elif shape == "fourvertex":
+        graph, edges_less_vertices = graph_four_vertex_d3(genus_a, genus_b), -1
     else:
-        graph = kept = two_vertex_graph(d, shape, genus_a, genus_b)
+        graph = two_vertex_graph(d, shape, genus_a, genus_b)
         edges_less_vertices = len(shape) - 2
     if not validate(graph, d, genus_a + genus_b + edges_less_vertices + 1):
         raise InvalidGraph("enumeration produced an invalid graph")
-    return kept, canonical_label(graph)
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +338,6 @@ def graph_four_vertex_d3(genus_left: int, genus_right: int) -> DualGraph:
                 Vertex("h", "R", genus_right, 2), Vertex("a", "R", 0, 1))
     edges = (Edge("l", "h", 1), Edge("l2", "h", 1), Edge("l", "a", 1))
     return DualGraph(vertices, edges)
-
-
-# the degree-three hyperelliptic-vertex shapes: constructor, and the
-# graph's edge count less its vertex count (the genus formula's term)
-_HYPERELLIPTIC_VERTEX = {"threevertex": (graph_three_vertex_d3, 0),
-                         "fourvertex": (graph_four_vertex_d3, -1)}
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ scale of X, and applies one flag rule to every rule, the rational- and
 hyperelliptic-vertex ones included: reconstructed when no row carries the
 shape or the family's genus is below the row's `min_gr`, an equality when
 the family does not sweep its divisor.  Every label is read from `graphs`,
-which labels each boundary graph once per process.
+which validates and labels each graph shape once per process and labels a
+genus pair by formatting its two genera into the shape's templates.
 """
 
 from __future__ import annotations
@@ -263,7 +264,9 @@ def check_closed_form_d4(g: int) -> bool:
         3(13b/2 - a) C(i+1, 2) + ((13k/2 + 7/2) b - k a) i >= 0
 
     for all i >= 0 with 3i + k <= (g-3)/2 and k in {0, 1, 2}, at the
-    degree-four (a, b) of X: whether :func:`_closed_form_d4` is >= 0."""
+    degree-four (a, b) of X: whether :func:`_closed_form_d4` is >= 0.  It
+    is defined for every integer g; `certify` reads the closed form only at
+    an admissible g."""
     a_poly, b_poly = slope_normalization(4)
     return _closed_form_d4(g, a_poly.eval({"g": g}), b_poly.eval({"g": g})) >= 0
 
@@ -355,7 +358,7 @@ def _rule(entry: _Shape, g: int, scale: Fraction, label: str, genus: int,
     below the row's `min_gr`."""
     at = (pencil_symbols(genus, g) if entry.pencil
           else {"g": g, "gR": genus, "dv": entry.degree})
-    return InequalityRule(label, targets, _scaled(entry.form.eval(at), scale),
+    return InequalityRule(label, targets, _scaled(Fraction(entry.form._value(at)), scale),
                           entry.provenance, entry.min_gr is None or genus < entry.min_gr,
                           entry.equality)
 
@@ -387,11 +390,12 @@ def multivertex_margin(d: int, g: int, scale: Fraction = Fraction(1)) -> Fractio
     trigonal slack g*gR + 6g - 15gR is g(g - 9) at gR = g, so (4, 3) fails.
 
     Each slack is linear in the vertex genus, so its minimum over 1..g sits
-    at g_r = 1 or g_r = g."""
+    at g_r = 1 or g_r = g.  Like `certify`, it refuses a (d, g) that is not
+    admissible."""
     _positive(scale)
-    endpoints = (1, _nonnegative_genus(g))
+    _admissible(d, _nonnegative_genus(g))
     return min(_scaled(form.eval({"g": g, "gR": g_r}), scale)
-               for form in _margin_forms(d) for g_r in endpoints)
+               for form in _margin_forms(d) for g_r in (1, g))
 
 
 def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
@@ -415,17 +419,17 @@ def certify(d: int, g: int, scale: Fraction = Fraction(1)) -> Certificate:
             raise PropagationFailure(label, "no rule reaches this graph")
         in_progress.add(label)
         rule = rules[label]
-        total = int_if_integral(rule.slack)
+        total = slack = int_if_integral(rule.slack)
         steps = []
         for target, coeff in rule.targets:
-            total += bound(target) if coeff == 1 else int_if_integral(coeff) * bound(target)
+            total += bound(target) if coeff is _UNIT else int_if_integral(coeff) * bound(target)
             steps.extend(chains[target])
         in_progress.discard(label)
         bounds[label] = total = int_if_integral(total)
         chains[label] = steps + [{
             "rule": rule.provenance,
             "source": label,
-            "slack": str(rule.slack),
+            "slack": str(slack),
             "targets": [[t, str(c), str(bounds[t])] for t, c in rule.targets],
             "reconstructed": rule.reconstructed,
             "equality": rule.equality,

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import hurwitzcalc
+from hurwitzcalc import graphs
 from hurwitzcalc.symkernel import Poly
 
 SRC = str(Path(hurwitzcalc.__file__).resolve().parents[1])
@@ -89,3 +90,16 @@ def polys_counted(monkeypatch):
     monkeypatch.setattr(Poly, "__init__", counting_init)
     monkeypatch.setattr(Poly, "const", classmethod(counting_const))
     return built
+
+
+@pytest.fixture
+def cold_labels():
+    """Empties the label caches of `graphs`, the per-shape entries and the
+    per-pair labels, before the test and again after it, so the test
+    derives every shape entry it reads and leaves none behind."""
+    def clear():
+        graphs._shape_entry.cache_clear()
+        graphs._labelled.cache_clear()
+    clear()
+    yield
+    clear()

@@ -403,19 +403,31 @@ class TestGraphs:
         code, out, err = run_cli(capsys, "graphs", "enum", "--d", "3", "--g", g)
         assert code == 2 and "0 <= g <= 200" in err and not out
 
-    def test_each_graph_is_labelled_once(self, capsys, monkeypatch):
-        # the enumeration labels each graph; the command prints those labels
+    def test_each_graph_is_labelled_once(self, capsys, monkeypatch, cold_labels):
+        # the command prints the enumeration's labels; the graphs of each of
+        # the three profiles are validated and labelled only while the
+        # profile's entry is derived, and a new genus derives none
         from hurwitzcalc import graphs
-        calls = []
-        real = graphs.canonical_label
+        calls = {"validate": 0, "canonical_label": 0}
 
-        def counting(gr):
-            calls.append(gr)
-            return real(gr)
-        monkeypatch.setattr(graphs, "canonical_label", counting)
-        graphs._labelled.cache_clear()
+        def counting(name):
+            real = getattr(graphs, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(graphs, name, counting(name))
         code, out, _ = run_cli(capsys, "graphs", "enum", "--d", "3", "--g", "40", "--json")
-        assert code == 0 and len(json.loads(out)) == len(calls) == 61
+        assert code == 0 and len(json.loads(out)) == 61
+        derived = {"validate": 3 * (1 + len(graphs._CHECKED)),
+                   "canonical_label": 3 * len(graphs._CHECKED)}
+        assert calls == derived
+        code, out, _ = run_cli(capsys, "graphs", "enum", "--d", "3", "--g", "38", "--json")
+        assert code == 0 and len(json.loads(out)) == 58
+        assert calls == derived
 
     def test_json_validates(self, capsys):
         from hurwitzcalc.graphs import DualGraph, validate

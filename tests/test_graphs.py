@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc import graphs
-from hurwitzcalc.errors import InvalidGraph, OutOfRange
+from hurwitzcalc.errors import DerivationMismatch, InvalidGraph, OutOfRange
 from hurwitzcalc.graphs import (MAX_GENUS, DualGraph, Edge, Vertex,
                                 boundary_multiplicity, canonical_label,
                                 enumerate_two_vertex, excess, graph_double_pair,
@@ -290,9 +291,11 @@ class TestLabelOracle:
 
     def test_enumeration_matches_the_full_genus_range(self):
         # every split built, each labelled by the oracle, the first of a
-        # swap pair kept: the enumeration before it built half the splits
+        # swap pair kept: the enumeration before it built half the splits.
+        # The genera past 60 put a vertex genus on both sides of each
+        # two- and three-digit boundary
         for d in (3, 4, 5):
-            for g in range(0, 61):
+            for g in (*range(0, 61), 99, 100, 101, 199, 200):
                 seen = {}
                 for profile in partitions(d):
                     total = g - len(profile) + 1
@@ -301,6 +304,26 @@ class TestLabelOracle:
                         seen.setdefault(oracle_label(gr), gr)
                 expected = [seen[label].to_json() for label in sorted(seen)]
                 assert [gr.to_json() for gr in enumerate_two_vertex(d, g)] == expected
+
+    def test_shape_templates_at_the_digit_boundaries(self, cold_labels):
+        # the text order of a shape's two readings flips where a genus
+        # gains a digit: on both sides of each flip, the formatted label of
+        # every shape is the canonical label of its constructor's graph
+        shapes = {(d, profile): lambda a, b, d=d, p=profile: two_vertex_graph(d, p, a, b)
+                  for d in (3, 4, 5) for profile in partitions(d)}
+        shapes[3, "threevertex"] = graph_three_vertex_d3
+        shapes[3, "fourvertex"] = graph_four_vertex_d3
+        assert len(shapes) == 17
+        crossings = [(a, b) for a in (9, 10, 99, 100, 199, 200)
+                     for b in (0, 1, 9, 10, 11, 99, 100, 101, 199, 200)]
+        pairs = [*((a, b) for a in range(31) for b in range(31)),
+                 *crossings, *((b, a) for a, b in crossings)]
+        for (d, shape), build in shapes.items():
+            for a, b in pairs:
+                graph, label = graphs._labelled(d, shape, a, b)
+                expected = build(a, b)
+                assert label == canonical_label(expected)
+                assert graph is None if isinstance(shape, str) else graph == expected
 
 
 class TestEnumeration:
@@ -365,21 +388,54 @@ class TestEnumeration:
         with pytest.raises(InvalidGraph, match="is not a partition of 3"):
             two_vertex_graph(3, (4, -1), 1, 1)
 
-    def test_an_invalid_enumerated_graph_is_an_engine_bug(self, monkeypatch):
+    def test_an_invalid_enumerated_graph_is_an_engine_bug(self, monkeypatch, cold_labels):
         def one_edge_short(d, profile, genus_left, genus_right):
             return two_vertex_graph(d - 1, profile[1:], genus_left, genus_right)
         monkeypatch.setattr(graphs, "two_vertex_graph", one_edge_short)
-        graphs._labelled.cache_clear()
-        try:
-            with pytest.raises(InvalidGraph, match="enumeration produced an invalid graph"):
-                graphs.two_vertex_label(3, (1, 1, 1), 1, 2)
-        finally:
-            graphs._labelled.cache_clear()
+        with pytest.raises(InvalidGraph, match="enumeration produced an invalid graph"):
+            graphs.two_vertex_label(3, (1, 1, 1), 1, 2)
 
+    def test_a_three_vertex_graph_without_its_satellite_is_an_engine_bug(
+            self, monkeypatch, cold_labels):
+        def no_satellite(genus_left, genus_right):
+            gr = graph_three_vertex_d3(genus_left, genus_right)
+            return DualGraph(gr.vertices[:2], gr.edges[:2])
+        monkeypatch.setattr(graphs, "graph_three_vertex_d3", no_satellite)
+        with pytest.raises(InvalidGraph, match="enumeration produced an invalid graph"):
+            graphs.hyperelliptic_vertex_label("threevertex", 1, 2)
 
-    def test_validates_and_labels_each_graph_once(self, monkeypatch):
-        # the enumeration builds only the splits with the smaller genus on
-        # the left; the full range validated 26 978 graphs for these 13 714
+    def test_a_negative_genus_is_refused_for_every_pair(self, cold_labels):
+        # the shape entries are derived cold by the first call of each pair
+        # and read warm by the second
+        for _ in range(2):
+            for label in (lambda a, b: graphs.two_vertex_label(4, (2, 1, 1), a, b),
+                          lambda a, b: graphs.hyperelliptic_vertex_label("threevertex", a, b),
+                          lambda a, b: graphs.hyperelliptic_vertex_label("fourvertex", a, b)):
+                for pair in ((-1, 3), (3, -1)):
+                    with pytest.raises(InvalidGraph,
+                                       match="enumeration produced an invalid graph"):
+                        label(*pair)
+                assert label(1, 3)
+
+    def test_a_template_that_misses_the_canonical_label_is_a_derivation_bug(
+            self, monkeypatch, cold_labels):
+        real = graphs.canonical_label
+
+        def swapped_digits(gr):
+            return real(gr).replace("10g", "01g")
+        monkeypatch.setattr(graphs, "canonical_label", swapped_digits)
+        for shape, label in (((2, 1), lambda: graphs.two_vertex_label(3, (2, 1), 4, 5)),
+                             ("fourvertex",
+                              lambda: graphs.hyperelliptic_vertex_label("fourvertex", 4, 5))):
+            with pytest.raises(DerivationMismatch,
+                               match=re.escape(f"label template of {shape} at genera (1, 10)")):
+                label()
+
+    def test_validates_and_labels_each_graph_once(self, monkeypatch, cold_labels):
+        # each shape's constructor graph is validated at the probe genera and
+        # at the checked pairs, and labelled at the checked pairs; a genus
+        # pair is only formatted.  Validating and labelling each graph took
+        # 13 714 calls of each for the full range here
         counts = {"validate": 0, "canonical_label": 0}
 
         def counting(name):
@@ -392,14 +448,19 @@ class TestEnumeration:
 
         for name in counts:
             monkeypatch.setattr(graphs, name, counting(name))
-        graphs._labelled.cache_clear()
         returned = sum(len(enumerate_two_vertex(d, g))
                        for d in (3, 4, 5) for g in range(0, 61))
         assert returned == 13714
-        assert counts == {"validate": returned, "canonical_label": returned}
-        # a cached graph is not validated again
+        shapes = sum(len(partitions(d)) for d in (3, 4, 5))
+        assert shapes == 15
+        derived = {"validate": shapes * (1 + len(graphs._CHECKED)),
+                   "canonical_label": shapes * len(graphs._CHECKED)}
+        assert counts == derived
+        # new genus pairs and cached ones alike are neither validated nor
+        # labelled again
         enumerate_two_vertex(3, 40)
-        assert counts == {"validate": returned, "canonical_label": returned}
+        enumerate_two_vertex(5, MAX_GENUS)
+        assert counts == derived
 
 
 class TestShapes:

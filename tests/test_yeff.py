@@ -575,26 +575,37 @@ def test_no_float_reaches_a_certificate_or_class_x():
         assert not any(type(value) is float for value in _leaves(class_x(d)))
 
 
-def test_each_hyperelliptic_vertex_graph_is_labelled_once(monkeypatch):
+def test_each_hyperelliptic_vertex_graph_is_labelled_once(monkeypatch, cold_labels):
     # 39 three-vertex and 21 four-vertex graphs at (3, 40), labelled in
-    # `graphs` once per process; labelling each rule's target again took
-    # 117 calls, and building the rules anew labelled all 60 on every call
-    calls = []
+    # `graphs` once per process by formatting their genera into the two
+    # shapes' templates: the graphs are validated and labelled only while
+    # the two entries are derived.  Labelling each graph took 60 calls,
+    # and labelling each rule's target again 117
+    calls = {"validate": [], "canonical_label": []}
 
-    def counting(gr):
-        calls.append(gr)
-        return canonical_label(gr)
+    def counting(name):
+        real = getattr(graphs, name)
 
-    monkeypatch.setattr(graphs, "canonical_label", counting)
-    graphs._labelled.cache_clear()
+        def wrapper(gr, *args):
+            calls[name].append(gr)
+            return real(gr, *args)
+        return wrapper
+
     graphs.labelled_two_vertex(3, 40)       # the 61 two-vertex graphs
-    calls.clear()
+    for name in calls:
+        monkeypatch.setattr(graphs, name, counting(name))
     rules = build_rules(3, 40)
-    assert len(calls) == 39 + 21
-    assert len({canonical_label(gr) for gr in calls}) == 60
+    checked = [build(*pair)
+               for build in (graphs.graph_three_vertex_d3, graphs.graph_four_vertex_d3)
+               for pair in graphs._CHECKED]
+    assert calls["canonical_label"] == checked
+    assert len(calls["validate"]) == 2 * (1 + len(graphs._CHECKED))
     assert sum(rule.provenance.startswith("hyperelliptic") for rule in rules.values()) == 60
-    calls.clear()
-    assert build_rules(3, 40) == rules and not calls
+    assert build_rules(3, 40) == rules
+    assert sum(rule.provenance.startswith("hyperelliptic")
+               for rule in build_rules(3, 38).values()) == 37 + 20
+    assert calls["canonical_label"] == checked
+    assert len(calls["validate"]) == 2 * (1 + len(graphs._CHECKED))
 
 
 def test_warm_certify_builds_and_labels_no_graph(monkeypatch):
@@ -860,6 +871,12 @@ class TestDomain:
             certify(d, g)
         with pytest.raises(OutOfRange):
             multivertex_margin(d, g)
+
+    def test_margin_refuses_what_certify_refuses(self):
+        # g = 10 is not 3 mod 6: the margin once returned 10 here
+        for entry in (certify, multivertex_margin):
+            with pytest.raises(NotDivisorial, match=r"\(d, g\) = \(4, 10\) is not admissible"):
+                entry(4, 10)
 
     @pytest.mark.parametrize("scale", [0, -1, 0.5])
     @pytest.mark.parametrize("entry", [certify, build_rules, multivertex_margin],
