@@ -85,17 +85,18 @@ class ChowPresentation:
         one place where class terms are added up."""
         result: dict[Mono, Poly] = {}
         for mono, coeff in terms:
-            if coeff.is_zero():
+            if not coeff.terms:
                 continue
             for m, c in self.normal_form(mono).items():
                 term = coeff * c
                 result[m] = result[m] + term if m in result else term
-        return {m: c for m, c in result.items() if not c.is_zero()}
+        return {m: c for m, c in result.items() if c.terms}
 
     def normal_form(self, mono: Mono) -> dict[Mono, Poly]:
         """Fully reduce a monomial to a combination of normal-form monomials."""
-        if mono in self._nf_cache:
-            return self._nf_cache[mono]
+        result = self._nf_cache.get(mono)
+        if result is not None:
+            return result
         for i, (power, _) in self.rewrites.items():
             if mono[i] >= power:
                 result = self._accumulate(self._rewrite_once(mono, i).items())
@@ -142,7 +143,9 @@ class ChowClass:
         coefficient) pairs in which a monomial may repeat."""
         self.ring = ring
         pairs = terms.items() if type(terms) is dict or isinstance(terms, Mapping) else terms
-        self.terms = ring._accumulate((mono, Poly.coerce(coeff)) for mono, coeff in pairs)
+        self.terms = ring._accumulate(
+            (mono, coeff if isinstance(coeff, Poly) else Poly.const(coeff))
+            for mono, coeff in pairs)
 
     def _require_same_ring(self, other: "ChowClass") -> None:
         if self.ring is not other.ring:

@@ -17,9 +17,11 @@ degree-three three- and four-vertex graphs, is labelled here.  Each shape
 constructor, validated and labelled once per process; its two side
 readings become format templates with the two genera as fields.  A genus
 pair is then only checked for a negative genus and formatted into the
-templates, once per process, in one cache.  The enumeration, the
-certifier and the CLI read labels from it and build or label no graph
-themselves.
+templates, once per process, in one cache of label strings.  The
+enumeration hands the certifier each two-vertex graph as its label, node
+profile and two genera, so a certificate builds no graph; only the
+callers that print or check graphs (`graphs enum`, `selftest`) build them,
+through the public constructor.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .errors import InvalidGraph, OutOfRange, Record, require
+from .errors import InvalidGraph, OutOfRange, Record, UnknownKind, require
 
 
 class Vertex(Record):
@@ -195,39 +197,32 @@ def two_vertex_label(d: int, profile: tuple[int, ...], genus_left: int,
     """`canonical_label(two_vertex_graph(...))`.  The label does not
     depend on which genus is on the left, so it is kept once per profile
     and unordered genus pair."""
-    return _labelled(d, profile, *sorted((genus_left, genus_right)))[1]
+    return _labelled(d, profile, *sorted((genus_left, genus_right)))
 
 
 def hyperelliptic_vertex_label(shape: str, genus_left: int, genus_right: int) -> str:
     """`canonical_label` of the degree-three "threevertex" or "fourvertex"
     graph (`graph_three_vertex_d3`, `graph_four_vertex_d3`) with the given
     genera, kept once per shape and genus pair."""
-    return _labelled(3, shape, genus_left, genus_right)[1]
+    if shape not in ("threevertex", "fourvertex"):
+        raise UnknownKind(f"unknown degree-three shape {shape!r}")
+    return _labelled(3, shape, genus_left, genus_right)
 
 
 @cache
-def _labelled(d: int, shape: tuple[int, ...] | str, genus_a: int,
-              genus_b: int) -> tuple[DualGraph | None, str]:
-    """The label of a boundary graph, and for a two-vertex shape the graph,
-    kept once per process for each shape and genus pair.  A shape is a
-    node profile of a two-vertex graph (genera in increasing order),
-    "threevertex" or "fourvertex".  The shape's entry was validated and
-    labelled once; a graph of the shape differs from the validated one
-    only in its two genera, and the one condition of `violations` that
-    depends on them, genus >= 0, is checked here.  The label is the
-    smaller of the two side readings with the genera formatted in.  Only
-    the two-vertex graphs, which the enumeration returns, are built; of
-    the others no caller reads more than the label."""
+def _labelled(d: int, shape: tuple[int, ...] | str, genus_a: int, genus_b: int) -> str:
+    """The label of a boundary graph, kept once per process for each shape
+    and genus pair.  A shape is a node profile of a two-vertex graph
+    (genera in increasing order), "threevertex" or "fourvertex".  The
+    shape's entry was validated and labelled once; a graph of the shape
+    differs from the validated one only in its two genera, and the one
+    condition of `violations` that depends on them, genus >= 0, is
+    checked here.  The label is the smaller of the two side readings with
+    the genera formatted in; no graph is built."""
     if genus_a < 0 or genus_b < 0:
         raise InvalidGraph("enumeration produced an invalid graph")
-    (forward, backward), probe = _shape_entry(d, shape)
-    label = min(forward.format(genus_a, genus_b), backward.format(genus_a, genus_b))
-    if probe is None:
-        return None, label
-    left, right = probe.vertices
-    return DualGraph((Vertex(left.ident, left.side, genus_a, left.degree),
-                      Vertex(right.ident, right.side, genus_b, right.degree)),
-                     probe.edges), label
+    forward, backward = _shape_entry(d, shape)
+    return min(forward.format(genus_a, genus_b), backward.format(genus_a, genus_b))
 
 
 # the genera a shape's label templates are read at: numbers that print
@@ -239,22 +234,20 @@ _CHECKED = ((0, 0), (1, 10), (10, 1))
 
 
 @cache
-def _shape_entry(d: int, shape: tuple[int, ...] | str
-                 ) -> tuple[tuple[str, str], DualGraph | None]:
+def _shape_entry(d: int, shape: tuple[int, ...] | str) -> tuple[str, str]:
     """What every graph of a shape shares, derived once per process: the
     two side readings of `canonical_label` as format templates with the
     genera as fields {0} and {1}, read off the constructor's graph at the
-    probe genera, and for a two-vertex shape that graph.  The constructor's
-    graph is validated at the probe and at every checked pair, where the
-    templates must reproduce its canonical label."""
-    probe = _validated(d, shape, *_PROBE)
+    probe genera.  The constructor's graph is validated at the probe and
+    at every checked pair, where the templates must reproduce its
+    canonical label."""
     templates = tuple(reading.replace(f"{_PROBE[0]}g", "{0}g").replace(f"{_PROBE[1]}g", "{1}g")
-                      for reading in _side_readings(probe))
+                      for reading in _side_readings(_validated(d, shape, *_PROBE)))
     for pair in _CHECKED:
         require(min(template.format(*pair) for template in templates)
                 == canonical_label(_validated(d, shape, *pair)),
                 f"label template of {shape} at genera {pair}")
-    return templates, None if isinstance(shape, str) else probe
+    return templates
 
 
 def _validated(d: int, shape: tuple[int, ...] | str, genus_a: int,
@@ -368,24 +361,33 @@ def partitions(n: int) -> list[tuple[int, ...]]:
 MAX_GENUS = 200
 
 
-def labelled_two_vertex(d: int, g: int) -> dict[str, DualGraph]:
-    """All two-vertex boundary graphs for degree d and total genus g, by
-    canonical label in label order: every partition of d as the edge
-    profile and every genus split compatible with the genus formula, up to
-    the side swap.  Both vertices have degree d, so the swap maps a split
-    onto its mirror and only the splits with the smaller genus on the left
-    are built.  The genus must lie in 0..MAX_GENUS."""
+def two_vertex_splits(d: int, g: int) -> list[tuple[str, tuple[int, ...], int, int]]:
+    """All two-vertex boundary graphs for degree d and total genus g, each
+    as (canonical label, node profile, smaller genus, larger genus), in
+    label order: every partition of d as the edge profile and every genus
+    split compatible with the genus formula, up to the side swap.  Both
+    vertices have degree d, so the swap maps a split onto its mirror and
+    only the splits with the smaller genus first are taken.  No graph is
+    built.  The genus must lie in 0..MAX_GENUS."""
     if d not in (3, 4, 5):
         raise OutOfRange("two-vertex enumeration is wired for d in {3, 4, 5}")
     if not 0 <= g <= MAX_GENUS:
         raise OutOfRange(f"two-vertex enumeration needs 0 <= g <= {MAX_GENUS}, got {g}")
-    seen: dict[str, DualGraph] = {}
+    splits = []
     for profile in partitions(d):
         genus_total = g - len(profile) + 1
-        for genus_left in range(genus_total // 2 + 1):
-            graph, label = _labelled(d, profile, genus_left, genus_total - genus_left)
-            seen.setdefault(label, graph)
-    return {label: seen[label] for label in sorted(seen)}
+        for genus_a in range(genus_total // 2 + 1):
+            genus_b = genus_total - genus_a
+            splits.append((_labelled(d, profile, genus_a, genus_b), profile, genus_a, genus_b))
+    splits.sort()
+    return splits
+
+
+def labelled_two_vertex(d: int, g: int) -> dict[str, DualGraph]:
+    """The graphs of `two_vertex_splits`, built by `two_vertex_graph` with
+    the smaller genus on the left, by canonical label in label order."""
+    return {label: two_vertex_graph(d, profile, genus_a, genus_b)
+            for label, profile, genus_a, genus_b in two_vertex_splits(d, g)}
 
 
 def enumerate_two_vertex(d: int, g: int) -> list[DualGraph]:

@@ -6,7 +6,10 @@ is integral and becomes a :class:`fractions.Fraction` only when a division
 makes it one, as FLINT's ``fmpz``/``fmpq`` split keeps them.  What callers
 read is a Fraction (``eval``, ``coefficient``, ``constant_value``), and no
 operation anywhere in the engine produces a floating-point value.  Values
-are immutable after construction and safe to share between threads.
+are immutable after construction and safe to share between threads: no
+code may mutate a polynomial's ``terms``.  So ``Poly.const`` hands out one
+shared instance for each integer of absolute value at most 256, made on
+its first request, and a warm evaluation builds no throwaway constant.
 
 A polynomial is evaluated the way FLINT's ``fmpq_poly`` stores one: its
 coefficients are put once over one common denominator, the numerators are
@@ -107,6 +110,11 @@ def _monomial_str(m: Monomial) -> str:
     return "*".join(n if e == 1 else f"{n}^{e}" for n, e in m)
 
 
+# the shared constants of `Poly.const`, by value, for |value| <= _SHARED_BOUND
+_SHARED_BOUND = 256
+_SMALL_CONSTANTS: dict[int, "Poly"] = {}
+
+
 class Poly:
     """A multivariate polynomial with exact rational coefficients.
 
@@ -145,12 +153,23 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        """The constant `value`: one term, so there is nothing to sum."""
-        if type(value) is not int:
+        """The constant `value`: one term, so there is nothing to sum.  An
+        int of absolute value at most 256 gets one instance shared by every
+        caller, made on its first request, so no code may mutate a Poly's
+        terms; any other value, a Fraction included, gets a new one."""
+        shared = type(value) is int
+        if shared:
+            p = _SMALL_CONSTANTS.get(value)
+            if p is not None:
+                return p
+            shared = -_SHARED_BOUND <= value <= _SHARED_BOUND
+        else:
             value = int_if_integral(value if type(value) is Fraction else Fraction(value))
         p = object.__new__(cls)
         p.terms = {(): value} if value else {}
         p.compiled = None
+        if shared:
+            _SMALL_CONSTANTS[value] = p
         return p
 
     @staticmethod
@@ -291,7 +310,9 @@ class Poly:
             for numerator, mono in terms:
                 for name, e in mono:
                     x = assignment[name]
-                    numerator *= (x if type(x) is int else Fraction(x)) ** e
+                    if type(x) is not int:
+                        x = Fraction(x)
+                    numerator *= x if e == 1 else x ** e
                 total += numerator
         except KeyError:
             missing = [name for name in names if name not in assignment]

@@ -32,7 +32,9 @@ hyperelliptic-vertex ones included: reconstructed when no row carries the
 shape or the family's genus is below the row's `min_gr`, an equality when
 the family does not sweep its divisor.  Every label is read from `graphs`,
 which validates and labels each graph shape once per process and labels a
-genus pair by formatting its two genera into the shape's templates.
+genus pair by formatting its two genera into the shape's templates; the
+enumeration gives each two-vertex graph as its label, profile and genera,
+so no rule is read off a built graph.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .divisor_classes import admissible_genus, class_x
 from .errors import NotDivisorial, OutOfRange, PropagationFailure, Record, UnknownKind, require
 from .family_calc import (PENCIL_TABLE, _basechange_hits, _nonnegative_genus, check_profile,
                           pencil_symbols, vertex_pencil_form)
-from .graphs import hyperelliptic_vertex_label, labelled_two_vertex, two_vertex_label
+from .graphs import hyperelliptic_vertex_label, two_vertex_label, two_vertex_splits
 from .symkernel import Poly, int_if_integral
 
 # pseudo-targets that ground the induction
@@ -274,13 +276,19 @@ def check_closed_form_d4(g: int) -> bool:
 def _closed_form_d4(g: int, a: Fraction, b: Fraction) -> Fraction:
     """The exact value of the degree-four closed form at (a, b): each term
     is i * L_k(i) with L_k linear in i, so the least L_k at i = 1 and at the
-    last i, or 0 when no k has an i >= 1 (only zero terms)."""
-    def line(k: int, i: int) -> Fraction:
-        return (3 * (Fraction(13, 2) * b - a) * (i + 1) / 2
-                + (Fraction(13, 2) * k + Fraction(7, 2)) * b - k * a)
+    last i, or 0 when no k has an i >= 1 (only zero terms).  With a = A/D
+    and b = B/D over one denominator,
+
+        4D L_k(i) = 3(13B - 2A)(i + 1) + (26k + 14)B - 4kA,
+
+    so the least value is taken in integers and one Fraction is built."""
+    den = lcm(a.denominator, b.denominator)
+    big_a, big_b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    slope = 3 * (13 * big_b - 2 * big_a)
     lasts = {k: ((g - 3) // 2 - k) // 3 for k in (0, 1, 2)}
-    return min((line(k, i) for k, last in lasts.items() if last >= 1 for i in (1, last)),
-               default=Fraction(0))
+    least = min((slope * (i + 1) + (26 * k + 14) * big_b - 4 * k * big_a
+                 for k, last in lasts.items() if last >= 1 for i in (1, last)), default=0)
+    return Fraction(least, 4 * den)
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +298,15 @@ def _closed_form_d4(g: int, a: Fraction, b: Fraction) -> Fraction:
 def build_rules(d: int, g: int,
                 scale: Fraction = Fraction(1)) -> dict[str, InequalityRule]:
     """One propagation rule per enumerated boundary graph, read off its
-    shape's entry: the graph gives only its family genus and its target
-    labels (every slack is linear in (a, b, X)).  Certified/failed status is
-    invariant under positive rescaling."""
+    shape's entry: the enumeration gives the graph's label, profile and
+    genera, from which come its family genus and its target labels (every
+    slack is linear in (a, b, X)).  Certified/failed status is invariant
+    under positive rescaling."""
     _admissible(d, g)
     _positive(scale)
     rules: dict[str, InequalityRule] = {}
 
-    for label, graph in labelled_two_vertex(d, g).items():
-        profile = tuple(e.local_degree for e in graph.edges)
-        g_r, g_l = sorted(v.genus for v in graph.vertices)
+    for label, profile, g_r, g_l in two_vertex_splits(d, g):
         # a genus-0 vertex of degree five is rational: its five-basepoint
         # pencil grounds the chain
         entry = _shape(d, "rational" if d == 5 and g_r == 0 and profile == (1,) * 5

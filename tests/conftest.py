@@ -94,9 +94,9 @@ def polys_counted(monkeypatch):
 
 @pytest.fixture
 def cold_labels():
-    """Empties the label caches of `graphs`, the per-shape entries and the
-    per-pair labels, before the test and again after it, so the test
-    derives every shape entry it reads and leaves none behind."""
+    """Empties the label caches of `graphs`, the per-shape templates and
+    the per-pair label strings, before the test and again after it, so the
+    test derives every shape entry it reads and leaves none behind."""
     def clear():
         graphs._shape_entry.cache_clear()
         graphs._labelled.cache_clear()

@@ -122,6 +122,23 @@ class TestOneDerivationPerShape:
         rotating_directrix_class(fam)
         assert len(polys_counted) <= 2
 
+    def test_warm_family_constants_are_shared(self, polys_counted):
+        # the op of the benchmark's directrix grid reads five constants: the
+        # degree, and the two coefficients of the evaluated and of the
+        # closed-form class
+        fam = DirectrixFamily(5, 2, -3, 4)
+
+        def op():
+            directrix_pushforward_degree(fam)
+            assert rotating_directrix_class(fam) == rotating_directrix_closed_form(fam)
+        op()
+        polys_counted.clear()
+        op()
+        built = list(polys_counted)
+        values = [poly.terms[()] for poly in built]
+        assert values == [-1, 1, 2, 1, 2]
+        assert all(poly is Poly.const(value) for poly, value in zip(built, values))
+
     def test_warm_family_builds_no_fraction(self, objects_built):
         # the op of the benchmark's directrix grid; 3 when the degree and
         # each class coefficient were read through Poly.eval

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc import graphs
-from hurwitzcalc.errors import DerivationMismatch, InvalidGraph, OutOfRange
+from hurwitzcalc.errors import DerivationMismatch, InvalidGraph, OutOfRange, UnknownKind
 from hurwitzcalc.graphs import (MAX_GENUS, DualGraph, Edge, Vertex,
                                 boundary_multiplicity, canonical_label,
                                 enumerate_two_vertex, excess, graph_double_pair,
@@ -320,10 +320,7 @@ class TestLabelOracle:
                  *crossings, *((b, a) for a, b in crossings)]
         for (d, shape), build in shapes.items():
             for a, b in pairs:
-                graph, label = graphs._labelled(d, shape, a, b)
-                expected = build(a, b)
-                assert label == canonical_label(expected)
-                assert graph is None if isinstance(shape, str) else graph == expected
+                assert graphs._labelled(d, shape, a, b) == canonical_label(build(a, b))
 
 
 class TestEnumeration:
@@ -416,6 +413,27 @@ class TestEnumeration:
                                        match="enumeration produced an invalid graph"):
                         label(*pair)
                 assert label(1, 3)
+
+    def test_an_unknown_hyperelliptic_shape_is_refused(self):
+        for shape in ("bogus", "threevertices", (1, 1, 1)):
+            with pytest.raises(UnknownKind, match=re.escape(f"shape {shape!r}")):
+                graphs.hyperelliptic_vertex_label(shape, 3, 4)
+
+    def test_built_graphs_are_the_constructor_graphs(self):
+        # the enumeration hands out labels and genera; the graphs that
+        # `labelled_two_vertex` builds from them are the constructor's
+        for d in (3, 4, 5):
+            for g in (60, 100, 200):
+                splits = graphs.two_vertex_splits(d, g)
+                assert len(splits) == sum((g - len(profile) + 1) // 2 + 1
+                                          for profile in partitions(d))
+                built = graphs.labelled_two_vertex(d, g)
+                assert list(built) == sorted(built) == [label for label, *_ in splits]
+                for (label, profile, genus_a, genus_b), graph in zip(splits, built.values()):
+                    assert genus_a <= genus_b
+                    expected = two_vertex_graph(d, profile, genus_a, genus_b)
+                    assert graph.to_json() == expected.to_json()
+                    assert canonical_label(expected) == label
 
     def test_a_template_that_misses_the_canonical_label_is_a_derivation_bug(
             self, monkeypatch, cold_labels):

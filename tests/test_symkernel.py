@@ -172,6 +172,30 @@ class TestPoly:
         assert q == Fraction(13, 2) * p("gR") + Fraction(9, 2)
 
 
+class TestSharedConstants:
+    def test_each_small_int_has_one_instance(self):
+        g = p("g")
+        for k in range(-256, 257):
+            shared = Poly.const(k)
+            assert Poly.const(k) is shared
+            for fresh in (Poly({(): k}), g - g + k):
+                assert fresh is not shared
+                assert fresh == shared and hash(fresh) == hash(shared)
+
+    def test_nothing_is_shared_past_the_bound_or_for_a_fraction(self):
+        for value in (257, -257, 10**30, Fraction(1, 2), Fraction(3), Fraction(-256)):
+            assert Poly.const(value) is not Poly.const(value)
+            assert Poly.const(value) == Poly({(): value})
+
+    def test_an_evaluated_shared_constant_equals_a_fresh_one(self):
+        shared = Poly.const(7)
+        assert shared.eval({}) == 7 and shared._value({"g": 3}) == 7
+        assert shared.compiled is not None
+        fresh = Poly({(): 7})
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert Poly.const(7) is shared and shared + 1 == 8 and shared * p("g") == 7 * p("g")
+
+
 def term_by_term(poly, assignment):
     """The evaluation before compiled forms: one Fraction per operation."""
     total = Fraction(0)

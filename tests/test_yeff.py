@@ -627,6 +627,25 @@ def test_warm_certify_builds_and_labels_no_graph(monkeypatch):
     assert built == [] and labelled == []
 
 
+def test_certify_at_a_new_genus_builds_no_graph(monkeypatch, cold_labels):
+    # once the shape entries exist, a certificate reads each graph as its
+    # label, profile and genera: one graph and two vertices per two-vertex
+    # graph were built for the rules to take apart
+    certify(3, 4)
+    certify(5, 16)
+    built = []
+    for record in (graphs.DualGraph, graphs.Vertex):
+        def counting_init(self, *args, real=record.__init__, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(record, "__init__", counting_init)
+    for d, g in ((3, 40), (5, 36)):
+        assert certify(d, g).per_graph
+    assert built == []
+    graphs.labelled_two_vertex(3, 4)
+    assert built.count("DualGraph") == 7 and built.count("Vertex") == 14
+
+
 _FORM_CACHES = ("_vertex_slack", "_shape", "_margin_forms")
 
 
