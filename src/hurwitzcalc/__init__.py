@@ -25,12 +25,12 @@ _EXPORTS = {
                 "is_balanced", "is_tame", "maroni_codimension",
                 "pushforward_c1_power", "rational_and_elliptic_tables",
                 "syzygy_rank"),
-    "family_calc": ("ChernData", "FamilyInvariants", "PencilRecord",
-                    "basechange_section_bookkeeping", "invariants_from_chern",
+    "family_calc": ("PencilRecord", "basechange_section_bookkeeping",
                     "partial_pencil_record", "pencil_delta_on_surface",
                     "pentagonal_pencil_numbers", "c2_omega_tetragonal_surface"),
-    "divisor_classes": ("DivisorClass", "bogomolov", "ce_class", "class_x",
-                        "maroni_class", "slope_bound"),
+    "divisor_classes": ("ChernData", "DivisorClass", "FamilyInvariants", "bogomolov",
+                        "ce_class", "class_x", "invariants_from_chern", "maroni_class",
+                        "slope_bound"),
     "directrix": ("DirectrixFamily", "maroni_intersection_pentagonal",
                   "rotating_directrix_class"),
     "graphs": ("DualGraph", "boundary_multiplicity", "canonical_label",

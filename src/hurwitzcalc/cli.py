@@ -14,13 +14,13 @@ Subcommands:
 All numeric output is exact-rational; `--json` switches any subcommand to a
 machine-readable form.  Exit codes: 0 success, 1 usage error, 2 domain
 error, 3 certification failure.  Each subcommand imports only the engine
-modules it uses, when it runs.
+modules it uses, when it runs.  `main` adds arguments only to the
+subcommand its call names, and `json` is imported only for JSON output.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -57,6 +57,11 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _print_json(value) -> None:
+    import json
+    print(json.dumps(value))
+
+
 def _table(rows: list[tuple[str, str]]) -> str:
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
@@ -66,7 +71,7 @@ def _cmd_slope(args) -> int:
     from .divisor_classes import slope_bound
     value = slope_bound(args.d, args.g)
     if args.json:
-        print(json.dumps({"d": args.d, "g": args.g, "slope": str(value)}))
+        _print_json({"d": args.d, "g": args.g, "slope": str(value)})
     else:
         print(value)
     return 0
@@ -92,7 +97,7 @@ def _cmd_class(args) -> int:
         payload = cls.to_json()
     payload.update(extra)
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(_table(sorted((k, str(v)) for k, v in payload.items()
                             if k != "boundary")))
@@ -100,12 +105,12 @@ def _cmd_class(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    from .family_calc import ChernData, invariants_from_chern
+    from .divisor_classes import ChernData, invariants_from_chern
     chern = ChernData(args.d, args.g, args.ch2e, args.ch2f, args.c1sq)
     inv = invariants_from_chern(chern)
     rows = [(name, str(value.eval({}))) for name, value in inv.as_dict().items()]
     if args.json:
-        print(json.dumps(dict(rows)))
+        _print_json(dict(rows))
     else:
         print(_table(rows))
     return 0
@@ -138,7 +143,7 @@ def _cmd_pencil(args) -> int:
     defaults = {"gr": 0} if "gr" in inputs else {}
     record = partial_pencil_record(args.kind, **{**defaults, **given})
     if args.json:
-        print(json.dumps(record.to_json()))
+        _print_json(record.to_json())
         return 0
     rows = [("kind", record.kind)]
     rows += [(k, str(v)) for k, v in sorted(record.params.items())]
@@ -161,7 +166,7 @@ def _cmd_chow(args) -> int:
                                         or cls.degrees() == {ring.top_degree}):
         result["integral"] = str(cls.integrate())
     if args.json:
-        print(json.dumps(result))
+        _print_json(result)
     else:
         print(_table(sorted(result.items())))
     return 0
@@ -171,8 +176,7 @@ def _cmd_graphs(args) -> int:
     from .graphs import labelled_two_vertex
     graphs = labelled_two_vertex(args.d, args.g)
     if args.json:
-        print(json.dumps([{"label": label, **gr.to_json()}
-                          for label, gr in graphs.items()]))
+        _print_json([{"label": label, **gr.to_json()} for label, gr in graphs.items()])
     else:
         for label in graphs:
             print(label)
@@ -184,6 +188,7 @@ def _cmd_certify(args) -> int:
     from .yeff import certify
     cert = certify(args.d, args.g)
     if args.emit:
+        import json
         try:
             with open(args.emit, "w", encoding="utf-8") as handle:
                 json.dump(cert.to_json(), handle, indent=2, sort_keys=True)
@@ -191,7 +196,7 @@ def _cmd_certify(args) -> int:
             print(f"error: cannot write {args.emit}: {exc.strerror}", file=sys.stderr)
             return 1
     if args.json:
-        print(json.dumps(cert.to_json()))
+        _print_json(cert.to_json())
     else:
         print(f"(d, g) = ({cert.d}, {cert.g}); a = {cert.a}, b = {cert.b}")
         for label, res in sorted(cert.per_graph.items()):
@@ -209,81 +214,90 @@ def _cmd_selftest(args) -> int:
     from .selftest import run
     ok = run(verbose=not args.json)
     if args.json:
-        print(json.dumps({"selftest": "pass" if ok else "fail"}))
+        _print_json({"selftest": "pass" if ok else "fail"})
     return 0 if ok else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hurwitzcalc",
-                     description="exact divisor calculus for low-degree covers")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("slope", help="exact slope bound")
+def _args_slope(p):
     p.add_argument("d", type=int)
     p.add_argument("g", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_slope)
 
-    p = sub.add_parser("class", help="divisor-class coefficients")
+
+def _args_class(p):
     p.add_argument("which", choices=("maroni", "ce", "x"))
     p.add_argument("d", type=int)
     p.add_argument("--at", type=int, default=None, metavar="G")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_class)
 
-    p = sub.add_parser("invariants", help="family invariants from Chern data")
+
+def _args_invariants(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--ch2e", type=_rational, required=True)
     p.add_argument("--ch2f", type=_rational, required=True)
     p.add_argument("--c1sq", type=_rational, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("pencil", help="pencil intersection record")
+
+def _args_pencil(p):
     p.add_argument("kind", choices=_PencilKinds(), metavar="kind",
                    help="one of: %(choices)s")
     p.add_argument("--gr", type=int, default=None)
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--dv", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_pencil)
 
-    p = sub.add_parser("chow", help="Chow-ring evaluation")
-    chow_sub = p.add_subparsers(dest="chow_command", required=True)
-    pe = chow_sub.add_parser("eval")
-    pe.add_argument("ring", help="ring spec, e.g. p1xp1 or projbundle:3:u+v")
-    pe.add_argument("expr")
-    pe.add_argument("--json", action="store_true")
-    pe.set_defaults(func=_cmd_chow)
 
-    p = sub.add_parser("graphs", help="boundary-graph enumeration")
-    graphs_sub = p.add_subparsers(dest="graphs_command", required=True)
-    pg = graphs_sub.add_parser("enum")
-    pg.add_argument("--d", type=int, required=True)
-    pg.add_argument("--g", type=int, required=True)
-    pg.add_argument("--json", action="store_true")
-    pg.set_defaults(func=_cmd_graphs)
+def _args_chow(p):
+    p.add_argument("ring", help="ring spec, e.g. p1xp1 or projbundle:3:u+v")
+    p.add_argument("expr")
 
-    p = sub.add_parser("yeff", help="boundary-effectivity certification")
-    yeff_sub = p.add_subparsers(dest="yeff_command", required=True)
-    pc = yeff_sub.add_parser("certify")
-    pc.add_argument("--d", type=int, required=True)
-    pc.add_argument("--g", type=int, required=True)
-    pc.add_argument("--emit", default=None, metavar="FILE")
-    pc.add_argument("--json", action="store_true")
-    pc.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("selftest", help="run the built-in identity suite")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_selftest)
+def _args_degree_genus(p):
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--g", type=int, required=True)
 
+
+def _args_certify(p):
+    _args_degree_genus(p)
+    p.add_argument("--emit", default=None, metavar="FILE")
+
+
+# each subcommand: its help, the subcommand below it if any, its handler,
+# and the arguments its parser takes before --json
+_COMMANDS = {
+    "slope": ("exact slope bound", None, _cmd_slope, _args_slope),
+    "class": ("divisor-class coefficients", None, _cmd_class, _args_class),
+    "invariants": ("family invariants from Chern data", None, _cmd_invariants,
+                   _args_invariants),
+    "pencil": ("pencil intersection record", None, _cmd_pencil, _args_pencil),
+    "chow": ("Chow-ring evaluation", "eval", _cmd_chow, _args_chow),
+    "graphs": ("boundary-graph enumeration", "enum", _cmd_graphs, _args_degree_genus),
+    "yeff": ("boundary-effectivity certification", "certify", _cmd_certify, _args_certify),
+    "selftest": ("run the built-in identity suite", None, _cmd_selftest, lambda p: None),
+}
+
+
+def build_parser(commands=_COMMANDS) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is registered with its help, but
+    only those named in `commands`, by default all, get their arguments."""
+    parser = _Parser(prog="hurwitzcalc",
+                     description="exact divisor calculus for low-degree covers")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, nested, func, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name not in commands:
+            continue
+        if nested:
+            p = p.add_subparsers(dest=f"{name}_command", required=True).add_parser(nested)
+        add_arguments(p)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse picks a subcommand only by its name among the words, so
+    # only the subcommands named there need their arguments
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_COMMANDS.keys() & argv).parse_args(argv)
     try:
         return args.func(args)
     except EngineError as exc:

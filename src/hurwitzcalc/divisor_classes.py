@@ -10,10 +10,14 @@ b*delta whose ratio a/b is the sharp slope bound:
     d = 4:  a/b = (13g + 15)/(2g)
     d = 5:  a/b = (31g + 44)/(5g)
 
-Both M and CE are also rederivable from first principles: they are the
-Bogomolov expressions of the universal bundles, pushed through the
-(ch2E, ch2F, c1^2E) -> (lambda, delta, D) change of basis.  The module
-exposes that route as well so the closed formulas can be cross-checked.
+The change of basis between the Chern data (ch2E, ch2F, c1^2E) of a
+family's two structural bundles and (lambda, delta, D) lives here in both
+directions: `invariants_from_chern` gives lambda, kappa, delta and the two
+ramification divisors T (triple point) and D ((2,2)-pair) exactly, and
+`chern_from_basis` inverts it.  Both M and CE are also rederivable from
+first principles: they are the Bogomolov expressions of the universal
+bundles, pushed through that inverse.  The module exposes that route as
+well so the closed formulas can be cross-checked.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from functools import cache
 from types import MappingProxyType
 
 from .bundles import divisorial_conditions
-from .errors import CongruenceViolation, DegenerateDenominator, NotDivisorial, Record, require
-from .symkernel import Poly, PolyLike, RationalFunction
+from .errors import (CongruenceViolation, DegenerateDenominator, NotDivisorial, OutOfRange,
+                     Record, require)
+from .symkernel import Poly, PolyLike, RationalFunction, check_printable, coefficient_bits
 
 
 class DivisorClass(Record):
@@ -128,6 +133,90 @@ def bogomolov_from_ch2(rank: int, ch2: RationalFunction | PolyLike,
     if not isinstance(ch2, RationalFunction) and not isinstance(c1sq, RationalFunction):
         ch2, c1sq = Poly.coerce(ch2), Poly.coerce(c1sq)
     return c1sq / (2 * rank) - ch2
+
+
+# ---------------------------------------------------------------------------
+# The change of basis (ch2E, ch2F, c1^2E) <-> (lambda, delta, D)
+# ---------------------------------------------------------------------------
+
+class ChernData(Record):
+    """Chern data of the structural bundles of a one-parameter family.
+
+    `d` and `g` may be symbols, so the identities among the derived
+    invariants can be certified as polynomial identities.  A numeric d is
+    at least 3, since the bundle of quadrics has rank d(d-3)/2, and a
+    numeric g is at least 0.  At d = 3 that bundle has rank zero, so ch2F
+    must vanish.
+    """
+
+    d: PolyLike
+    g: PolyLike
+    ch2e: PolyLike
+    ch2f: PolyLike
+    c1sq: PolyLike
+
+    def __post_init__(self):
+        for name in ("d", "g", "ch2e", "ch2f", "c1sq"):
+            object.__setattr__(self, name, Poly.coerce(getattr(self, name)))
+        if self.d.is_constant() and self.d.constant_value() < 3:
+            raise OutOfRange(f"need a degree d >= 3, got d = {self.d}")
+        if self.g.is_constant() and self.g.constant_value() < 0:
+            raise OutOfRange(f"need a genus g >= 0, got g = {self.g}")
+        if self.d == Poly.const(3) and not self.ch2f.is_zero():
+            raise OutOfRange("degree-three covers have no bundle of quadrics")
+
+    @property
+    def b(self) -> Poly:
+        """Number of branch points, 2g + 2d - 2."""
+        return 2 * self.g + 2 * self.d - 2
+
+
+class FamilyInvariants(Record):
+    """The five divisor-theoretic invariants of a family, plus the
+    self-intersection of the ramification divisor."""
+
+    lam: RationalFunction
+    kappa: RationalFunction
+    delta: RationalFunction
+    t_div: RationalFunction
+    d_div: RationalFunction
+    r_squared: RationalFunction
+
+    def as_dict(self) -> dict[str, RationalFunction]:
+        return {"lambda": self.lam, "kappa": self.kappa, "delta": self.delta,
+                "T": self.t_div, "D": self.d_div, "R^2": self.r_squared}
+
+
+def invariants_from_chern(c: ChernData) -> FamilyInvariants:
+    """Exact invariants of the family:
+
+        lambda = ch2(E) - c1^2(E)/b
+        kappa  = d ch2(E) - ch2(F) + (1/2 - 8/b) c1^2(E)
+        delta  = (12-d) ch2(E) + ch2(F) - (1/2 + 4/b) c1^2(E)
+        T      = (3d-12) ch2(E) - 3 ch2(F) + (3/2) c1^2(E)
+        D      = 4 ch2(F) - (4d-12) ch2(E)
+        R^2    = d ch2(E) - ch2(F) + c1^2(E)/2
+
+    delta is pinned against lambda and kappa by 12 lambda = kappa + delta,
+    and all five satisfy 24(b-1) lambda - 3(b-2) delta + 6D - (b-10) T = 0
+    identically.  Refused when a coefficient could not be printed.
+    """
+    d, g = c.d, c.g
+    e2 = RationalFunction(c.ch2e)
+    f2 = RationalFunction(c.ch2f)
+    s = RationalFunction(c.c1sq)
+    b = RationalFunction(c.b)
+
+    lam = e2 - s / b
+    kappa = d * e2 - f2 + (Fraction(1, 2) - 8 / b) * s
+    delta = (12 - d) * e2 + f2 - (Fraction(1, 2) + 4 / b) * s
+    t_div = (3 * d - 12) * e2 - 3 * f2 + Fraction(3, 2) * s
+    d_div = 4 * f2 - (4 * d - 12) * e2
+    r_squared = d * e2 - f2 + s / 2
+    invariants = FamilyInvariants(lam, kappa, delta, t_div, d_div, r_squared)
+    check_printable(max(max(coefficient_bits(p)) for value in invariants.as_dict().values()
+                        for p in (value.num, value.den)), "family invariants")
+    return invariants
 
 
 def chern_from_basis(d: int, lam: RationalFunction, delta: RationalFunction,

@@ -15,12 +15,11 @@ from .chow import (grassmann_top_constant_from_twist, ring_grassmann_bundle_g25,
                    ring_proj_bundle_over_p1)
 from .directrix import (DirectrixFamily, maroni_intersection_pentagonal,
                         rotating_directrix_class, rotating_directrix_closed_form)
-from .divisor_classes import (ce_class, ce_class_from_bogomolov, class_x,
-                              maroni_class, maroni_class_from_bogomolov,
-                              slope_bound)
+from .divisor_classes import (ChernData, ce_class, ce_class_from_bogomolov, class_x,
+                              invariants_from_chern, maroni_class,
+                              maroni_class_from_bogomolov, slope_bound)
 from .errors import EngineError, require
-from .family_calc import (ChernData, basechange_section_bookkeeping,
-                          invariants_from_chern, pentagonal_pencil_numbers,
+from .family_calc import (basechange_section_bookkeeping, pentagonal_pencil_numbers,
                           tetragonal_pencil_delta, trigonal_pencil_delta)
 from .graphs import canonical_label, enumerate_two_vertex, partitions, two_vertex_graph
 from .symkernel import Poly, ceil_div

@@ -13,13 +13,12 @@ from hurwitzcalc.chow import (grassmann_top_constant_from_twist,
 from hurwitzcalc.directrix import (DirectrixFamily, directrix_pushforward_degree,
                                    rotating_directrix_class,
                                    rotating_directrix_closed_form)
-from hurwitzcalc.divisor_classes import (ce_class, ce_class_from_bogomolov,
-                                         class_x, maroni_class,
+from hurwitzcalc.divisor_classes import (ChernData, ce_class, ce_class_from_bogomolov,
+                                         class_x, invariants_from_chern, maroni_class,
                                          maroni_class_from_bogomolov,
                                          slope_bound)
 from hurwitzcalc.errors import NoTameType
-from hurwitzcalc.family_calc import (ChernData, basechange_section_bookkeeping,
-                                     invariants_from_chern,
+from hurwitzcalc.family_calc import (basechange_section_bookkeeping,
                                      partial_pencil_record,
                                      pentagonal_pencil_numbers,
                                      pentagonal_pencil_symbolic,

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitzcalc.cli import _rational, main
+from hurwitzcalc.cli import _rational, build_parser, main
 from hurwitzcalc.family_calc import PENCIL_KINDS, PENCIL_TABLE, partial_pencil_record
 
 
@@ -536,6 +536,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "frobnicate")
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        (), ("--help",), ("frobnicate",), ("--json", "slope", "3", "4"),
+        ("slope", "--help"), ("slope", "3"),
+        ("class", "--help"), ("class", "y", "3"),
+        ("invariants", "--help"), ("invariants", "--d", "4", "--g", "9", "--ch2e", "x"),
+        ("pencil", "--help"), ("pencil", "no_such_kind"),
+        ("chow", "--help"), ("chow",), ("chow", "eval", "--help"), ("chow", "eval", "p1xp1"),
+        ("graphs", "--help"), ("graphs", "enum", "--help"), ("graphs", "enum", "--d", "3"),
+        ("yeff", "--help"), ("yeff", "certify", "--help"), ("yeff", "certify", "--g", "x"),
+        ("selftest", "--help"), ("selftest", "--bogus"),
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_help_and_errors_match_the_full_parser(self, capsys, argv):
+        # `main` gives only the named subcommand its arguments; what it
+        # prints must be what the parser holding every subcommand prints
+        def run(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            return exc.value.code, *capsys.readouterr()
+
+        printed = run(main)
+        assert printed == run(build_parser().parse_args)
+        assert printed[0] in (0, 1) and (printed[1] or printed[2])
 
 
 # small values reach the engine's valid ranges; large ones test its limits

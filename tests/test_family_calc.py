@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from hurwitzcalc.bundles import k1_pentagonal
 from hurwitzcalc.chow import surface_hirzebruch, surface_p1xp1
-from hurwitzcalc.divisor_classes import chern_from_basis
+from hurwitzcalc.divisor_classes import ChernData, chern_from_basis, invariants_from_chern
 from hurwitzcalc.errors import InvalidProfile, OutOfRange, RingMismatch, UnknownKind
-from hurwitzcalc.family_calc import (PENCIL_KINDS, PENCIL_TABLE, ChernData,
-                                     PencilRecord, PencilRow,
+from hurwitzcalc.family_calc import (PENCIL_KINDS, PENCIL_TABLE, PencilRecord, PencilRow,
                                      _checked_pencil_delta, basechange_section_bookkeeping,
                                      c2_omega_tetragonal_ambient_restricted,
                                      c2_omega_tetragonal_surface,
                                      hyperelliptic_pencil_delta,
-                                     invariants_from_chern, partial_pencil_record,
+                                     partial_pencil_record,
                                      pencil_delta_on_surface,
                                      pencil_delta_via_euler,
                                      pentagonal_basechange_profile_record,

@@ -1,7 +1,7 @@
 """Repository guards: the demos run, the engine holds no `assert`, raises
-only its own errors and imports neither `dataclasses` nor `typing`, a cold
-start imports only what its subcommand uses, and importing the engine
-builds no `Poly`."""
+only its own errors, imports neither `dataclasses` nor `typing` and writes
+into no shared `Poly` state, a cold start imports only what its subcommand
+uses, and importing the engine builds no `Poly`."""
 
 import ast
 import json
@@ -13,6 +13,7 @@ import pytest
 
 import hurwitzcalc
 from hurwitzcalc import errors
+from hurwitzcalc.cli import build_parser
 
 PACKAGE = Path(hurwitzcalc.__file__).resolve().parent
 DEMOS = sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
@@ -64,6 +65,58 @@ def test_no_dataclasses_or_typing_in_the_engine(module):
     assert not {name.split(".")[0] for name in imported} & {"dataclasses", "typing"}
 
 
+_MUTATORS = {"update", "pop", "setdefault", "clear", "popitem"}
+
+
+def shared_state_writes(source: str, module: str) -> list[int]:
+    """The lines that write into state a `Poly` or `ChowClass` may share
+    (`Poly.const` hands out one instance per small integer): an item store,
+    deletion or mutating call on a `.terms` mapping, a `.terms` bound on
+    anything but `self` in `__init__` or an `object.__new__` result, and,
+    outside `symkernel`, any store to `.compiled`."""
+    tree = ast.parse(source)
+    fresh = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            built = {"self"} if func.name == "__init__" else set()
+            built |= {target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                      and ast.unparse(node.value).startswith("object.__new__(")
+                      for target in node.targets if isinstance(target, ast.Name)}
+            fresh |= {node for node in ast.walk(func) if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id in built}
+    writes = []
+    for node in ast.walk(tree):
+        stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if isinstance(node, ast.Subscript):
+            write = stored and getattr(node.value, "attr", None) == "terms"
+        elif isinstance(node, ast.Call):
+            write = getattr(node.func, "attr", None) in _MUTATORS \
+                and getattr(node.func.value, "attr", None) == "terms"
+        elif isinstance(node, ast.Attribute):
+            write = stored and (node.attr == "terms" and node not in fresh
+                                or node.attr == "compiled" and module != "symkernel")
+        else:
+            write = False
+        if write:
+            writes.append(node.lineno)
+    return writes
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_write_into_shared_poly_state(module):
+    assert not shared_state_writes(module.read_text(), module.stem)
+
+
+@pytest.mark.parametrize("line", [
+    "p.terms[()] = 1", "p.terms[()] += 1", "del p.terms[()]", "p.terms.update({})",
+    "p.terms.pop(())", "p.terms.setdefault((), 1)", "p.terms.clear()", "p.terms.popitem()",
+    "p.terms = {}", "del p.terms", "p.compiled = None",
+])
+def test_planted_write_into_shared_poly_state_is_refused(line):
+    source = f"def f(p):\n    {line}\n"
+    assert shared_state_writes(source, "chow") == [2]
+
+
 # the package's names: its exports plus the engine submodules it binds
 PACKAGE_NAMES = [
     "Certificate", "ChernData", "ChowClass", "ChowPresentation", "CoverInvariants",
@@ -84,12 +137,14 @@ PACKAGE_NAMES = [
     "syzygy_rank", "validate", "yeff"]
 
 # run a CLI call (or none) in a fresh interpreter, then print on a last
-# line every module it has loaded
+# line every module it has loaded, listed before this script imports json
 LOADED = (
-    "import json, sys\n"
+    "import sys\n"
     "import hurwitzcalc.cli\n"
     "code = hurwitzcalc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    "print(json.dumps(sorted(sys.modules)))\n"
+    "loaded = sorted(sys.modules)\n"
+    "import json\n"
+    "print(json.dumps(loaded))\n"
     "raise SystemExit(code)\n")
 
 
@@ -123,6 +178,39 @@ def test_graphs_enum_loads_no_chow(engine_env):
 def test_slope_loads_no_pencil_or_certificate_module(engine_env):
     loaded = loaded_modules(engine_env, "slope", "3", "4")
     assert "divisor_classes" in loaded and not loaded & {"family_calc", "yeff"}
+
+
+def test_invariants_loads_only_the_change_of_basis(engine_env):
+    loaded = loaded_modules(engine_env, "invariants", "--d", "4", "--g", "9",
+                            "--ch2e", "1", "--ch2f", "1", "--c1sq", "1")
+    assert loaded == {"cli", "errors", "divisor_classes", "bundles", "symkernel"}
+
+
+# one light call of each subcommand that has one
+LIGHT_CALLS = [
+    ("slope", "3", "4"),
+    ("class", "x", "4", "--at", "9"),
+    ("invariants", "--d", "4", "--g", "9", "--ch2e", "1", "--ch2f", "1", "--c1sq", "1"),
+    ("pencil", "trigonal_plain", "--gr", "2"),
+    ("chow", "eval", "p1xp1", "Rs*Rt"),
+    ("graphs", "enum", "--d", "3", "--g", "4"),
+]
+
+
+@pytest.mark.parametrize("argv", LIGHT_CALLS, ids=lambda argv: argv[0])
+def test_output_without_json_loads_no_json(engine_env, argv):
+    assert "json" not in modules_after(engine_env, *argv)
+    assert "json" in modules_after(engine_env, *argv, "--json")
+
+
+@pytest.mark.parametrize("argv", LIGHT_CALLS + [
+    ("yeff", "certify", "--d", "3", "--g", "4", "--emit", "out.json"), ("selftest",),
+], ids=lambda argv: argv[0])
+def test_build_parser_holds_every_subcommand(argv):
+    # `main` builds the parser with only the called subcommand's arguments
+    full = build_parser().parse_args([*argv, "--json"])
+    assert vars(full) == vars(build_parser({argv[0]}).parse_args([*argv, "--json"]))
+    assert full.json and full.func.__name__.startswith("_cmd_")
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,8 @@ from hurwitzcalc import bundles, directrix, divisor_classes, family_calc, graphs
 from hurwitzcalc.bundles import CoverInvariants, SplittingType
 from hurwitzcalc.directrix import DirectrixFamily
 from hurwitzcalc.errors import InvalidFamily, OutOfRange, Record
-from hurwitzcalc.family_calc import PENCIL_TABLE, ChernData, FamilyInvariants, PencilRecord
+from hurwitzcalc.divisor_classes import ChernData, FamilyInvariants
+from hurwitzcalc.family_calc import PENCIL_TABLE, PencilRecord
 from hurwitzcalc.graphs import DualGraph, Edge, Vertex
 from hurwitzcalc.symkernel import RationalFunction
 from hurwitzcalc.yeff import Certificate, GraphResult, InequalityRule
@@ -19,8 +20,8 @@ from hurwitzcalc.yeff import Certificate, GraphResult, InequalityRule
 RECORDS = {
     bundles: ("SplittingType", "CoverInvariants"),
     directrix: ("DirectrixFamily",),
-    divisor_classes: ("DivisorClass",),
-    family_calc: ("ChernData", "FamilyInvariants", "PencilRecord", "PencilRow"),
+    divisor_classes: ("DivisorClass", "ChernData", "FamilyInvariants"),
+    family_calc: ("PencilRecord", "PencilRow"),
     graphs: ("Vertex", "Edge", "DualGraph"),
     yeff: ("InequalityRule", "GraphResult", "Certificate"),
 }
